@@ -103,8 +103,6 @@ def project(M: OperatorMatrix, left: ProjectionMask, right: ProjectionMask) -> O
         entries=entries,
         provenance=f"{M.provenance}[{left.side},{right.side}]",
         col_grid=M.col_grid,
-        row_indices=left.indices,
-        col_indices=right.indices,
     )
 
 

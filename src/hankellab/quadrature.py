@@ -62,15 +62,13 @@ class OperatorMatrix:
 
     Square matrices discretise self-adjoint operators on ``grid``; rectangular
     ones carry a distinct ``col_grid`` (used when an inner integration runs on
-    a wider grid).  Blocks extracted by projection keep their own index maps.
+    a wider grid).
     """
 
     grid: Grid
     entries: np.ndarray
     provenance: str
     col_grid: Optional[Grid] = None
-    row_indices: Optional[np.ndarray] = None
-    col_indices: Optional[np.ndarray] = None
 
     def __post_init__(self):
         e = np.asarray(self.entries, dtype=float)
@@ -118,9 +116,10 @@ def _evaluate_kernel(K, S, T):
 def nystrom(K: Callable, grid: Grid, provenance: str = "kernel") -> OperatorMatrix:
     """Symmetric Nystrom matrix sqrt(w_i w_j) K(t_i, t_j).
 
-    The kernel is evaluated once per unordered pair (upper triangle mirrored),
-    so the result is symmetric exactly, and the sqrt-weight scaling keeps the
-    matrix similar to the plain quadrature discretisation.
+    The kernel is evaluated on the full N x N square of node pairs; the upper
+    triangle is then mirrored onto the lower, so the result is symmetric
+    exactly.  The sqrt-weight scaling keeps the matrix similar to the plain
+    quadrature discretisation.
     """
     S, T = np.meshgrid(grid.nodes, grid.nodes, indexing="ij")
     vals = _evaluate_kernel(K, S, T)

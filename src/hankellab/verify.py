@@ -38,7 +38,7 @@ import numpy as np
 from . import discretize as dz
 from .errors import DomainError
 from .kernels import rational_test_family
-from .linalg import nuclear_norm, op_norm, reliability_floor, singular_values, sym_eigen
+from .linalg import op_norm, singular_values, sym_eigen
 from .quadrature import Grid, make_grid, quad_integral
 from .spectra import analyze, predict, schatten_diagnostic
 from .specfun import check_alpha, pi_alpha
@@ -253,9 +253,8 @@ def _check_c6(alpha: float, grids: Sequence[Grid]) -> CheckResult:
             ("A_0i", dz.project(A, m0, mi)),
         ):
             sv = singular_values(block)
-            # Gram-route singular values carry a sqrt(eps)*sigma_1 noise
-            # plateau that mimics slow decay; the verdict must not see it
-            floor = max(reliability_floor(sv), math.sqrt(np.finfo(float).eps) * sv[0])
+            # the numerical-rank tolerance of the singular values
+            floor = max(block.shape) * np.finfo(float).eps * sv[0]
             diag = schatten_diagnostic(sv, floor)
             row[label] = {
                 "verdict": diag.verdict,
@@ -301,10 +300,10 @@ def _residual_matrix(alpha: float, family, g: Grid) -> np.ndarray:
 def _check_c7(alpha: float, grids: Sequence[Grid], family) -> CheckResult:
     metrics, nucs = [], []
     for g in grids:
-        T = _residual_matrix(alpha, family, g)
-        nuc = nuclear_norm(T)
+        sv = singular_values(_residual_matrix(alpha, family, g))
+        nuc = float(sv.sum())
         nucs.append(nuc)
-        metrics.append({"nuclear": nuc, "op": op_norm(T)})
+        metrics.append({"nuclear": nuc, "op": float(sv[0])})
     ok = _growth_ok(nucs)
     return CheckResult(
         name="C7",

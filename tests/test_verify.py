@@ -36,6 +36,12 @@ class TestRunSuite:
         names = [c.name for c in rep.checks]
         assert names == ["C2", "C3", "C5"]
 
+    def test_c6_passes_on_default_ladder_at_half(self):
+        # the cross block at (10, 800) decays to rounding level; singular
+        # values less accurate than eps * sigma_1 read that tail as slow decay
+        rep = run_suite(0.5, [(6.0, 200), (8.0, 400), (10.0, 800)], checks=["C6"])
+        assert rep.verdict == "pass"
+
     def test_report_deterministic(self):
         r1 = run_suite(0.0, [(6.0, 200)], checks=["C2", "C5", "C6"])
         r2 = run_suite(0.0, [(6.0, 200)], checks=["C2", "C5", "C6"])
