@@ -12,7 +12,7 @@ deviation from the full-line composition does not vanish under refinement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -128,31 +128,29 @@ def widened_grid(grid: Grid, factor: int = WIDE_FACTOR) -> Grid:
     return make_grid(factor * grid.R, factor * grid.N)
 
 
-def assemble_L_rect(alpha, grid: Grid, wide: Optional[Grid] = None) -> OperatorMatrix:
-    """Rectangular factor matrix: rows on ``grid``, columns on the wide grid."""
+def assemble_L_rect(alpha, grid: Grid) -> OperatorMatrix:
+    """Rectangular factor matrix: rows on ``grid``, columns on the widened grid."""
     a = check_alpha(alpha)
-    wide = wide or widened_grid(grid)
-    return nystrom_rect(kernel_L(a), grid, wide, provenance=f"L_rect(alpha={a})")
+    return nystrom_rect(kernel_L(a), grid, widened_grid(grid), provenance=f"L_rect(alpha={a})")
 
 
-def operator_square(alpha, grid: Grid, wide: Optional[Grid] = None) -> OperatorMatrix:
+def operator_square(alpha, grid: Grid) -> OperatorMatrix:
     """Quadrature approximation of the operator square of the factor operator.
 
     The inner integral runs over the widened grid, so the result converges to
     the model matrix under refinement.
     """
-    Lr = assemble_L_rect(alpha, grid, wide)
+    Lr = assemble_L_rect(alpha, grid)
     prod = Lr.entries @ Lr.entries.T
     entries = np.triu(prod) + np.triu(prod, 1).T
     return OperatorMatrix(grid=grid, entries=entries, provenance=f"L^2(alpha={alpha})")
 
 
-def composed_block(alpha, grid: Grid, inner_side: str, wide: Optional[Grid] = None) -> OperatorMatrix:
+def composed_block(alpha, grid: Grid, inner_side: str) -> OperatorMatrix:
     """L * (indicator of one side of 1) * L with the inner variable on the
     widened grid; full-size matrix on ``grid``."""
-    wide = wide or widened_grid(grid)
-    Lr = assemble_L_rect(alpha, grid, wide)
-    mask = projection_mask(wide, inner_side).diagonal()
+    Lr = assemble_L_rect(alpha, grid)
+    mask = projection_mask(Lr.col_grid, inner_side).diagonal()
     prod = (Lr.entries * mask[np.newaxis, :]) @ Lr.entries.T
     entries = np.triu(prod) + np.triu(prod, 1).T
     return OperatorMatrix(
@@ -162,10 +160,10 @@ def composed_block(alpha, grid: Grid, inner_side: str, wide: Optional[Grid] = No
     )
 
 
-def assemble_uL(u: Callable, alpha, grid: Grid, wide: Optional[Grid] = None) -> OperatorMatrix:
+def assemble_uL(u: Callable, alpha, grid: Grid) -> OperatorMatrix:
     """Rectangular discretisation of the operator u L (u a multiplication
     operator given as a function of t); used for Hilbert-Schmidt diagnostics."""
-    Lr = assemble_L_rect(alpha, grid, wide)
+    Lr = assemble_L_rect(alpha, grid)
     uvals = np.asarray(u(grid.nodes), dtype=float)
     entries = uvals[:, np.newaxis] * Lr.entries
     return OperatorMatrix(

@@ -85,30 +85,22 @@ class OperatorMatrix:
         return self.entries.shape[0] == self.entries.shape[1]
 
 
-def _evaluate_kernel(K, S, T):
+def _evaluate_kernel(K, s, t):
+    """K on every pair of the node column ``s`` (n x 1) and row ``t`` (1 x m)."""
     try:
-        vals = np.asarray(K(S, T), dtype=float)
-    except Exception:
-        vals = np.empty(S.shape)
-        for i in range(S.shape[0]):
-            for j in range(S.shape[1]):
-                try:
-                    vals[i, j] = float(K(S[i, j], T[i, j]))
-                except Exception as exc:
-                    raise KernelEvaluationError(
-                        f"kernel evaluation raised at (s, t) = ({S[i, j]!r}, {T[i, j]!r}): {exc}",
-                        s=float(S[i, j]),
-                        t=float(T[i, j]),
-                    ) from exc
-    if vals.shape != S.shape:
-        vals = np.broadcast_to(vals, S.shape).copy()
+        vals = np.asarray(K(s, t), dtype=float)
+    except Exception as exc:
+        raise KernelEvaluationError(f"kernel evaluation raised on the node arrays: {exc}") from exc
+    shape = (s.shape[0], t.shape[1])
+    if vals.shape != shape:
+        vals = np.broadcast_to(vals, shape).copy()
     bad = ~np.isfinite(vals)
     if bad.any():
         i, j = np.argwhere(bad)[0]
         raise KernelEvaluationError(
-            f"kernel evaluation not finite at (s, t) = ({S[i, j]!r}, {T[i, j]!r})",
-            s=float(S[i, j]),
-            t=float(T[i, j]),
+            f"kernel evaluation not finite at (s, t) = ({s[i, 0]!r}, {t[0, j]!r})",
+            s=float(s[i, 0]),
+            t=float(t[0, j]),
         )
     return vals
 
@@ -116,13 +108,12 @@ def _evaluate_kernel(K, S, T):
 def nystrom(K: Callable, grid: Grid, provenance: str = "kernel") -> OperatorMatrix:
     """Symmetric Nystrom matrix sqrt(w_i w_j) K(t_i, t_j).
 
-    The kernel is evaluated on the full N x N square of node pairs; the upper
-    triangle is then mirrored onto the lower, so the result is symmetric
-    exactly.  The sqrt-weight scaling keeps the matrix similar to the plain
-    quadrature discretisation.
+    The kernel is called once on the node column and row, broadcasting to the
+    full N x N square of node pairs; the upper triangle is then mirrored onto
+    the lower, so the result is symmetric exactly.  The sqrt-weight scaling
+    keeps the matrix similar to the plain quadrature discretisation.
     """
-    S, T = np.meshgrid(grid.nodes, grid.nodes, indexing="ij")
-    vals = _evaluate_kernel(K, S, T)
+    vals = _evaluate_kernel(K, grid.nodes[:, np.newaxis], grid.nodes[np.newaxis, :])
     vals *= np.sqrt(np.outer(grid.weights, grid.weights))
     upper = np.triu(vals)
     entries = upper + np.triu(vals, 1).T
@@ -131,8 +122,7 @@ def nystrom(K: Callable, grid: Grid, provenance: str = "kernel") -> OperatorMatr
 
 def nystrom_rect(K: Callable, row_grid: Grid, col_grid: Grid, provenance: str = "kernel") -> OperatorMatrix:
     """Rectangular Nystrom matrix sqrt(w_i om_j) K(t_i, tau_j) across two grids."""
-    S, T = np.meshgrid(row_grid.nodes, col_grid.nodes, indexing="ij")
-    vals = _evaluate_kernel(K, S, T)
+    vals = _evaluate_kernel(K, row_grid.nodes[:, np.newaxis], col_grid.nodes[np.newaxis, :])
     vals *= np.sqrt(np.outer(row_grid.weights, col_grid.weights))
     return OperatorMatrix(grid=row_grid, entries=vals, provenance=provenance, col_grid=col_grid)
 

@@ -230,7 +230,7 @@ def _reg_upper_cf(s: float, t: np.ndarray, tol: float, itmax: int) -> np.ndarray
 def _reg_gamma_pair(s, t, tol: float = 1e-14, itmax: int = 500):
     """(P, Q) with P + Q = 1 exactly up to one rounding."""
     s, t_arr = _check_gamma_args(s, t)
-    t_flat = np.atleast_1d(t_arr).astype(float).ravel()
+    t_flat = np.atleast_1d(t_arr).ravel()
     p = np.empty_like(t_flat)
     q = np.empty_like(t_flat)
     ser = t_flat < s + 1.0

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -97,15 +98,47 @@ def _growth_ok(xs: Sequence[float], cap: float = NUCLEAR_GROWTH_CAP) -> bool:
     return all(b <= cap * a + 1e-300 for a, b in zip(xs, xs[1:]))
 
 
-def _check_c1(alpha: float, grids: Sequence[Grid]) -> CheckResult:
+class _GridPieces:
+    """The operators that several checks share on one ladder step, each
+    assembled on first use and then kept for the rest of the suite."""
+
+    def __init__(self, alpha: float, grid: Grid, family):
+        self.alpha, self.grid, self.family = alpha, grid, family
+        self.m0 = dz.projection_mask(grid, "zero")
+        self.mi = dz.projection_mask(grid, "infinity")
+
+    @cached_property
+    def A(self):
+        return dz.assemble_A(self.alpha, self.grid)
+
+    @cached_property
+    def L(self):
+        return dz.assemble_L(self.alpha, self.grid)
+
+    @cached_property
+    def block_inf(self):
+        return dz.composed_block(self.alpha, self.grid, "infinity")  # L 1_inf L
+
+    @cached_property
+    def block_0(self):
+        return dz.composed_block(self.alpha, self.grid, "zero")  # L 1_0 L
+
+    @cached_property
+    def weighted(self):
+        """The family's weighted Hankel matrix and v = w(t) t^(-alpha) on the nodes."""
+        spec_a, spec_w = rational_test_family(self.alpha, *self.family)
+        t = self.grid.nodes
+        return dz.assemble_wHa(spec_a, spec_w, self.grid), spec_w.eval(t) * t ** (-self.alpha)
+
+
+def _check_c1(alpha: float, pieces: Sequence[_GridPieces]) -> CheckResult:
     wide_resids, window_resids, metrics = [], [], []
-    for g in grids:
-        A = dz.assemble_A(alpha, g)
+    for p in pieces:
+        A = p.A.entries
         a_norm = op_norm(A)
-        sq = dz.operator_square(alpha, g)
-        wide = op_norm(sq.entries - A.entries) / a_norm
-        L = dz.assemble_L(alpha, g)
-        window = op_norm(L.entries @ L.entries - A.entries) / a_norm
+        sq = dz.operator_square(alpha, p.grid)
+        wide = op_norm(sq.entries - A) / a_norm
+        window = op_norm(p.L.entries @ p.L.entries - A) / a_norm
         wide_resids.append(wide)
         window_resids.append(window)
         metrics.append(
@@ -117,21 +150,19 @@ def _check_c1(alpha: float, grids: Sequence[Grid]) -> CheckResult:
     return CheckResult(
         name="C1",
         anchor="A = L^2 factorisation",
-        grids=tuple((g.R, g.N) for g in grids),
+        grids=tuple((p.grid.R, p.grid.N) for p in pieces),
         metrics=tuple(metrics),
         verdict="pass" if ok else "fail",
         rule=f"composition residual <= {COMPOSITION_CAP} and strictly decreasing",
     )
 
 
-def _check_c2(alpha: float, grids: Sequence[Grid]) -> CheckResult:
+def _check_c2(alpha: float, pieces: Sequence[_GridPieces]) -> CheckResult:
     metrics, ok = [], True
-    for g in grids:
-        A = dz.assemble_A(alpha, g)
-        m0 = dz.projection_mask(g, "zero")
-        mi = dz.projection_mask(g, "infinity")
-        e0 = _eigs(dz.project(A, m0, m0))
-        ei = _eigs(dz.project(A, mi, mi))
+    for p in pieces:
+        A = p.A
+        e0 = _eigs(dz.project(A, p.m0, p.m0))
+        ei = _eigs(dz.project(A, p.mi, p.mi))
         diff = float(np.abs(e0 - ei).max())
         a_norm = float(np.abs(np.concatenate([e0, ei])).max())
         persym = float(np.abs(A.entries - A.entries[::-1, ::-1]).max())
@@ -140,22 +171,22 @@ def _check_c2(alpha: float, grids: Sequence[Grid]) -> CheckResult:
     return CheckResult(
         name="C2",
         anchor="inversion symmetry: diagonal blocks isospectral",
-        grids=tuple((g.R, g.N) for g in grids),
+        grids=tuple((p.grid.R, p.grid.N) for p in pieces),
         metrics=tuple(metrics),
         verdict="pass" if ok else "fail",
         rule=f"block eigenvalue lists agree to {BLOCK_EIG_TOL} * |A|",
     )
 
 
-def _check_c3(alpha: float, grids: Sequence[Grid]) -> CheckResult:
+def _check_c3(alpha: float, pieces: Sequence[_GridPieces]) -> CheckResult:
     split_errs, comp_resids, metrics = [], [], []
-    for g in grids:
-        A = dz.assemble_A(alpha, g)
-        H0 = dz.assemble_model_hankel("phi0", alpha, g)
-        Hi = dz.assemble_model_hankel("phi_inf", alpha, g)
-        a_max = float(np.abs(A.entries).max())
-        split = float(np.abs(H0.entries + Hi.entries - A.entries).max()) / a_max
-        comp = op_norm(H0.entries - dz.composed_block(alpha, g, "infinity").entries)
+    for p in pieces:
+        A = p.A.entries
+        H0 = dz.assemble_model_hankel("phi0", alpha, p.grid)
+        Hi = dz.assemble_model_hankel("phi_inf", alpha, p.grid)
+        a_max = float(np.abs(A).max())
+        split = float(np.abs(H0.entries + Hi.entries - A).max()) / a_max
+        comp = op_norm(H0.entries - p.block_inf.entries)
         split_errs.append(split)
         comp_resids.append(comp)
         metrics.append({"split_error": split, "composition_residual": comp})
@@ -165,7 +196,7 @@ def _check_c3(alpha: float, grids: Sequence[Grid]) -> CheckResult:
     return CheckResult(
         name="C3",
         anchor="kernel split phi0 + phi_inf and composition identity",
-        grids=tuple((g.R, g.N) for g in grids),
+        grids=tuple((p.grid.R, p.grid.N) for p in pieces),
         metrics=tuple(metrics),
         verdict="pass" if ok else "fail",
         rule=f"entrywise split <= {EXACT_TOL} * max|A|; composition residual decreasing",
@@ -180,7 +211,7 @@ def _hs_battery(alpha: float):
     )
 
 
-def _check_c4(alpha: float, grids: Sequence[Grid]) -> CheckResult:
+def _check_c4(alpha: float) -> CheckResult:
     # the identity battery is calibrated at (8, 600); the divergence witness
     # doubles the truncation width at fixed step
     g_id = make_grid(8.0, 600)
@@ -210,20 +241,18 @@ def _check_c4(alpha: float, grids: Sequence[Grid]) -> CheckResult:
     )
 
 
-def _check_c5(alpha: float, grids: Sequence[Grid]) -> CheckResult:
+def _check_c5(alpha: float, pieces: Sequence[_GridPieces]) -> CheckResult:
     metrics, ok = [], True
-    for g in grids:
-        L = dz.assemble_L(alpha, g)
+    for p in pieces:
         row = {}
-        for side in ("zero", "infinity"):
-            mask = dz.projection_mask(g, side)
-            block = dz.project(L, mask, mask).entries
+        for side, mask in (("zero", p.m0), ("infinity", p.mi)):
+            block = dz.project(p.L, mask, mask).entries
             if side == "zero":
                 block = block[::-1, ::-1]  # ascending in x = -ln t
-            d = dz.change_of_variables_diagonal(g, side)
+            d = dz.change_of_variables_diagonal(p.grid, side)
             pushed = d[:, np.newaxis] * block * d[np.newaxis, :]
             pushed = 0.5 * (pushed + pushed.T)
-            H = dz.log_pushforward_hankel(side, alpha, g).entries
+            H = dz.log_pushforward_hankel(side, alpha, p.grid).entries
             diff = float(np.abs(_eigs(pushed) - _eigs(H)).max())
             row[f"eig_diff_{side}"] = diff
             ok = ok and diff <= PUSHFORWARD_TOL
@@ -231,26 +260,22 @@ def _check_c5(alpha: float, grids: Sequence[Grid]) -> CheckResult:
     return CheckResult(
         name="C5",
         anchor="log-variable Hankel equivalence of diagonal blocks",
-        grids=tuple((g.R, g.N) for g in grids),
+        grids=tuple((p.grid.R, p.grid.N) for p in pieces),
         metrics=tuple(metrics),
         verdict="pass" if ok else "fail",
         rule=f"pushforward eigenvalue agreement <= {PUSHFORWARD_TOL}",
     )
 
 
-def _check_c6(alpha: float, grids: Sequence[Grid]) -> CheckResult:
+def _check_c6(alpha: float, pieces: Sequence[_GridPieces]) -> CheckResult:
     metrics, ok = [], True
     cross_nucs = []
-    for g in grids:
-        L = dz.assemble_L(alpha, g)
-        A = dz.assemble_A(alpha, g)
-        m0 = dz.projection_mask(g, "zero")
-        mi = dz.projection_mask(g, "infinity")
+    for p in pieces:
         row = {}
         for label, block in (
-            ("L_00", dz.project(L, m0, m0)),
-            ("L_ii", dz.project(L, mi, mi)),
-            ("A_0i", dz.project(A, m0, mi)),
+            ("L_00", dz.project(p.L, p.m0, p.m0)),
+            ("L_ii", dz.project(p.L, p.mi, p.mi)),
+            ("A_0i", dz.project(p.A, p.m0, p.mi)),
         ):
             sv = singular_values(block)
             # the numerical-rank tolerance of the singular values
@@ -271,36 +296,29 @@ def _check_c6(alpha: float, grids: Sequence[Grid]) -> CheckResult:
     return CheckResult(
         name="C6",
         anchor="Schatten decay of diagonal L blocks and the A cross block",
-        grids=tuple((g.R, g.N) for g in grids),
+        grids=tuple((p.grid.R, p.grid.N) for p in pieces),
         metrics=tuple(metrics),
         verdict="pass" if ok else "fail",
         rule=f"super-polynomial decay; cross nuclear growth <= {NUCLEAR_GROWTH_CAP}/step",
     )
 
 
-def _residual_matrix(alpha: float, family, g: Grid) -> np.ndarray:
+def _residual_matrix(p: _GridPieces) -> np.ndarray:
     """Residual of the two-block decomposition of the weighted operator,
     assembled from already-verified pieces."""
-    a0, a_inf, b0, b_inf = family
-    spec_a, spec_w = rational_test_family(alpha, a0, a_inf, b0, b_inf)
-    WHA = dz.assemble_wHa(spec_a, spec_w, g).entries
-    wide = dz.widened_grid(g)
-    block_inf = dz.composed_block(alpha, g, "infinity", wide).entries  # L 1_inf L
-    block_0 = dz.composed_block(alpha, g, "zero", wide).entries  # L 1_0 L
-    v = spec_w.eval(g.nodes) * g.nodes ** (-alpha)
-    p0 = dz.projection_mask(g, "zero").diagonal()
-    pi_ = dz.projection_mask(g, "infinity").diagonal()
-    v0 = v * p0
-    vi = v * pi_
-    term0 = v0[:, np.newaxis] * block_inf * v0[np.newaxis, :]
-    term_inf = vi[:, np.newaxis] * block_0 * vi[np.newaxis, :]
-    return WHA - a0 * term0 - a_inf * term_inf
+    a0, a_inf, _, _ = p.family
+    WHA, v = p.weighted
+    v0 = v * p.m0.diagonal()
+    vi = v * p.mi.diagonal()
+    term0 = v0[:, np.newaxis] * p.block_inf.entries * v0[np.newaxis, :]
+    term_inf = vi[:, np.newaxis] * p.block_0.entries * vi[np.newaxis, :]
+    return WHA.entries - a0 * term0 - a_inf * term_inf
 
 
-def _check_c7(alpha: float, grids: Sequence[Grid], family) -> CheckResult:
+def _check_c7(alpha: float, pieces: Sequence[_GridPieces]) -> CheckResult:
     metrics, nucs = [], []
-    for g in grids:
-        sv = singular_values(_residual_matrix(alpha, family, g))
+    for p in pieces:
+        sv = singular_values(_residual_matrix(p))
         nuc = float(sv.sum())
         nucs.append(nuc)
         metrics.append({"nuclear": nuc, "op": float(sv[0])})
@@ -308,49 +326,42 @@ def _check_c7(alpha: float, grids: Sequence[Grid], family) -> CheckResult:
     return CheckResult(
         name="C7",
         anchor="trace-class residual of the two-block decomposition",
-        grids=tuple((g.R, g.N) for g in grids),
+        grids=tuple((p.grid.R, p.grid.N) for p in pieces),
         metrics=tuple(metrics),
         verdict="pass" if ok else "fail",
         rule=f"residual nuclear norm growth <= {NUCLEAR_GROWTH_CAP} per ladder step",
     )
 
 
-def _c8_items(alpha: float, family, g: Grid):
-    a0, a_inf, b0, b_inf = family
-    spec_a, spec_w = rational_test_family(alpha, a0, a_inf, b0, b_inf)
+def _c8_items(alpha: float, p: _GridPieces):
+    a0, a_inf, b0, b_inf = p.family
     pa = pi_alpha(alpha)
-    wide = dz.widened_grid(g)
-    m0 = dz.projection_mask(g, "zero")
-    mi = dz.projection_mask(g, "infinity")
-    A = dz.assemble_A(alpha, g)
-    comp_inf = dz.composed_block(alpha, g, "infinity", wide)  # L 1_inf L
-    comp_0 = dz.composed_block(alpha, g, "zero", wide)  # L 1_0 L
-    b3_zero = dz.project(comp_inf, m0, m0)
-    b3_inf = dz.project(comp_0, mi, mi)
-    v = spec_w.eval(g.nodes) * g.nodes ** (-alpha)
-    v0 = (v * m0.diagonal())[m0.indices]
-    vi = (v * mi.diagonal())[mi.indices]
-    wb_zero = v0[:, np.newaxis] * b3_zero.entries * v0[np.newaxis, :]
-    wb_inf = vi[:, np.newaxis] * b3_inf.entries * vi[np.newaxis, :]
-    WHA = dz.assemble_wHa(spec_a, spec_w, g)
+    m0, mi = p.m0, p.mi
+    b3_zero = dz.project(p.block_inf, m0, m0).entries
+    b3_inf = dz.project(p.block_0, mi, mi).entries
+    WHA, v = p.weighted
+    v0 = v[m0.indices]
+    vi = v[mi.indices]
+    wb_zero = v0[:, np.newaxis] * b3_zero * v0[np.newaxis, :]
+    wb_inf = vi[:, np.newaxis] * b3_inf * vi[np.newaxis, :]
     single = lambda c: predict(alpha, c / pa, 0.0, 1.0, 1.0)
     return (
-        ("model", A.entries, predict(alpha, 1.0, 1.0, 1.0, 1.0)),
-        ("block_zero", b3_zero.entries, single(pa)),
-        ("block_infinity", b3_inf.entries, single(pa)),
+        ("model", p.A.entries, predict(alpha, 1.0, 1.0, 1.0, 1.0)),
+        ("block_zero", b3_zero, single(pa)),
+        ("block_infinity", b3_inf, single(pa)),
         ("weighted_block_zero", 0.5 * (wb_zero + wb_zero.T), single(pa * b0**2)),
         ("weighted_block_infinity", 0.5 * (wb_inf + wb_inf.T), single(pa * b_inf**2)),
         ("weighted_hankel", WHA.entries, predict(alpha, a0, a_inf, b0, b_inf)),
     )
 
 
-def _check_c8(alpha: float, grids: Sequence[Grid], family) -> CheckResult:
+def _check_c8(alpha: float, pieces: Sequence[_GridPieces]) -> CheckResult:
     per_item_gaps: Dict[str, List[float]] = {}
     per_item_outliers: Dict[str, List[int]] = {}
     metrics = []
-    for g in grids:
+    for p in pieces:
         row = {}
-        for label, entries, predicted in _c8_items(alpha, family, g):
+        for label, entries, predicted in _c8_items(alpha, p):
             if not predicted.intervals:
                 continue
             rep = analyze(_eigs(entries), predicted)
@@ -371,7 +382,7 @@ def _check_c8(alpha: float, grids: Sequence[Grid], family) -> CheckResult:
             ok = ok and counts[-1] <= max(counts[0], 4)
         else:
             ok = ok and all(c == 0 for c in counts)
-    if len(grids) > 1:
+    if len(pieces) > 1:
         ok = ok and _strictly_decreasing(per_item_gaps["model"])
         for label, gaps in per_item_gaps.items():
             # block fills are pre-asymptotic at coarse grids; they may wiggle
@@ -380,7 +391,7 @@ def _check_c8(alpha: float, grids: Sequence[Grid], family) -> CheckResult:
     return CheckResult(
         name="C8",
         anchor="predicted a.c. interval fill and outlier counts",
-        grids=tuple((g.R, g.N) for g in grids),
+        grids=tuple((p.grid.R, p.grid.N) for p in pieces),
         metrics=tuple(metrics),
         verdict="pass" if ok else "fail",
         rule=(
@@ -408,7 +419,7 @@ def run_suite(
         raise DomainError("ladder must be non-empty")
     if any(ladder[i] >= ladder[i + 1] for i in range(len(ladder) - 1)):
         raise DomainError("ladder must be increasing in (R, N)")
-    grids = [make_grid(R, N) for R, N in ladder]
+    pieces = [_GridPieces(a, make_grid(R, N), family) for R, N in ladder]
     selected = tuple(checks) if checks else CHECK_NAMES
     bad = [c for c in selected if c.upper() not in CHECK_NAMES]
     if bad:
@@ -416,14 +427,14 @@ def run_suite(
     selected = tuple(c.upper() for c in selected)
 
     runners: Dict[str, Callable[[], CheckResult]] = {
-        "C1": lambda: _check_c1(a, grids),
-        "C2": lambda: _check_c2(a, grids),
-        "C3": lambda: _check_c3(a, grids),
-        "C4": lambda: _check_c4(a, grids),
-        "C5": lambda: _check_c5(a, grids),
-        "C6": lambda: _check_c6(a, grids),
-        "C7": lambda: _check_c7(a, grids, family),
-        "C8": lambda: _check_c8(a, grids, family),
+        "C1": lambda: _check_c1(a, pieces),
+        "C2": lambda: _check_c2(a, pieces),
+        "C3": lambda: _check_c3(a, pieces),
+        "C4": lambda: _check_c4(a),
+        "C5": lambda: _check_c5(a, pieces),
+        "C6": lambda: _check_c6(a, pieces),
+        "C7": lambda: _check_c7(a, pieces),
+        "C8": lambda: _check_c8(a, pieces),
     }
     results = []
     for name in CHECK_NAMES:
@@ -436,7 +447,7 @@ def run_suite(
                 CheckResult(
                     name=name,
                     anchor="(check aborted)",
-                    grids=tuple((g.R, g.N) for g in grids),
+                    grids=tuple(ladder),
                     metrics=({"error": f"{type(exc).__name__}: {exc}"},),
                     verdict="fail",
                     rule="check must run to completion",

@@ -43,7 +43,7 @@ from hankellab.discretize import (
 )
 from hankellab.kernels import rational_test_family
 from hankellab.spectra import analyze, schatten_diagnostic
-from hankellab.verify import _residual_matrix
+from hankellab.verify import _GridPieces, _residual_matrix
 
 LADDER = [(6.0, 200), (8.0, 400), (10.0, 800)]
 SYMBOL_ALPHAS = (-0.25, 0.0, 0.5, 1.0)
@@ -306,7 +306,7 @@ class TestCriterion11:
     def test_residual_nuclear_bounded(self, family, alpha):
         nucs = []
         for R, N in LADDER:
-            T = _residual_matrix(alpha, family, make_grid(R, N))
+            T = _residual_matrix(_GridPieces(alpha, make_grid(R, N), family))
             nucs.append(nuclear_norm(T))
         ok = all(b <= 1.10 * a for a, b in zip(nucs, nucs[1:]))
         assert verdict(

@@ -93,6 +93,21 @@ class TestNystrom:
             nystrom(bad, g)
         assert exc_info.value.s is not None and exc_info.value.s > 1.0
 
+    def test_vectorised_failure_raises_at_once(self):
+        # a kernel that only takes scalars fails on the node arrays; the
+        # failure is reported with its cause, without N^2 scalar retries
+        g = make_grid(1.0, 4)
+        calls = []
+
+        def scalar_only(s, t):
+            calls.append((s, t))
+            return 1.0 / (float(s) + float(t))
+
+        with pytest.raises(KernelEvaluationError) as exc_info:
+            nystrom(scalar_only, g)
+        assert isinstance(exc_info.value.__cause__, TypeError)
+        assert len(calls) == 1
+
     def test_rectangular_assembly(self):
         g = make_grid(2.0, 10)
         wide = make_grid(4.0, 20)

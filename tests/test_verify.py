@@ -1,10 +1,12 @@
 """Verification-suite orchestration tests."""
 
 import json
+from collections import Counter
 
 import pytest
 
 from hankellab import DomainError, run_suite
+from hankellab import discretize as dz
 
 SHORT_LADDER = [(6.0, 200), (8.0, 400)]
 
@@ -60,6 +62,41 @@ class TestRunSuite:
         payload = rep.as_dict()
         assert set(payload) == {"checks", "verdict"}
         assert set(payload["checks"][0]) == {"name", "anchor", "grids", "metrics", "verdict", "rule"}
+
+    def test_each_operator_assembled_once_per_step(self, monkeypatch):
+        counts = Counter()
+        for name in ("assemble_A", "assemble_L", "assemble_wHa", "composed_block"):
+
+            def counted(*args, _fn=getattr(dz, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(dz, name, counted)
+        rep = run_suite(0.0, SHORT_LADDER, family=(1.0, -1.0, 1.0, 1.0))
+        assert [c.anchor for c in rep.checks].count("(check aborted)") == 0
+        steps = len(SHORT_LADDER)
+        assert counts == {
+            "assemble_A": steps,
+            "assemble_L": steps,
+            "assemble_wHa": steps,
+            "composed_block": 2 * steps,  # one per inner side
+        }
+
+    def test_failed_shared_assembly_aborts_only_its_checks(self, monkeypatch):
+        def broken(alpha, grid):
+            raise RuntimeError("assembly failed")
+
+        monkeypatch.setattr(dz, "assemble_A", broken)
+        rep = run_suite(0.0, SHORT_LADDER)
+        checks = {c.name: c for c in rep.checks}
+        assert list(checks) == ["C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8"]
+        for name in ("C1", "C2", "C3", "C6", "C8"):
+            assert checks[name].anchor == "(check aborted)"
+            assert checks[name].verdict == "fail"
+            assert checks[name].metrics == ({"error": "RuntimeError: assembly failed"},)
+        for name in ("C4", "C5", "C7"):
+            assert checks[name].verdict == "pass"
+        assert rep.verdict == "fail"
 
     def test_rejects_bad_ladder(self):
         with pytest.raises(DomainError):
