@@ -12,14 +12,14 @@ deviation from the full-line composition does not vanish under refinement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Tuple
 
 import numpy as np
 
 from .errors import GridError
 from .kernels import KernelSpec, WeightSpec, kernel_A, kernel_L, weighted_hankel_kernel
 from .quadrature import Grid, OperatorMatrix, make_grid, nystrom, nystrom_rect
-from .specfun import check_alpha, ln_gamma, phi0, phi_inf, psi_minus, psi_plus
+from .specfun import check_alpha, ln_gamma, phi_split, psi_minus, psi_plus
 
 __all__ = [
     "ProjectionMask",
@@ -34,7 +34,7 @@ __all__ = [
     "operator_square",
     "composed_block",
     "assemble_uL",
-    "assemble_model_hankel",
+    "assemble_model_split",
     "log_pushforward_hankel",
     "change_of_variables_diagonal",
 ]
@@ -134,62 +134,55 @@ def assemble_L_rect(alpha, grid: Grid) -> OperatorMatrix:
     return nystrom_rect(kernel_L(a), grid, widened_grid(grid), provenance=f"L_rect(alpha={a})")
 
 
-def operator_square(alpha, grid: Grid) -> OperatorMatrix:
-    """Quadrature approximation of the operator square of the factor operator.
+def operator_square(Lr: OperatorMatrix) -> OperatorMatrix:
+    """Quadrature approximation of the operator square of the factor operator
+    from the widened factor ``Lr`` of :func:`assemble_L_rect`.
 
     The inner integral runs over the widened grid, so the result converges to
     the model matrix under refinement.
     """
-    Lr = assemble_L_rect(alpha, grid)
-    prod = Lr.entries @ Lr.entries.T
-    entries = np.triu(prod) + np.triu(prod, 1).T
-    return OperatorMatrix(grid=grid, entries=entries, provenance=f"L^2(alpha={alpha})")
+    entries = Lr.entries @ Lr.entries.T
+    return OperatorMatrix(grid=Lr.grid, entries=entries, provenance=f"{Lr.provenance}^2")
 
 
-def composed_block(alpha, grid: Grid, inner_side: str) -> OperatorMatrix:
-    """L * (indicator of one side of 1) * L with the inner variable on the
-    widened grid; full-size matrix on ``grid``."""
-    Lr = assemble_L_rect(alpha, grid)
-    mask = projection_mask(Lr.col_grid, inner_side).diagonal()
-    prod = (Lr.entries * mask[np.newaxis, :]) @ Lr.entries.T
-    entries = np.triu(prod) + np.triu(prod, 1).T
-    return OperatorMatrix(
-        grid=grid,
-        entries=entries,
-        provenance=f"L*1_{inner_side}*L(alpha={alpha})",
-    )
+def composed_block(Lr: OperatorMatrix, inner_side: str) -> OperatorMatrix:
+    """L * (indicator of one side of 1) * L from the widened factor ``Lr``:
+    C C^T with C the columns of ``Lr`` on that side of 1 (contiguous, since
+    the nodes ascend); full-size matrix on the row grid."""
+    cols = projection_mask(Lr.col_grid, inner_side).indices
+    C = Lr.entries[:, cols[0] : cols[-1] + 1]
+    entries = C @ C.T
+    provenance = f"{Lr.provenance}*1_{inner_side}*L"
+    return OperatorMatrix(grid=Lr.grid, entries=entries, provenance=provenance)
 
 
-def assemble_uL(u: Callable, alpha, grid: Grid) -> OperatorMatrix:
+def assemble_uL(u: Callable, Lr: OperatorMatrix) -> OperatorMatrix:
     """Rectangular discretisation of the operator u L (u a multiplication
-    operator given as a function of t); used for Hilbert-Schmidt diagnostics."""
-    Lr = assemble_L_rect(alpha, grid)
-    uvals = np.asarray(u(grid.nodes), dtype=float)
+    operator given as a function of t) from the widened factor ``Lr``; used
+    for Hilbert-Schmidt diagnostics."""
+    uvals = np.asarray(u(Lr.grid.nodes), dtype=float)
     entries = uvals[:, np.newaxis] * Lr.entries
     return OperatorMatrix(
-        grid=grid, entries=entries, provenance=f"uL(alpha={alpha})", col_grid=Lr.col_grid
+        grid=Lr.grid, entries=entries, provenance=f"u*{Lr.provenance}", col_grid=Lr.col_grid
     )
 
 
-def assemble_model_hankel(which: str, alpha, grid: Grid) -> OperatorMatrix:
-    """Nystrom matrix of t^a phi(t+s) s^a for phi in {phi0, phi_inf}.
+def assemble_model_split(alpha, grid: Grid) -> Tuple[OperatorMatrix, OperatorMatrix]:
+    """Nystrom matrices (H(phi0), H(phi_inf)) of t^a phi(t+s) s^a.
 
-    The two assemblies sum to the model matrix entrywise (the kernels split
-    t^(-1-2a) exactly), and the phi0 one is the widened composition
-    L * 1_infinity * L in the continuum limit.
+    The two sum to the model matrix entrywise (the kernels split t^(-1-2a)
+    exactly), and H(phi0) is the widened composition L * 1_infinity * L in
+    the continuum limit.  Both come from one incomplete-Gamma evaluation on
+    the node sums.
     """
     a = check_alpha(alpha)
-    if which == "phi0":
-        phi = lambda u: phi0(a, u)
-    elif which == "phi_inf":
-        phi = lambda u: phi_inf(a, u)
-    else:
-        raise GridError(f"which must be 'phi0' or 'phi_inf', got {which!r}")
-
-    def K(s, t):
-        return s**a * t**a * phi(s + t)
-
-    return nystrom(K, grid, provenance=f"H({which},alpha={a})")
+    nodes = grid.nodes
+    phis = phi_split(a, nodes[:, np.newaxis] + nodes[np.newaxis, :])
+    # nystrom calls each kernel on exactly these node column and row
+    return tuple(
+        nystrom(lambda s, t, phi=phi: s**a * t**a * phi, grid, provenance=f"H({name},alpha={a})")
+        for phi, name in zip(phis, ("phi0", "phi_inf"))
+    )
 
 
 def log_pushforward_hankel(side: str, alpha, grid: Grid) -> OperatorMatrix:

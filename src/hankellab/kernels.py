@@ -15,7 +15,7 @@ from typing import Callable, List, Tuple
 import numpy as np
 
 from .errors import DomainError
-from .specfun import check_alpha, ln_gamma
+from .specfun import check_alpha, ln_gamma, phi_split
 
 __all__ = [
     "KernelSpec",
@@ -308,13 +308,12 @@ def halfplane_transform_mass(
     integral has no computable certificate; this reports the mass on a
     bounded window only (a diagnostic, never a proof).
     """
-    from .specfun import phi0 as _phi0, phi_inf as _phi_inf
-
     a = spec.alpha
     xs_t = np.linspace(-15.0, 15.0, 1200)
     tmid = np.exp(0.5 * (xs_t[1:] + xs_t[:-1]))
     dt_w = np.diff(xs_t) * tmid  # midpoint-in-log weights
-    g = spec.eval(tmid) - spec.a0 * _phi0(a, tmid) - spec.a_inf * _phi_inf(a, tmid)
+    phi0, phi_inf = phi_split(a, tmid)
+    g = spec.eval(tmid) - spec.a0 * phi0 - spec.a_inf * phi_inf
     k = tmid ** (2.0 + 2.0 * a) * g
     y_min, y_max = y_range
     # |khat| varies on scale ~y near the origin: sinh-spaced x nodes and

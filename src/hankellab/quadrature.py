@@ -8,7 +8,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import GridError, KernelEvaluationError
+from .errors import GridError, KernelEvaluationError, QuadratureError
 
 __all__ = ["Grid", "OperatorMatrix", "make_grid", "nystrom", "nystrom_rect", "quad_integral"]
 
@@ -56,13 +56,13 @@ def make_grid(R: float, N: int) -> Grid:
     return Grid(R=R, N=N, nodes=t, weights=w, log_nodes=x, step=h)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatorMatrix:
     """Dense Nystrom matrix tagged with its grid(s) and provenance.
 
     Square matrices discretise self-adjoint operators on ``grid``; rectangular
     ones carry a distinct ``col_grid`` (used when an inner integration runs on
-    a wider grid).
+    a wider grid).  Equality and hashing are by identity.
     """
 
     grid: Grid
@@ -128,11 +128,15 @@ def nystrom_rect(K: Callable, row_grid: Grid, col_grid: Grid, provenance: str = 
 
 
 def quad_integral(f: Callable, grid: Grid) -> float:
-    """Midpoint-in-log approximation of int f(t) dt over [e^-R, e^R]."""
+    """Midpoint-in-log approximation of int f(t) dt over [e^-R, e^R].
+
+    ``f`` is called once on the node array; if it raises, so does this, with
+    a :class:`QuadratureError` chained to its exception.
+    """
     try:
         vals = np.asarray(f(grid.nodes), dtype=float)
         if vals.shape != grid.nodes.shape:
             vals = np.broadcast_to(vals, grid.nodes.shape)
-    except Exception:
-        vals = np.array([float(f(t)) for t in grid.nodes])
+    except Exception as exc:
+        raise QuadratureError(f"integrand evaluation raised on the node array: {exc}") from exc
     return float(np.dot(grid.weights, vals))

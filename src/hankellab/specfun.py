@@ -30,6 +30,7 @@ __all__ = [
     "symbol_by_quadrature",
     "reg_gamma_lower",
     "reg_gamma_upper",
+    "phi_split",
     "phi0",
     "phi_inf",
     "psi_plus",
@@ -264,16 +265,25 @@ def _check_positive_t(t):
     return t_arr
 
 
+def phi_split(alpha, t):
+    """The split t^(-1-2a) = phi0(t) + phi_inf(t) as the pair (phi0, phi_inf),
+    from one evaluation of the incomplete Gamma pair (Q, P)(1+2a, t)."""
+    a = check_alpha(alpha)
+    t_arr = _check_positive_t(t)
+    p, q = _reg_gamma_pair(1.0 + 2.0 * a, t_arr)
+    power = t_arr ** (-1.0 - 2.0 * a)
+    if np.ndim(t) == 0:
+        return float(power * q), float(power * p)
+    return power * q, power * p
+
+
 def phi0(alpha, t):
     """Model kernel carrying the large-t end: t^(-1-2a) * Q(1+2a, t).
 
     Equals (1/Gamma(1+2a)) * int_1^inf x^(2a) e^(-x t) dx and decays like
     e^(-t) at infinity.
     """
-    a = check_alpha(alpha)
-    t_arr = _check_positive_t(t)
-    out = t_arr ** (-1.0 - 2.0 * a) * reg_gamma_upper(1.0 + 2.0 * a, t_arr)
-    return float(out) if np.ndim(t) == 0 else out
+    return phi_split(alpha, t)[0]
 
 
 def phi_inf(alpha, t):
@@ -282,10 +292,7 @@ def phi_inf(alpha, t):
     Equals (1/Gamma(1+2a)) * int_0^1 x^(2a) e^(-x t) dx; bounded near t = 0
     with limit 1/Gamma(2+2a), and phi0 + phi_inf = t^(-1-2a) identically.
     """
-    a = check_alpha(alpha)
-    t_arr = _check_positive_t(t)
-    out = t_arr ** (-1.0 - 2.0 * a) * reg_gamma_lower(1.0 + 2.0 * a, t_arr)
-    return float(out) if np.ndim(t) == 0 else out
+    return phi_split(alpha, t)[1]
 
 
 def psi_plus(alpha, t):

@@ -36,9 +36,6 @@ class SpectralInterval:
     multiplicity: int
     origin: str  # "zero_end", "infinity_end" or "both"
 
-    def contains(self, x: float, slack: float = 0.0) -> bool:
-        return self.lo - slack <= x <= self.hi + slack
-
     def distance(self, x: float) -> float:
         return max(self.lo - x, x - self.hi, 0.0)
 
@@ -102,7 +99,6 @@ class SpectralReport:
     fill_max_gap: float
     outliers: Tuple[float, ...]
     hausdorff: float
-    counting_table: Tuple[Tuple[float, int, Tuple[bool, ...]], ...]
     delta: float
     interior_margin: float
 
@@ -127,18 +123,19 @@ def _interval_fill_gap(eigs: np.ndarray, lo: float, hi: float) -> float:
 
 
 def _interval_hausdorff(eigs: np.ndarray, lo: float, hi: float) -> float:
-    """sup over the interval of the distance to the eigenvalue set."""
+    """sup over [lo, hi] of the distance to the (ascending) eigenvalue set.
+
+    The distance is piecewise linear with its local maxima at the midpoints
+    of consecutive eigenvalues, so the sup is the larger of the two end
+    distances and of the half-gaps whose midpoint lies in (lo, hi).
+    """
     if eigs.size == 0:
         return hi - lo
-    candidates = [lo, hi]
-    inside = eigs[(eigs > lo) & (eigs < hi)]
-    pts = np.concatenate([[lo], inside, [hi]])
-    candidates.extend(0.5 * (pts[1:] + pts[:-1]))
-    worst = 0.0
-    for c in candidates:
-        c = min(max(c, lo), hi)
-        worst = max(worst, float(np.abs(eigs - c).min()))
-    return worst
+    ends = max(float(np.abs(eigs - lo).min()), float(np.abs(eigs - hi).min()))
+    mids = 0.5 * (eigs[1:] + eigs[:-1])
+    # the half-gap as the distance from the rounded midpoint to its neighbours
+    half_gaps = np.minimum(mids - eigs[:-1], eigs[1:] - mids)[(mids > lo) & (mids < hi)]
+    return max(ends, float(half_gaps.max(initial=0.0)))
 
 
 def analyze(
@@ -146,7 +143,6 @@ def analyze(
     predicted: PredictedSpectrum,
     delta: Optional[float] = None,
     interior_margin: Optional[float] = None,
-    counting_points: int = 21,
 ) -> SpectralReport:
     """Compare an eigenvalue list against a predicted interval union.
 
@@ -179,24 +175,12 @@ def analyze(
         max_gap = max(max_gap, _interval_fill_gap(eigs, slo, shi))
         hausdorff = max(hausdorff, _interval_hausdorff(eigs, slo, shi))
 
-    lo = min((iv.lo for iv in predicted.intervals), default=0.0)
-    hi = max((iv.hi for iv in predicted.intervals), default=0.0)
-    lam_grid = np.linspace(lo, hi, counting_points)
-    table = tuple(
-        (
-            float(lam),
-            int((eigs > lam).sum()),
-            tuple(iv.contains(float(lam)) for iv in predicted.intervals),
-        )
-        for lam in lam_grid
-    )
     return SpectralReport(
         eigenvalues=eigs,
         predicted=predicted,
         fill_max_gap=float(max_gap),
         outliers=outliers,
         hausdorff=float(hausdorff),
-        counting_table=table,
         delta=float(delta),
         interior_margin=float(interior_margin),
     )

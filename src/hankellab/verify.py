@@ -116,12 +116,10 @@ class _GridPieces:
         return dz.assemble_L(self.alpha, self.grid)
 
     @cached_property
-    def block_inf(self):
-        return dz.composed_block(self.alpha, self.grid, "infinity")  # L 1_inf L
-
-    @cached_property
-    def block_0(self):
-        return dz.composed_block(self.alpha, self.grid, "zero")  # L 1_0 L
+    def blocks(self):
+        """(L 1_inf L, L 1_0 L), both composed from one widened factor."""
+        Lr = dz.assemble_L_rect(self.alpha, self.grid)
+        return dz.composed_block(Lr, "infinity"), dz.composed_block(Lr, "zero")
 
     @cached_property
     def weighted(self):
@@ -136,7 +134,10 @@ def _check_c1(alpha: float, pieces: Sequence[_GridPieces]) -> CheckResult:
     for p in pieces:
         A = p.A.entries
         a_norm = op_norm(A)
-        sq = dz.operator_square(alpha, p.grid)
+        # a short-lived factor of its own: keeping the blocks' factor, or
+        # summing the blocks here, keeps more large matrices alive through
+        # C3's split evaluation and raises the suite's peak memory
+        sq = dz.operator_square(dz.assemble_L_rect(alpha, p.grid))
         wide = op_norm(sq.entries - A) / a_norm
         window = op_norm(p.L.entries @ p.L.entries - A) / a_norm
         wide_resids.append(wide)
@@ -182,11 +183,11 @@ def _check_c3(alpha: float, pieces: Sequence[_GridPieces]) -> CheckResult:
     split_errs, comp_resids, metrics = [], [], []
     for p in pieces:
         A = p.A.entries
-        H0 = dz.assemble_model_hankel("phi0", alpha, p.grid)
-        Hi = dz.assemble_model_hankel("phi_inf", alpha, p.grid)
+        H0, Hi = dz.assemble_model_split(alpha, p.grid)
         a_max = float(np.abs(A).max())
         split = float(np.abs(H0.entries + Hi.entries - A).max()) / a_max
-        comp = op_norm(H0.entries - p.block_inf.entries)
+        block_inf, _ = p.blocks
+        comp = op_norm(H0.entries - block_inf.entries)
         split_errs.append(split)
         comp_resids.append(comp)
         metrics.append({"split_error": split, "composition_residual": comp})
@@ -215,18 +216,19 @@ def _check_c4(alpha: float) -> CheckResult:
     # the identity battery is calibrated at (8, 600); the divergence witness
     # doubles the truncation width at fixed step
     g_id = make_grid(8.0, 600)
+    Lr = dz.assemble_L_rect(alpha, g_id)
     scale = 2.0 ** (-1.0 - 2.0 * alpha)
     metrics, ok = [], True
     for label, u in _hs_battery(alpha):
-        uL = dz.assemble_uL(u, alpha, g_id)
-        lhs = float((uL.entries**2).sum())
+        lhs = float((dz.assemble_uL(u, Lr).entries ** 2).sum())
         rhs = scale * quad_integral(lambda t: u(t) ** 2 / t, g_id)
         rel = abs(lhs - rhs) / abs(rhs)
         metrics.append({"u": label, "hs_sq": lhs, "integral": rhs, "rel_err": rel})
         ok = ok and rel <= HS_REL_TOL
+    del Lr  # freed before the witness's larger assemblies, the suite's memory peak
     fr = []
     for R, N in ((4.0, 600), (8.0, 1200)):
-        uL = dz.assemble_uL(lambda t: np.ones_like(t), alpha, make_grid(R, N))
+        uL = dz.assemble_uL(np.ones_like, dz.assemble_L_rect(alpha, make_grid(R, N)))
         fr.append(float(np.sqrt((uL.entries**2).sum())))
     ratio = fr[1] / fr[0]
     metrics.append({"u": "constant_1", "hs_R4": fr[0], "hs_R8": fr[1], "ratio": ratio})
@@ -308,10 +310,11 @@ def _residual_matrix(p: _GridPieces) -> np.ndarray:
     assembled from already-verified pieces."""
     a0, a_inf, _, _ = p.family
     WHA, v = p.weighted
+    block_inf, block_0 = p.blocks
     v0 = v * p.m0.diagonal()
     vi = v * p.mi.diagonal()
-    term0 = v0[:, np.newaxis] * p.block_inf.entries * v0[np.newaxis, :]
-    term_inf = vi[:, np.newaxis] * p.block_0.entries * vi[np.newaxis, :]
+    term0 = v0[:, np.newaxis] * block_inf.entries * v0[np.newaxis, :]
+    term_inf = vi[:, np.newaxis] * block_0.entries * vi[np.newaxis, :]
     return WHA.entries - a0 * term0 - a_inf * term_inf
 
 
@@ -337,8 +340,9 @@ def _c8_items(alpha: float, p: _GridPieces):
     a0, a_inf, b0, b_inf = p.family
     pa = pi_alpha(alpha)
     m0, mi = p.m0, p.mi
-    b3_zero = dz.project(p.block_inf, m0, m0).entries
-    b3_inf = dz.project(p.block_0, mi, mi).entries
+    block_inf, block_0 = p.blocks
+    b3_zero = dz.project(block_inf, m0, m0).entries
+    b3_inf = dz.project(block_0, mi, mi).entries
     WHA, v = p.weighted
     v0 = v[m0.indices]
     vi = v[mi.indices]

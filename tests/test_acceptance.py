@@ -32,7 +32,8 @@ from hankellab.cli import main
 from hankellab.discretize import (
     assemble_A,
     assemble_L,
-    assemble_model_hankel,
+    assemble_L_rect,
+    assemble_model_split,
     assemble_uL,
     assemble_wHa,
     composed_block,
@@ -121,7 +122,7 @@ class TestCriterion03:
         for R, N in LADDER:
             grid = make_grid(R, N)
             A = assemble_A(alpha, grid)
-            resids.append(op_norm(operator_square(alpha, grid).entries - A.entries) / op_norm(A))
+            resids.append(op_norm(operator_square(assemble_L_rect(alpha, grid)).entries - A.entries) / op_norm(A))
         ok = resids[1] <= 1e-2 and all(b < a for a, b in zip(resids, resids[1:]))
         assert verdict(
             3, ok, f"alpha={alpha}: residuals {['%.2e' % r for r in resids]} (cap 1e-2 at (8,400), strictly decreasing)"
@@ -184,11 +185,11 @@ class TestCriterion06:
     def test_hilbert_schmidt_identity(self):
         grid = make_grid(4.0, 600)
         u = lambda t: ((t >= 1.0) & (t <= math.e)).astype(float)
-        lhs = frobenius_norm(assemble_uL(u, 0.0, grid)) ** 2
+        lhs = frobenius_norm(assemble_uL(u, assemble_L_rect(0.0, grid))) ** 2
         rel = abs(lhs - 0.5) / 0.5
         ok = rel <= 2e-2
         fr = [
-            frobenius_norm(assemble_uL(lambda t: np.ones_like(t), 0.0, make_grid(R, N)))
+            frobenius_norm(assemble_uL(lambda t: np.ones_like(t), assemble_L_rect(0.0, make_grid(R, N))))
             for R, N in ((4.0, 600), (8.0, 1200))
         ]
         ratio = fr[1] / fr[0]
@@ -230,14 +231,13 @@ class TestCriterion08:
         for R, N in LADDER:
             grid = make_grid(R, N)
             A = assemble_A(alpha, grid)
-            H0 = assemble_model_hankel("phi0", alpha, grid)
-            Hi = assemble_model_hankel("phi_inf", alpha, grid)
+            H0, Hi = assemble_model_split(alpha, grid)
             split_worst = max(
                 split_worst,
                 float(np.abs(H0.entries + Hi.entries - A.entries).max())
                 / float(np.abs(A.entries).max()),
             )
-            comps.append(op_norm(H0.entries - composed_block(alpha, grid, "infinity").entries))
+            comps.append(op_norm(H0.entries - composed_block(assemble_L_rect(alpha, grid), "infinity").entries))
         ok = split_worst <= 1e-11 and all(b < a for a, b in zip(comps, comps[1:]))
         assert verdict(
             8,

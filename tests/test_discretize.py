@@ -10,7 +10,8 @@ from hankellab import GridError, make_grid, nuclear_norm, op_norm, singular_valu
 from hankellab.discretize import (
     assemble_A,
     assemble_L,
-    assemble_model_hankel,
+    assemble_L_rect,
+    assemble_model_split,
     assemble_wHa,
     change_of_variables_diagonal,
     composed_block,
@@ -117,7 +118,7 @@ class TestOperatorSquare:
         for R, N in LADDER:
             grid = make_grid(R, N)
             A = assemble_A(alpha, grid)
-            sq = operator_square(alpha, grid)
+            sq = operator_square(assemble_L_rect(alpha, grid))
             resids.append(op_norm(sq.entries - A.entries) / op_norm(A))
         assert all(b < a for a, b in zip(resids, resids[1:]))
         assert resids[1] <= 1e-2
@@ -134,6 +135,19 @@ class TestOperatorSquare:
         assert all(b < a for a, b in zip(leaks, leaks[1:]))
         assert leaks[-1] > 0.1  # the leakage is an O(1) truncation effect
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    def test_blocks_of_one_factor(self, alpha):
+        # 1_0 + 1_inf = 1 on the widened grid; the block products and the
+        # square sum their terms in different orders, so they agree to a few
+        # roundings of the largest entry
+        Lr = assemble_L_rect(alpha, make_grid(8.0, 400))
+        b0, bi = composed_block(Lr, "zero"), composed_block(Lr, "infinity")
+        for block in (b0, bi):
+            assert np.array_equal(block.entries, block.entries.T)
+        sq = operator_square(Lr).entries
+        err = np.abs(b0.entries + bi.entries - sq).max()
+        assert err <= 10 * np.finfo(float).eps * np.abs(sq).max()
+
     def test_widened_grid_step_matches(self):
         grid = make_grid(6.0, 200)
         wide = widened_grid(grid)
@@ -146,14 +160,13 @@ class TestModelHankel:
     def test_split_reassembles_model(self, alpha):
         grid = make_grid(8.0, 200)
         A = assemble_A(alpha, grid)
-        H0 = assemble_model_hankel("phi0", alpha, grid)
-        Hi = assemble_model_hankel("phi_inf", alpha, grid)
+        H0, Hi = assemble_model_split(alpha, grid)
         err = np.abs(H0.entries + Hi.entries - A.entries).max()
         assert err <= 1e-12 * np.abs(A.entries).max()
 
     def test_phi0_matrix_positive_entries(self):
         grid = make_grid(6.0, 100)
-        H0 = assemble_model_hankel("phi0", 0.5, grid)
+        H0, _ = assemble_model_split(0.5, grid)
         inside = H0.entries[np.abs(H0.entries) > 0.0]
         assert (inside > 0.0).all()
 
@@ -161,15 +174,11 @@ class TestModelHankel:
         resids = []
         for R, N in LADDER:
             grid = make_grid(R, N)
-            H0 = assemble_model_hankel("phi0", 0.0, grid)
-            comp = composed_block(0.0, grid, "infinity")
+            H0, _ = assemble_model_split(0.0, grid)
+            comp = composed_block(assemble_L_rect(0.0, grid), "infinity")
             resids.append(op_norm(H0.entries - comp.entries))
         assert all(b < a for a, b in zip(resids, resids[1:]))
         assert resids[-1] <= 1e-4
-
-    def test_bad_name_rejected(self):
-        with pytest.raises(GridError):
-            assemble_model_hankel("phi1", 0.0, make_grid(2.0, 10))
 
 
 class TestLogPushforward:

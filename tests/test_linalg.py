@@ -20,6 +20,7 @@ from hankellab import (
 from hankellab.discretize import (
     assemble_A,
     assemble_L,
+    assemble_L_rect,
     assemble_uL,
     assemble_wHa,
     inversion_conjugate,
@@ -124,7 +125,7 @@ class TestSingularValues:
         for M in (
             project(A, m0, mi).entries,
             project(L, m0, m0).entries,
-            operator_square(0.5, grid).entries - A.entries,
+            operator_square(assemble_L_rect(0.5, grid)).entries - A.entries,
         ):
             ref = scipy.linalg.svd(M, compute_uv=False, lapack_driver="gesvd")
             sv = singular_values(M)
@@ -150,7 +151,7 @@ class TestNorms:
         # quadrature error of the indicator
         grid = make_grid(4.0, 600)
         u = lambda t: ((t >= 1.0) & (t <= math.e)).astype(float)
-        uL = assemble_uL(u, 0.0, grid)
+        uL = assemble_uL(u, assemble_L_rect(0.0, grid))
         assert frobenius_norm(uL) ** 2 == pytest.approx(0.5, rel=2e-2)
 
     def test_norm_chain_on_assembled_operators(self):

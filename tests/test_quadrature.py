@@ -8,6 +8,7 @@ import pytest
 from hankellab import (
     GridError,
     KernelEvaluationError,
+    QuadratureError,
     make_grid,
     nystrom,
     nystrom_rect,
@@ -108,6 +109,13 @@ class TestNystrom:
         assert isinstance(exc_info.value.__cause__, TypeError)
         assert len(calls) == 1
 
+    def test_matrices_compare_by_identity(self):
+        g = make_grid(3.0, 40)
+        M, again = nystrom(kernel_A(0.0), g), nystrom(kernel_A(0.0), g)
+        assert M == M and hash(M) == hash(M)
+        assert M != again and np.array_equal(M.entries, again.entries)
+        assert len({M, again}) == 2
+
     def test_rectangular_assembly(self):
         g = make_grid(2.0, 10)
         wide = make_grid(4.0, 20)
@@ -159,6 +167,8 @@ class TestQuadIntegral:
         assert quad_integral(lambda t: 0.0 * t, g) == 0.0
 
     def test_scalar_function_fallback(self):
+        # an integrand that takes only scalars is an error, not a slow path
         g = make_grid(2.0, 20)
-        val = quad_integral(lambda t: float(t) ** -1, g)
-        assert val == pytest.approx(4.0, abs=1e-9)
+        with pytest.raises(QuadratureError) as info:
+            quad_integral(lambda t: float(t) ** -1, g)
+        assert isinstance(info.value.__cause__, TypeError)

@@ -18,6 +18,7 @@ from hankellab import (
     sym_eigen,
 )
 from hankellab.discretize import assemble_A, assemble_L, project, projection_mask
+from hankellab.spectra import _interval_hausdorff
 
 LADDER = [(6.0, 200), (8.0, 400), (10.0, 800)]
 
@@ -113,12 +114,20 @@ class TestAnalyze:
         with pytest.raises(DomainError):
             analyze([], predict(0.0, 1.0, 1.0, 1.0, 1.0))
 
-    def test_counting_table_membership(self):
-        pred = predict(0.0, 1.0, -1.0, 1.0, 1.0)
-        rep = analyze(np.linspace(-3, 3, 10), pred, delta=0.2, interior_margin=0.2)
-        for lam, count, membership in rep.counting_table:
-            assert count == (rep.eigenvalues > lam).sum()
-            assert len(membership) == len(pred.intervals)
+    def test_hausdorff_sees_eigenvalue_outside_interval(self):
+        # the sup over [0, 1] sits at 0.495, midway between -0.01 and 1.0
+        assert _interval_hausdorff(np.array([-0.01, 1.0]), 0.0, 1.0) == pytest.approx(0.505)
+
+    def test_hausdorff_matches_dense_sampling(self):
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            eigs = np.sort(rng.uniform(-1.0, 2.0, rng.integers(1, 8)))
+            lo, hi = np.sort(rng.uniform(0.0, 1.0, 2))
+            xs = np.linspace(lo, hi, 20001)
+            sampled = np.abs(xs[:, np.newaxis] - eigs[np.newaxis, :]).min(axis=1).max()
+            # the distance has slope 1, so sampling misses at most half a step
+            haus = _interval_hausdorff(eigs, lo, hi)
+            assert sampled - 1e-12 <= haus <= sampled + 0.5 * (xs[1] - xs[0]) + 1e-12
 
 
 class TestCountingCompare:

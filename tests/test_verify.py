@@ -65,7 +65,14 @@ class TestRunSuite:
 
     def test_each_operator_assembled_once_per_step(self, monkeypatch):
         counts = Counter()
-        for name in ("assemble_A", "assemble_L", "assemble_wHa", "composed_block"):
+        for name in (
+            "assemble_A",
+            "assemble_L",
+            "assemble_wHa",
+            "assemble_model_split",
+            "assemble_L_rect",
+            "composed_block",
+        ):
 
             def counted(*args, _fn=getattr(dz, name), _name=name, **kwargs):
                 counts[_name] += 1
@@ -79,6 +86,9 @@ class TestRunSuite:
             "assemble_A": steps,
             "assemble_L": steps,
             "assemble_wHa": steps,
+            "assemble_model_split": steps,
+            # C1's square and the two blocks per step; C4's three grids
+            "assemble_L_rect": 2 * steps + 3,
             "composed_block": 2 * steps,  # one per inner side
         }
 
