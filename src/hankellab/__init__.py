@@ -28,7 +28,6 @@ from .kernels import (
     weighted_hankel_kernel,
 )
 from .linalg import (
-    EigenDecomposition,
     frobenius_norm,
     nuclear_norm,
     op_norm,

@@ -178,7 +178,7 @@ def cmd_spectrum(config: RunConfig) -> int:
     steps = []
     for R, N in config.ladder:
         grid = make_grid(R, N)
-        eigs = sym_eigen(assemble_wHa(spec_a, spec_w, grid)).eigenvalues
+        eigs = sym_eigen(assemble_wHa(spec_a, spec_w, grid))
         _write_atomic(
             out / f"eigs_R{R:g}_N{N}.csv",
             "\n".join(_fmt(e) for e in eigs) + "\n",

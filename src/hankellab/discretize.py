@@ -1,6 +1,6 @@
 """Assembly of every operator expression used by the verification suite:
 the model operators, weighted Hankel operators, half-line projections, block
-compositions, the inversion symmetry, and the log-variable pushforwards.
+compositions, and the log-variable pushforwards.
 
 Compositions of operators (squares, products through a projection, and
 Hilbert-Schmidt norms of u L) discretise the inner integration variable on a
@@ -28,7 +28,6 @@ __all__ = [
     "assemble_L",
     "assemble_wHa",
     "project",
-    "inversion_conjugate",
     "widened_grid",
     "assemble_L_rect",
     "operator_square",
@@ -54,11 +53,6 @@ class ProjectionMask:
         idx = np.asarray(self.indices, dtype=int)
         idx.flags.writeable = False
         object.__setattr__(self, "indices", idx)
-
-    def diagonal(self) -> np.ndarray:
-        d = np.zeros(self.grid.N)
-        d[self.indices] = 1.0
-        return d
 
 
 def projection_mask(grid: Grid, side: str) -> ProjectionMask:
@@ -102,23 +96,6 @@ def project(M: OperatorMatrix, left: ProjectionMask, right: ProjectionMask) -> O
         grid=M.grid,
         entries=entries,
         provenance=f"{M.provenance}[{left.side},{right.side}]",
-        col_grid=M.col_grid,
-    )
-
-
-def inversion_conjugate(M: OperatorMatrix) -> OperatorMatrix:
-    """Conjugation by the inversion t -> 1/t: reversal of both indices.
-
-    On the reciprocal-symmetric grid this is the discrete shadow of the
-    unitary (Uf)(t) = (1/t) f(1/t); the model matrix is a fixed point, the
-    factor matrix is not.
-    """
-    if not M.is_square():
-        raise GridError("inversion conjugation needs a square matrix")
-    return OperatorMatrix(
-        grid=M.grid,
-        entries=M.entries[::-1, ::-1].copy(),
-        provenance=f"U*{M.provenance}*U",
         col_grid=M.col_grid,
     )
 

@@ -63,7 +63,7 @@ def verdict(num, ok, detail):
 def model_eigs(alpha, R, N):
     key = (alpha, R, N)
     if key not in _MODEL_EIGS:
-        _MODEL_EIGS[key] = sym_eigen(assemble_A(alpha, make_grid(R, N))).eigenvalues
+        _MODEL_EIGS[key] = sym_eigen(assemble_A(alpha, make_grid(R, N)))
     return _MODEL_EIGS[key]
 
 
@@ -78,7 +78,7 @@ def family_run(family, alpha):
         steps = []
         for R, N in LADDER:
             grid = make_grid(R, N)
-            eigs = sym_eigen(assemble_wHa(spec_a, spec_w, grid)).eigenvalues
+            eigs = sym_eigen(assemble_wHa(spec_a, spec_w, grid))
             rep = analyze(eigs, predicted)
             steps.append(rep)
         _FAMILY_RUNS[key] = (predicted, steps)
@@ -138,8 +138,8 @@ class TestCriterion04:
             A = assemble_A(alpha, grid)
             m0 = projection_mask(grid, "zero")
             mi = projection_mask(grid, "infinity")
-            e0 = sym_eigen(project(A, m0, m0)).eigenvalues
-            ei = sym_eigen(project(A, mi, mi)).eigenvalues
+            e0 = sym_eigen(project(A, m0, m0))
+            ei = sym_eigen(project(A, mi, mi))
             norm = max(abs(e0[0]), abs(e0[-1]))
             worst = max(worst, float(np.abs(e0 - ei).max()) / norm)
         assert verdict(4, worst <= 1e-10, f"alpha={alpha}: worst relative eigenvalue deviation {worst:.2e} (cap 1e-10)")
@@ -252,8 +252,8 @@ class TestCriterion09:
         grid = make_grid(8.0, 400)
         L = assemble_L(alpha, grid)
         mi = projection_mask(grid, "infinity")
-        block_eigs = sym_eigen(project(L, mi, mi)).eigenvalues
-        hank_eigs = sym_eigen(log_pushforward_hankel("infinity", alpha, grid)).eigenvalues
+        block_eigs = sym_eigen(project(L, mi, mi))
+        hank_eigs = sym_eigen(log_pushforward_hankel("infinity", alpha, grid))
         diff = float(np.abs(block_eigs - hank_eigs).max())
         assert verdict(9, diff <= 1e-6, f"alpha={alpha}: eigenvalue agreement {diff:.2e} (cap 1e-6)")
 

@@ -15,7 +15,6 @@ from hankellab.discretize import (
     assemble_wHa,
     change_of_variables_diagonal,
     composed_block,
-    inversion_conjugate,
     log_pushforward_hankel,
     operator_square,
     project,
@@ -83,8 +82,8 @@ class TestProjection:
         A = assemble_A(alpha, grid)
         m0 = projection_mask(grid, "zero")
         mi = projection_mask(grid, "infinity")
-        e0 = sym_eigen(project(A, m0, m0)).eigenvalues
-        ei = sym_eigen(project(A, mi, mi)).eigenvalues
+        e0 = sym_eigen(project(A, m0, m0))
+        ei = sym_eigen(project(A, mi, mi))
         norm = max(abs(e0[0]), abs(e0[-1]))
         assert np.abs(e0 - ei).max() <= 1e-11 * norm
 
@@ -93,21 +92,21 @@ class TestInversionConjugate:
     def test_involution(self):
         grid = make_grid(4.0, 60)
         L = assemble_L(0.25, grid)
-        twice = inversion_conjugate(inversion_conjugate(L))
-        assert (twice.entries == L.entries).all()
+        twice = L.entries[::-1, ::-1][::-1, ::-1]
+        assert (twice == L.entries).all()
 
     def test_model_fixed_point(self):
         grid = make_grid(6.0, 150)
         A = assemble_A(0.5, grid)
-        flipped = inversion_conjugate(A)
-        assert np.abs(A.entries - flipped.entries).max() <= 1e-13 * np.abs(A.entries).max()
+        flipped = A.entries[::-1, ::-1]
+        assert np.abs(A.entries - flipped).max() <= 1e-13 * np.abs(A.entries).max()
 
     def test_factor_not_fixed(self):
         # the factor kernel is not homogeneous, so inversion genuinely moves it
         grid = make_grid(6.0, 150)
         L = assemble_L(0.0, grid)
-        flipped = inversion_conjugate(L)
-        defect = np.abs(L.entries - flipped.entries).max()
+        flipped = L.entries[::-1, ::-1]
+        defect = np.abs(L.entries - flipped).max()
         assert defect > 0.1 * np.abs(L.entries).max()
 
 
@@ -195,8 +194,8 @@ class TestLogPushforward:
         pushed = d[:, np.newaxis] * block * d[np.newaxis, :]
         H = log_pushforward_hankel(side, alpha, grid).entries
         assert np.abs(pushed - H).max() <= 1e-14
-        e1 = sym_eigen(0.5 * (pushed + pushed.T)).eigenvalues
-        e2 = sym_eigen(H).eigenvalues
+        e1 = sym_eigen(0.5 * (pushed + pushed.T))
+        e2 = sym_eigen(H)
         assert np.abs(e1 - e2).max() <= 1e-8
 
     def test_both_sides_fast_singular_decay(self):
