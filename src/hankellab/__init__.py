@@ -44,7 +44,6 @@ from .spectra import (
     schatten_diagnostic,
 )
 from .specfun import (
-    Alpha,
     gamma_abs_sq,
     ln_gamma,
     mellin_symbol,

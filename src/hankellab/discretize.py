@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import GridError
 from .kernels import KernelSpec, WeightSpec, kernel_A, kernel_L, weighted_hankel_kernel
-from .quadrature import Grid, OperatorMatrix, make_grid, nystrom, nystrom_rect
+from .quadrature import Grid, OperatorMatrix, _nystrom_strips, make_grid, nystrom, nystrom_rect
 from .specfun import check_alpha, ln_gamma, phi_split, psi_minus, psi_plus
 
 __all__ = [
@@ -150,15 +150,18 @@ def assemble_model_split(alpha, grid: Grid) -> Tuple[OperatorMatrix, OperatorMat
     The two sum to the model matrix entrywise (the kernels split t^(-1-2a)
     exactly), and H(phi0) is the widened composition L * 1_infinity * L in
     the continuum limit.  Both come from one incomplete-Gamma evaluation on
-    the node sums.
+    the node sums of each strip of the shared upper-triangle walk.
     """
     a = check_alpha(alpha)
-    nodes = grid.nodes
-    phis = phi_split(a, nodes[:, np.newaxis] + nodes[np.newaxis, :])
-    # nystrom calls each kernel on exactly these node column and row
-    return tuple(
-        nystrom(lambda s, t, phi=phi: s**a * t**a * phi, grid, provenance=f"H({name},alpha={a})")
-        for phi, name in zip(phis, ("phi0", "phi_inf"))
+
+    def strip_kernels(s, t):
+        st = s**a * t**a
+        phis = phi_split(a, s + t)
+        # _nystrom_strips calls each kernel on exactly this node column and row
+        return tuple(lambda s, t, phi=phi: st * phi for phi in phis)
+
+    return _nystrom_strips(
+        strip_kernels, grid, (f"H(phi0,alpha={a})", f"H(phi_inf,alpha={a})")
     )
 
 
@@ -179,9 +182,11 @@ def log_pushforward_hankel(side: str, alpha, grid: Grid) -> OperatorMatrix:
         xs = -grid.log_nodes[mask.indices][::-1]  # ascending in x = -ln t
         psi = lambda u: psi_minus(a, u)
     c = np.exp(-0.5 * ln_gamma(1.0 + 2.0 * a))
-    X, Y = np.meshgrid(xs, xs, indexing="ij")
-    vals = grid.step * c * psi(X + Y)
-    entries = np.triu(vals) + np.triu(vals, 1).T
+    # the 2n - 1 antidiagonal values x_0 + x_k and x_k + x_{n-1}; row i of
+    # the Hankel matrix is values[i : i + n]
+    sums = np.concatenate([xs[0] + xs, xs[1:] + xs[-1]])
+    values = grid.step * c * psi(sums)
+    entries = np.lib.stride_tricks.sliding_window_view(values, len(xs)).copy()
     return OperatorMatrix(grid=grid, entries=entries, provenance=f"H(psi,{side},alpha={a})")
 
 

@@ -15,7 +15,7 @@ from typing import Callable, List, Tuple
 import numpy as np
 
 from .errors import DomainError
-from .specfun import check_alpha, ln_gamma, phi_split
+from .specfun import check_alpha, ln_gamma
 
 __all__ = [
     "KernelSpec",
@@ -28,7 +28,6 @@ __all__ = [
     "HypothesisReport",
     "ConditionReport",
     "hypothesis_check",
-    "halfplane_transform_mass",
 ]
 
 
@@ -292,51 +291,6 @@ def _weight_integral_condition(w: WeightSpec, end: str) -> ConditionReport:
         detail=f"shell integrals {['%.3e' % s for s in shells]}",
         samples=tuple(shells),
     )
-
-
-def halfplane_transform_mass(
-    spec: KernelSpec,
-    x_max: float = 20.0,
-    y_range: Tuple[float, float] = (0.05, 5.0),
-    n_xy: int = 40,
-) -> dict:
-    """Bounded-rectangle diagnostic for the trace-class transform criterion.
-
-    For the residual kernel g = a - a0 phi0 - a_inf phi_inf, integrates
-    |int_0^inf t^(2+2 alpha) g(t) e^{i(x+iy)t} dt| over the sub-rectangle
-    [-x_max, x_max] x y_range of the upper half-plane.  The full improper
-    integral has no computable certificate; this reports the mass on a
-    bounded window only (a diagnostic, never a proof).
-    """
-    a = spec.alpha
-    xs_t = np.linspace(-15.0, 15.0, 1200)
-    tmid = np.exp(0.5 * (xs_t[1:] + xs_t[:-1]))
-    dt_w = np.diff(xs_t) * tmid  # midpoint-in-log weights
-    phi0, phi_inf = phi_split(a, tmid)
-    g = spec.eval(tmid) - spec.a0 * phi0 - spec.a_inf * phi_inf
-    k = tmid ** (2.0 + 2.0 * a) * g
-    y_min, y_max = y_range
-    # |khat| varies on scale ~y near the origin: sinh-spaced x nodes and
-    # log-spaced y nodes resolve the peak at every level
-    u = np.linspace(-math.asinh(x_max / y_min), math.asinh(x_max / y_min), 3 * n_xy + 1)
-    xs = y_min * np.sinh(u)
-    wx = y_min * np.cosh(u) * (u[1] - u[0])
-    wx[0] *= 0.5
-    wx[-1] *= 0.5
-    v = np.linspace(math.log(y_min), math.log(y_max), n_xy)
-    ys = np.exp(v)
-    wy = ys * (v[1] - v[0])
-    wy[0] *= 0.5
-    wy[-1] *= 0.5
-    damped = k[np.newaxis, :] * np.exp(-ys[:, np.newaxis] * tmid[np.newaxis, :]) * dt_w
-    khat = np.abs(damped @ np.exp(1j * np.outer(tmid, xs)))
-    mass = float(wy @ khat @ wx)
-    return {
-        "rectangle_mass": mass,
-        "x_max": float(x_max),
-        "y_min": float(y_min),
-        "y_max": float(y_max),
-    }
 
 
 def hypothesis_check(a: KernelSpec, w: WeightSpec) -> HypothesisReport:

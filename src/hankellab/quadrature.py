@@ -4,13 +4,17 @@ Nystrom discretisation of integral operators."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from .errors import GridError, KernelEvaluationError, QuadratureError
 
 __all__ = ["Grid", "OperatorMatrix", "make_grid", "nystrom", "nystrom_rect", "quad_integral"]
+
+# Rows per strip of the symmetric assemblies and of the symmetry test in
+# linalg: temporaries stay at ROW_BLOCK x N.
+ROW_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -105,19 +109,48 @@ def _evaluate_kernel(K, s, t):
     return vals
 
 
+def _nystrom_strips(strip_kernels: Callable, grid: Grid, provenances: Tuple[str, ...]):
+    """Symmetric Nystrom matrices sqrt(w_i w_j) K(t_i, t_j), one per provenance,
+    of the kernels that ``strip_kernels(s, t)`` returns for a strip of node
+    column ``s`` and row ``t`` (closures over values computed once per strip
+    can share work between the matrices).
+
+    The upper triangle is walked in strips of ``ROW_BLOCK`` rows: the strip
+    [r0, r1) x [r0, N) is evaluated once, scaled, written, and mirrored onto
+    the lower triangle (inside the strip's diagonal block from the entries
+    i <= j), so every unordered pair is evaluated once, the result is
+    symmetric exactly, and no temporary is larger than ``ROW_BLOCK`` x N.
+    """
+    t, w, n = grid.nodes, grid.weights, grid.N
+    outs = tuple(np.empty((n, n)) for _ in provenances)
+    for r0 in range(0, n, ROW_BLOCK):
+        r1 = min(r0 + ROW_BLOCK, n)
+        s_col, t_row = t[r0:r1, np.newaxis], t[np.newaxis, r0:]
+        scale = np.sqrt(np.outer(w[r0:r1], w[r0:]))
+        lower = np.tril_indices(r1 - r0, -1)
+        for out, K in zip(outs, strip_kernels(s_col, t_row)):
+            vals = _evaluate_kernel(K, s_col, t_row)
+            vals *= scale
+            out[r0:r1, r0:] = vals
+            out[r1:, r0:r1] = vals[:, r1 - r0 :].T
+            diag = out[r0:r1, r0:r1]
+            diag[lower] = diag.T[lower]
+    return tuple(
+        OperatorMatrix(grid=grid, entries=e, provenance=p) for e, p in zip(outs, provenances)
+    )
+
+
 def nystrom(K: Callable, grid: Grid, provenance: str = "kernel") -> OperatorMatrix:
     """Symmetric Nystrom matrix sqrt(w_i w_j) K(t_i, t_j).
 
-    The kernel is called once on the node column and row, broadcasting to the
-    full N x N square of node pairs; the upper triangle is then mirrored onto
-    the lower, so the result is symmetric exactly.  The sqrt-weight scaling
-    keeps the matrix similar to the plain quadrature discretisation.
+    The kernel is called on the upper triangle only, on strips of
+    ``ROW_BLOCK`` node rows against the nodes from the strip's first row on;
+    each strip is mirrored onto the lower triangle, so the result is
+    symmetric exactly and equals the upper triangle of the full N x N
+    evaluation.  The sqrt-weight scaling keeps the matrix similar to the
+    plain quadrature discretisation.
     """
-    vals = _evaluate_kernel(K, grid.nodes[:, np.newaxis], grid.nodes[np.newaxis, :])
-    vals *= np.sqrt(np.outer(grid.weights, grid.weights))
-    upper = np.triu(vals)
-    entries = upper + np.triu(vals, 1).T
-    return OperatorMatrix(grid=grid, entries=entries, provenance=provenance)
+    return _nystrom_strips(lambda s, t: (K,), grid, (provenance,))[0]
 
 
 def nystrom_rect(K: Callable, row_grid: Grid, col_grid: Grid, provenance: str = "kernel") -> OperatorMatrix:

@@ -14,14 +14,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, QuadratureError
 
 __all__ = [
-    "Alpha",
     "check_alpha",
     "ln_gamma",
     "gamma_abs_sq",
@@ -36,21 +34,6 @@ __all__ = [
     "psi_plus",
     "psi_minus",
 ]
-
-
-@dataclass(frozen=True)
-class Alpha:
-    """Order parameter of the operator family; must satisfy value > -1/2."""
-
-    value: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", float(self.value))
-        if not self.value > -0.5:
-            raise DomainError(f"alpha must be > -1/2, got {self.value}")
-
-    def __float__(self):
-        return self.value
 
 
 def check_alpha(alpha) -> float:

@@ -22,6 +22,8 @@ from hankellab.discretize import (
     widened_grid,
 )
 from hankellab.kernels import rational_test_family
+from hankellab.quadrature import ROW_BLOCK
+from hankellab.specfun import phi_split, psi_minus, psi_plus
 
 LADDER = [(6.0, 200), (8.0, 400), (10.0, 800)]
 
@@ -163,6 +165,21 @@ class TestModelHankel:
         err = np.abs(H0.entries + Hi.entries - A.entries).max()
         assert err <= 1e-12 * np.abs(A.entries).max()
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    def test_split_strips_match_full_square(self, alpha):
+        # one phi_split call on all N x N node sums, N not a multiple of
+        # ROW_BLOCK, against the pair built strip by strip
+        grid = make_grid(9.0, 2 * ROW_BLOCK + 88)
+        t, w = grid.nodes, grid.weights
+        scale = np.sqrt(np.outer(w, w))
+        st = t[:, np.newaxis] ** alpha * t[np.newaxis, :] ** alpha
+        for H, phi in zip(
+            assemble_model_split(alpha, grid), phi_split(alpha, t[:, np.newaxis] + t[np.newaxis, :])
+        ):
+            vals = st * phi * scale
+            ref = np.triu(vals) + np.triu(vals, 1).T
+            np.testing.assert_array_max_ulp(H.entries, ref, maxulp=2)
+
     def test_phi0_matrix_positive_entries(self):
         grid = make_grid(6.0, 100)
         H0, _ = assemble_model_split(0.5, grid)
@@ -197,6 +214,21 @@ class TestLogPushforward:
         e1 = sym_eigen(0.5 * (pushed + pushed.T))
         e2 = sym_eigen(H)
         assert np.abs(e1 - e2).max() <= 1e-8
+
+    @pytest.mark.parametrize("side", ["zero", "infinity"])
+    def test_hankel_from_antidiagonal_values(self, side):
+        # exactly Hankel and symmetric, and within a few eps of the kernel
+        # evaluated on every pair x_i + x_j of the pushforward grid (the
+        # rounding of x_i + x_j differs along an antidiagonal)
+        grid = make_grid(8.0, 400)
+        H = log_pushforward_hankel(side, 0.5, grid).entries
+        assert np.array_equal(H[1:, :-1], H[:-1, 1:])
+        assert np.array_equal(H, H.T)
+        x = grid.log_nodes[grid.half :]
+        psi = psi_plus if side == "infinity" else psi_minus
+        c = math.exp(-0.5 * math.lgamma(2.0))
+        ref = grid.step * c * psi(0.5, x[:, np.newaxis] + x[np.newaxis, :])
+        assert np.abs(H - ref).max() <= 8 * np.finfo(float).eps * np.abs(ref).max()
 
     def test_both_sides_fast_singular_decay(self):
         grid = make_grid(8.0, 400)

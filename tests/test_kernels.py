@@ -16,7 +16,6 @@ from hankellab import (
     rational_test_family,
     weighted_hankel_kernel,
 )
-from hankellab.kernels import halfplane_transform_mass
 from hankellab.specfun import ln_gamma
 
 
@@ -172,18 +171,3 @@ class TestHypothesisCheck:
         payload = hypothesis_check(spec_a, spec_w).as_dict()
         assert payload["ok"] is True
         assert {c["name"] for c in payload["conditions"]} >= {"weight_bounded"}
-
-
-class TestHalfplaneTransformMass:
-    def test_model_residual_vanishes(self):
-        # for the exact model the residual kernel g is identically zero
-        spec_a, _ = rational_test_family(0.5, 1.0, 1.0, 1.0, 1.0)
-        mass = halfplane_transform_mass(spec_a)["rectangle_mass"]
-        assert mass <= 1e-10
-
-    def test_family_mass_finite_and_stable(self):
-        spec_a, _ = rational_test_family(0.0, 1.0, 2.0, 1.0, 1.0)
-        d1 = halfplane_transform_mass(spec_a, n_xy=60)
-        d2 = halfplane_transform_mass(spec_a, n_xy=90)
-        assert 0.0 < d1["rectangle_mass"] < 1e3
-        assert d2["rectangle_mass"] == pytest.approx(d1["rectangle_mass"], rel=0.2)

@@ -30,8 +30,9 @@ from hankellab.discretize import (
     projection_mask,
     project,
 )
-from hankellab.kernels import rational_test_family
-from hankellab.quadrature import quad_integral
+from hankellab.kernels import power_family, rational_test_family
+from hankellab.linalg import CENTRO_TOL
+from hankellab.quadrature import ROW_BLOCK
 
 
 def lu_determinant(M):
@@ -82,6 +83,43 @@ class TestSymEigen:
     def test_rejects_rectangular(self):
         with pytest.raises(EigenSolverError):
             sym_eigen(np.zeros((2, 3)))
+
+    def test_asymmetry_found_in_any_strip(self):
+        # the symmetry test walks the upper triangle in strips; a defect in
+        # the lower triangle of the last, partial strip is reported as measured
+        M = 2.0 * np.eye(ROW_BLOCK + 44)
+        M[ROW_BLOCK + 40, 7] = 1e-3
+        with pytest.raises(EigenSolverError, match=r"max\|M - M\^T\| = 5\.000e-04 max\|M\|"):
+            sym_eigen(M)
+        assert singular_values(M).shape == (ROW_BLOCK + 44,)
+
+    @pytest.mark.parametrize("alpha", [-0.25, 0.0, 0.5, 2.0])
+    def test_centrosymmetric_matches_full_solve(self, alpha):
+        # A and the power-family weighted matrix are centrosymmetric to
+        # rounding, so they take the two half-size solves; the oracle is
+        # LAPACK on the full matrix
+        grid = make_grid(8.0, 400)
+        spec_a, spec_w = power_family(alpha)
+        for M in (assemble_A(alpha, grid).entries, assemble_wHa(spec_a, spec_w, grid).entries):
+            defect = np.linalg.norm(M - M[::-1, ::-1])
+            assert defect <= CENTRO_TOL * np.linalg.norm(M)
+            ref = scipy.linalg.eigvalsh(M)
+            assert np.abs(sym_eigen(M) - ref).max() <= 1e-14 * np.abs(ref).max()
+            sv = np.sort(np.abs(ref))[::-1]
+            assert np.abs(singular_values(M) - sv).max() <= 1e-14 * sv[0]
+
+    def test_other_matrices_take_one_full_solve(self):
+        # not centrosymmetric (rational(2,1,1,2) has b0 != b_inf), and odd
+        # order (a symmetric Toeplitz matrix, centrosymmetric but odd): the
+        # values are eigvalsh's own
+        grid = make_grid(8.0, 400)
+        W = assemble_wHa(*rational_test_family(0.5, 2.0, 1.0, 1.0, 2.0), grid).entries
+        assert np.linalg.norm(W - W[::-1, ::-1]) > 1e6 * CENTRO_TOL * np.linalg.norm(W)
+        assert np.array_equal(sym_eigen(W), np.linalg.eigvalsh(W))
+        i = np.arange(301)
+        T = 1.0 / (1.0 + np.abs(i[:, np.newaxis] - i[np.newaxis, :]))
+        assert np.array_equal(T, T[::-1, ::-1])
+        assert np.array_equal(sym_eigen(T), np.linalg.eigvalsh(T))
 
 
 class TestSingularValues:

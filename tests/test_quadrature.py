@@ -1,6 +1,7 @@
 """Grid construction, Nystrom assembly, and integral quadrature tests."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,15 @@ from hankellab import (
     quad_integral,
     sym_eigen,
 )
-from hankellab.kernels import kernel_A
+from hankellab.kernels import kernel_A, kernel_L, power_family, weighted_hankel_kernel
+from hankellab.quadrature import ROW_BLOCK
+
+
+def full_square(K, grid):
+    """The upper triangle of one evaluation on all N x N node pairs, mirrored."""
+    t, w = grid.nodes, grid.weights
+    vals = K(t[:, np.newaxis], t[np.newaxis, :]) * np.sqrt(np.outer(w, w))
+    return np.triu(vals) + np.triu(vals, 1).T
 
 
 class TestMakeGrid:
@@ -115,6 +124,28 @@ class TestNystrom:
         assert M == M and hash(M) == hash(M)
         assert M != again and np.array_equal(M.entries, again.entries)
         assert len({M, again}) == 2
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    def test_strips_match_full_square(self, alpha):
+        # N is not a multiple of ROW_BLOCK, so the last strip is partial
+        g = make_grid(9.0, 2 * ROW_BLOCK + 88)
+        for K in (kernel_A(alpha), kernel_L(alpha)):
+            assert np.array_equal(nystrom(K, g).entries, full_square(K, g))
+        K = weighted_hankel_kernel(*power_family(alpha))
+        np.testing.assert_array_max_ulp(nystrom(K, g).entries, full_square(K, g), maxulp=2)
+
+    def test_memory_stays_at_strip_size(self):
+        # the output plus a few ROW_BLOCK x N temporaries, never N x N ones
+        g = make_grid(12.0, 2000)
+        K = kernel_A(0.5)
+        tracemalloc.start()
+        try:
+            M = nystrom(K, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        strip = ROW_BLOCK * g.N * 8
+        assert peak <= M.entries.nbytes + 6 * strip
 
     def test_rectangular_assembly(self):
         g = make_grid(2.0, 10)

@@ -24,7 +24,7 @@ from hankellab import (
     reg_gamma_upper,
     symbol_by_quadrature,
 )
-from hankellab.specfun import Alpha, check_alpha
+from hankellab.specfun import check_alpha
 
 ALPHAS = (-0.25, 0.0, 0.5, 1.0)
 
@@ -83,9 +83,8 @@ class TestPiAlpha:
         with pytest.raises(DomainError):
             pi_alpha(-0.5)
         with pytest.raises(DomainError):
-            Alpha(-0.6)
-        assert float(Alpha(0.25)) == 0.25
-        assert check_alpha(Alpha(0.25)) == 0.25
+            check_alpha(-0.6)
+        assert check_alpha(0.25) == 0.25
 
 
 class TestMellinSymbol:
