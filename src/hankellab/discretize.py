@@ -1,6 +1,11 @@
 """Assembly of every operator expression used by the verification suite:
-the model operators, weighted Hankel operators, half-line projections, block
-compositions, and the log-variable pushforwards.
+the model operators, weighted Hankel operators, block compositions, and the
+log-variable pushforwards.
+
+The half-line projections onto (0, 1) and (1, inf) are the two halves of
+the grid (:meth:`Grid.side`): a block of an assembled matrix is a slice of
+its entries, and this module takes the sides of the widened factor and of
+the pushforwards by the same slices.
 
 Compositions of operators (squares, products through a projection, and
 Hilbert-Schmidt norms of u L) discretise the inner integration variable on a
@@ -11,23 +16,18 @@ deviation from the full-line composition does not vanish under refinement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Tuple
 
 import numpy as np
 
-from .errors import GridError
 from .kernels import KernelSpec, WeightSpec, kernel_A, kernel_L, weighted_hankel_kernel
 from .quadrature import Grid, OperatorMatrix, _nystrom_strips, make_grid, nystrom, nystrom_rect
 from .specfun import check_alpha, ln_gamma, phi_split, psi_minus, psi_plus
 
 __all__ = [
-    "ProjectionMask",
-    "projection_mask",
     "assemble_A",
     "assemble_L",
     "assemble_wHa",
-    "project",
     "widened_grid",
     "assemble_L_rect",
     "operator_square",
@@ -39,30 +39,6 @@ __all__ = [
 ]
 
 WIDE_FACTOR = 2
-
-
-@dataclass(frozen=True)
-class ProjectionMask:
-    """Node indices on one side of t = 1 (the grid has no node at 1)."""
-
-    grid: Grid
-    side: str  # "zero" or "infinity"
-    indices: np.ndarray
-
-    def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=int)
-        idx.flags.writeable = False
-        object.__setattr__(self, "indices", idx)
-
-
-def projection_mask(grid: Grid, side: str) -> ProjectionMask:
-    if side == "zero":
-        idx = np.nonzero(grid.nodes < 1.0)[0]
-    elif side == "infinity":
-        idx = np.nonzero(grid.nodes > 1.0)[0]
-    else:
-        raise GridError(f"side must be 'zero' or 'infinity', got {side!r}")
-    return ProjectionMask(grid=grid, side=side, indices=idx)
 
 
 def assemble_A(alpha, grid: Grid) -> OperatorMatrix:
@@ -83,26 +59,9 @@ def assemble_wHa(a: KernelSpec, w: WeightSpec, grid: Grid) -> OperatorMatrix:
     return nystrom(K, grid, provenance=f"wHa(alpha={a.alpha})")
 
 
-def project(M: OperatorMatrix, left: ProjectionMask, right: ProjectionMask) -> OperatorMatrix:
-    """Sub-matrix on rows(left) x cols(right); no zero padding."""
-    if left.grid is not M.grid and left.grid.N != M.entries.shape[0]:
-        raise GridError("left mask does not match the matrix grid")
-    right_n = M.entries.shape[1]
-    right_grid = M.col_grid or M.grid
-    if right.grid is not right_grid and right.grid.N != right_n:
-        raise GridError("right mask does not match the matrix grid")
-    entries = M.entries[np.ix_(left.indices, right.indices)]
-    return OperatorMatrix(
-        grid=M.grid,
-        entries=entries,
-        provenance=f"{M.provenance}[{left.side},{right.side}]",
-        col_grid=M.col_grid,
-    )
-
-
-def widened_grid(grid: Grid, factor: int = WIDE_FACTOR) -> Grid:
-    """Grid with ``factor`` times the log-width at the same step."""
-    return make_grid(factor * grid.R, factor * grid.N)
+def widened_grid(grid: Grid) -> Grid:
+    """Grid with ``WIDE_FACTOR`` times the log-width at the same step."""
+    return make_grid(WIDE_FACTOR * grid.R, WIDE_FACTOR * grid.N)
 
 
 def assemble_L_rect(alpha, grid: Grid) -> OperatorMatrix:
@@ -124,10 +83,10 @@ def operator_square(Lr: OperatorMatrix) -> OperatorMatrix:
 
 def composed_block(Lr: OperatorMatrix, inner_side: str) -> OperatorMatrix:
     """L * (indicator of one side of 1) * L from the widened factor ``Lr``:
-    C C^T with C the columns of ``Lr`` on that side of 1 (contiguous, since
-    the nodes ascend); full-size matrix on the row grid."""
-    cols = projection_mask(Lr.col_grid, inner_side).indices
-    C = Lr.entries[:, cols[0] : cols[-1] + 1]
+    C C^T with C the columns of ``Lr`` on that side of 1, the half
+    ``Lr.col_grid.side(inner_side)`` of the widened grid; full-size matrix
+    on the row grid."""
+    C = Lr.entries[:, Lr.col_grid.side(inner_side)]
     entries = C @ C.T
     provenance = f"{Lr.provenance}*1_{inner_side}*L"
     return OperatorMatrix(grid=Lr.grid, entries=entries, provenance=provenance)
@@ -174,12 +133,11 @@ def log_pushforward_hankel(side: str, alpha, grid: Grid) -> OperatorMatrix:
     operator's normalisation, with uniform weights h.
     """
     a = check_alpha(alpha)
-    mask = projection_mask(grid, side)
+    xs = grid.log_nodes[grid.side(side)]
     if side == "infinity":
-        xs = grid.log_nodes[mask.indices]
         psi = lambda u: psi_plus(a, u)
     else:
-        xs = -grid.log_nodes[mask.indices][::-1]  # ascending in x = -ln t
+        xs = -xs[::-1]  # ascending in x = -ln t
         psi = lambda u: psi_minus(a, u)
     c = np.exp(-0.5 * ln_gamma(1.0 + 2.0 * a))
     # the 2n - 1 antidiagonal values x_0 + x_k and x_k + x_{n-1}; row i of
@@ -201,9 +159,9 @@ def change_of_variables_diagonal(grid: Grid, side: str) -> np.ndarray:
     constructed from grid data (never assumed) so the suite can compare
     "transform then discretise" against "discretise then transform".
     """
-    mask = projection_mask(grid, side)
-    w = grid.weights[mask.indices]
-    x = grid.log_nodes[mask.indices]
+    half = grid.side(side)
+    w = grid.weights[half]
+    x = grid.log_nodes[half]
     d = np.sqrt(grid.step) * np.exp(x / 2.0) / np.sqrt(w)
     if side == "zero":
         d = d[::-1]

@@ -19,11 +19,8 @@ class KernelEvaluationError(RuntimeError):
 
 
 class EigenSolverError(RuntimeError):
-    """Eigensolver failed to converge; carries the off-diagonal norm reached."""
-
-    def __init__(self, message, offdiag_norm=None):
-        super().__init__(message)
-        self.offdiag_norm = offdiag_norm
+    """An eigenvalue or singular-value solve failed, or was given a matrix it
+    cannot take (not square, not symmetric)."""
 
 
 class QuadratureError(RuntimeError):

@@ -12,8 +12,8 @@ from .errors import GridError, KernelEvaluationError, QuadratureError
 
 __all__ = ["Grid", "OperatorMatrix", "make_grid", "nystrom", "nystrom_rect", "quad_integral"]
 
-# Rows per strip of the symmetric assemblies and of the symmetry test in
-# linalg: temporaries stay at ROW_BLOCK x N.
+# Rows per strip of the Nystrom assemblies and of the symmetry test in
+# linalg: temporaries stay at ROW_BLOCK rows of the output.
 ROW_BLOCK = 128
 
 
@@ -25,6 +25,11 @@ class Grid:
     sits at t = 1, nodes come in exact reciprocal pairs t_i * t_{N+1-i} = 1,
     and exactly N/2 nodes lie on each side of 1.  Weights h * t_i are the
     Jacobian of t = e^x.  Immutable after construction.
+
+    The nodes ascend, so each side of t = 1 is one half of the grid, which
+    :meth:`side` gives as a slice; the block of a matrix on the grid between
+    two sides (the projections 1_(0,1) and 1_(1,inf)) is a view through two
+    such slices.
     """
 
     R: float
@@ -37,6 +42,15 @@ class Grid:
     @property
     def half(self) -> int:
         return self.N // 2
+
+    def side(self, name: str) -> slice:
+        """Positions of the nodes on one side of t = 1: ``slice(0, half)``
+        for ``"zero"`` (t < 1), ``slice(half, N)`` for ``"infinity"`` (t > 1)."""
+        if name == "zero":
+            return slice(0, self.half)
+        if name == "infinity":
+            return slice(self.half, self.N)
+        raise GridError(f"side must be 'zero' or 'infinity', got {name!r}")
 
 
 def make_grid(R: float, N: int) -> Grid:
@@ -84,9 +98,6 @@ class OperatorMatrix:
     @property
     def shape(self):
         return self.entries.shape
-
-    def is_square(self) -> bool:
-        return self.entries.shape[0] == self.entries.shape[1]
 
 
 def _evaluate_kernel(K, s, t):
@@ -154,10 +165,22 @@ def nystrom(K: Callable, grid: Grid, provenance: str = "kernel") -> OperatorMatr
 
 
 def nystrom_rect(K: Callable, row_grid: Grid, col_grid: Grid, provenance: str = "kernel") -> OperatorMatrix:
-    """Rectangular Nystrom matrix sqrt(w_i om_j) K(t_i, tau_j) across two grids."""
-    vals = _evaluate_kernel(K, row_grid.nodes[:, np.newaxis], col_grid.nodes[np.newaxis, :])
-    vals *= np.sqrt(np.outer(row_grid.weights, col_grid.weights))
-    return OperatorMatrix(grid=row_grid, entries=vals, provenance=provenance, col_grid=col_grid)
+    """Rectangular Nystrom matrix sqrt(w_i om_j) K(t_i, tau_j) across two grids.
+
+    The kernel is called on strips of ``ROW_BLOCK`` row nodes against every
+    column node, each scaled and written into the output, so no temporary is
+    larger than ``ROW_BLOCK`` x M and the result equals one evaluation on
+    all N x M node pairs.
+    """
+    t, w, n = row_grid.nodes, row_grid.weights, row_grid.N
+    tau_row, om = col_grid.nodes[np.newaxis, :], col_grid.weights
+    out = np.empty((n, col_grid.N))
+    for r0 in range(0, n, ROW_BLOCK):
+        rows = slice(r0, r0 + ROW_BLOCK)
+        vals = _evaluate_kernel(K, t[rows, np.newaxis], tau_row)
+        vals *= np.sqrt(np.outer(w[rows], om))
+        out[rows] = vals
+    return OperatorMatrix(grid=row_grid, entries=out, provenance=provenance, col_grid=col_grid)
 
 
 def quad_integral(f: Callable, grid: Grid) -> float:

@@ -100,8 +100,7 @@ class _GridPieces:
 
     def __init__(self, alpha: float, grid: Grid, family):
         self.alpha, self.grid, self.family = alpha, grid, family
-        self.m0 = dz.projection_mask(grid, "zero")
-        self.mi = dz.projection_mask(grid, "infinity")
+        self.m0, self.mi = grid.side("zero"), grid.side("infinity")
 
     @cached_property
     def A(self):
@@ -160,12 +159,12 @@ def _check_c1(alpha: float, pieces: Sequence[_GridPieces]) -> CheckResult:
 def _check_c2(alpha: float, pieces: Sequence[_GridPieces]) -> CheckResult:
     metrics, ok = [], True
     for p in pieces:
-        A = p.A
-        e0 = sym_eigen(dz.project(A, p.m0, p.m0))
-        ei = sym_eigen(dz.project(A, p.mi, p.mi))
+        A = p.A.entries
+        e0 = sym_eigen(A[p.m0, p.m0])
+        ei = sym_eigen(A[p.mi, p.mi])
         diff = float(np.abs(e0 - ei).max())
         a_norm = float(np.abs(np.concatenate([e0, ei])).max())
-        persym = float(np.abs(A.entries - A.entries[::-1, ::-1]).max())
+        persym = float(np.abs(A - A[::-1, ::-1]).max())
         metrics.append({"eig_diff": diff, "persymmetry_defect": persym})
         ok = ok and diff <= BLOCK_EIG_TOL * max(a_norm, 1e-300)
     return CheckResult(
@@ -203,12 +202,11 @@ def _check_c3(alpha: float, pieces: Sequence[_GridPieces]) -> CheckResult:
     )
 
 
-def _hs_battery(alpha: float):
-    return (
-        ("indicator[1,e]", lambda t: ((t >= 1.0) & (t <= math.e)).astype(float)),
-        ("gauss_log_bump", lambda t: np.exp(-np.log(t) ** 2)),
-        ("t_exp(-t)", lambda t: t * np.exp(-t)),
-    )
+_HS_BATTERY = (
+    ("indicator[1,e]", lambda t: ((t >= 1.0) & (t <= math.e)).astype(float)),
+    ("gauss_log_bump", lambda t: np.exp(-np.log(t) ** 2)),
+    ("t_exp(-t)", lambda t: t * np.exp(-t)),
+)
 
 
 def _check_c4(alpha: float) -> CheckResult:
@@ -218,7 +216,7 @@ def _check_c4(alpha: float) -> CheckResult:
     Lr = dz.assemble_L_rect(alpha, g_id)
     scale = 2.0 ** (-1.0 - 2.0 * alpha)
     metrics, ok = [], True
-    for label, u in _hs_battery(alpha):
+    for label, u in _HS_BATTERY:
         lhs = float((dz.assemble_uL(u, Lr).entries ** 2).sum())
         rhs = scale * quad_integral(lambda t: u(t) ** 2 / t, g_id)
         rel = abs(lhs - rhs) / abs(rhs)
@@ -247,12 +245,11 @@ def _check_c5(alpha: float, pieces: Sequence[_GridPieces]) -> CheckResult:
     for p in pieces:
         row = {}
         for side, mask in (("zero", p.m0), ("infinity", p.mi)):
-            block = dz.project(p.L, mask, mask).entries
+            block = p.L.entries[mask, mask]
             if side == "zero":
                 block = block[::-1, ::-1]  # ascending in x = -ln t
             d = dz.change_of_variables_diagonal(p.grid, side)
             pushed = d[:, np.newaxis] * block * d[np.newaxis, :]
-            pushed = 0.5 * (pushed + pushed.T)
             H = dz.log_pushforward_hankel(side, alpha, p.grid).entries
             diff = float(np.abs(sym_eigen(pushed) - sym_eigen(H)).max())
             row[f"eig_diff_{side}"] = diff
@@ -274,9 +271,9 @@ def _check_c6(alpha: float, pieces: Sequence[_GridPieces]) -> CheckResult:
     for p in pieces:
         row = {}
         for label, block in (
-            ("L_00", dz.project(p.L, p.m0, p.m0)),
-            ("L_ii", dz.project(p.L, p.mi, p.mi)),
-            ("A_0i", dz.project(p.A, p.m0, p.mi)),
+            ("L_00", p.L.entries[p.m0, p.m0]),
+            ("L_ii", p.L.entries[p.mi, p.mi]),
+            ("A_0i", p.A.entries[p.m0, p.mi]),
         ):
             sv = singular_values(block)
             # the numerical-rank tolerance of the singular values
@@ -311,8 +308,8 @@ def _residual_matrix(p: _GridPieces) -> np.ndarray:
     WHA, v = p.weighted
     block_inf, block_0 = p.blocks
     v0, vi = np.zeros_like(v), np.zeros_like(v)
-    v0[p.m0.indices] = v[p.m0.indices]
-    vi[p.mi.indices] = v[p.mi.indices]
+    v0[p.m0] = v[p.m0]
+    vi[p.mi] = v[p.mi]
     term0 = v0[:, np.newaxis] * block_inf.entries * v0[np.newaxis, :]
     term_inf = vi[:, np.newaxis] * block_0.entries * vi[np.newaxis, :]
     return WHA.entries - a0 * term0 - a_inf * term_inf
@@ -341,11 +338,10 @@ def _c8_items(alpha: float, p: _GridPieces):
     pa = pi_alpha(alpha)
     m0, mi = p.m0, p.mi
     block_inf, block_0 = p.blocks
-    b3_zero = dz.project(block_inf, m0, m0).entries
-    b3_inf = dz.project(block_0, mi, mi).entries
+    b3_zero = block_inf.entries[m0, m0]
+    b3_inf = block_0.entries[mi, mi]
     WHA, v = p.weighted
-    v0 = v[m0.indices]
-    vi = v[mi.indices]
+    v0, vi = v[m0], v[mi]
     wb_zero = v0[:, np.newaxis] * b3_zero * v0[np.newaxis, :]
     wb_inf = vi[:, np.newaxis] * b3_inf * vi[np.newaxis, :]
     single = lambda c: predict(alpha, c / pa, 0.0, 1.0, 1.0)
@@ -353,8 +349,8 @@ def _c8_items(alpha: float, p: _GridPieces):
         ("model", p.A.entries, predict(alpha, 1.0, 1.0, 1.0, 1.0)),
         ("block_zero", b3_zero, single(pa)),
         ("block_infinity", b3_inf, single(pa)),
-        ("weighted_block_zero", 0.5 * (wb_zero + wb_zero.T), single(pa * b0**2)),
-        ("weighted_block_infinity", 0.5 * (wb_inf + wb_inf.T), single(pa * b_inf**2)),
+        ("weighted_block_zero", wb_zero, single(pa * b0**2)),
+        ("weighted_block_infinity", wb_inf, single(pa * b_inf**2)),
         ("weighted_hankel", WHA.entries, predict(alpha, a0, a_inf, b0, b_inf)),
     )
 

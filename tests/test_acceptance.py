@@ -39,8 +39,6 @@ from hankellab.discretize import (
     composed_block,
     log_pushforward_hankel,
     operator_square,
-    project,
-    projection_mask,
 )
 from hankellab.kernels import rational_test_family
 from hankellab.spectra import analyze, schatten_diagnostic
@@ -135,11 +133,10 @@ class TestCriterion04:
         worst = 0.0
         for R, N in LADDER:
             grid = make_grid(R, N)
-            A = assemble_A(alpha, grid)
-            m0 = projection_mask(grid, "zero")
-            mi = projection_mask(grid, "infinity")
-            e0 = sym_eigen(project(A, m0, m0))
-            ei = sym_eigen(project(A, mi, mi))
+            A = assemble_A(alpha, grid).entries
+            m0, mi = grid.side("zero"), grid.side("infinity")
+            e0 = sym_eigen(A[m0, m0])
+            ei = sym_eigen(A[mi, mi])
             norm = max(abs(e0[0]), abs(e0[-1]))
             worst = max(worst, float(np.abs(e0 - ei).max()) / norm)
         assert verdict(4, worst <= 1e-10, f"alpha={alpha}: worst relative eigenvalue deviation {worst:.2e} (cap 1e-10)")
@@ -203,8 +200,8 @@ class TestCriterion07:
     def test_compactness(self):
         grid = make_grid(8.0, 400)
         L = assemble_L(0.0, grid)
-        m0 = projection_mask(grid, "zero")
-        block = project(L, m0, m0)
+        m0 = grid.side("zero")
+        block = L.entries[m0, m0]
         sv = singular_values(block)
         ratio = sv[9] / sv[0]
         diag = schatten_diagnostic(sv, max(block.shape) * np.finfo(float).eps * sv[0])
@@ -212,9 +209,7 @@ class TestCriterion07:
         for R, N in LADDER:
             g = make_grid(R, N)
             A = assemble_A(0.0, g)
-            nucs.append(
-                nuclear_norm(project(A, projection_mask(g, "zero"), projection_mask(g, "infinity")))
-            )
+            nucs.append(nuclear_norm(A.entries[g.side("zero"), g.side("infinity")]))
         growth_ok = all(b <= 1.10 * a for a, b in zip(nucs, nucs[1:]))
         ok = ratio < 1e-6 and diag.verdict == "super_polynomial" and growth_ok
         assert verdict(
@@ -251,8 +246,8 @@ class TestCriterion09:
     def test_pushforward_equivalence(self, alpha):
         grid = make_grid(8.0, 400)
         L = assemble_L(alpha, grid)
-        mi = projection_mask(grid, "infinity")
-        block_eigs = sym_eigen(project(L, mi, mi))
+        mi = grid.side("infinity")
+        block_eigs = sym_eigen(L.entries[mi, mi])
         hank_eigs = sym_eigen(log_pushforward_hankel("infinity", alpha, grid))
         diff = float(np.abs(block_eigs - hank_eigs).max())
         assert verdict(9, diff <= 1e-6, f"alpha={alpha}: eigenvalue agreement {diff:.2e} (cap 1e-6)")

@@ -17,8 +17,6 @@ from hankellab.discretize import (
     composed_block,
     log_pushforward_hankel,
     operator_square,
-    project,
-    projection_mask,
     widened_grid,
 )
 from hankellab.kernels import rational_test_family
@@ -51,41 +49,25 @@ class TestAssembly:
 class TestProjection:
     def test_block_dimensions(self):
         grid = make_grid(6.0, 100)
-        A = assemble_A(0.0, grid)
-        m0 = projection_mask(grid, "zero")
-        mi = projection_mask(grid, "infinity")
-        assert project(A, m0, m0).entries.shape == (50, 50)
-        assert project(A, m0, mi).entries.shape == (50, 50)
-        assert set(m0.indices) | set(mi.indices) == set(range(100))
-
-    def test_zero_matrix_projects_to_zero(self):
-        grid = make_grid(4.0, 40)
-        Z = assemble_A(0.0, grid)
-        m0 = projection_mask(grid, "zero")
-        from hankellab.quadrature import OperatorMatrix
-
-        zero = OperatorMatrix(grid=grid, entries=np.zeros((40, 40)), provenance="zero")
-        assert (project(zero, m0, m0).entries == 0.0).all()
-
-    def test_grid_mismatch_rejected(self):
-        g1, g2 = make_grid(4.0, 40), make_grid(4.0, 60)
-        A = assemble_A(0.0, g1)
-        with pytest.raises(GridError):
-            project(A, projection_mask(g2, "zero"), projection_mask(g2, "zero"))
+        A = assemble_A(0.0, grid).entries
+        m0, mi = grid.side("zero"), grid.side("infinity")
+        assert A[m0, m0].shape == (50, 50)
+        assert A[m0, mi].shape == (50, 50)
+        assert set(range(100)[m0]) | set(range(100)[mi]) == set(range(100))
+        assert (grid.nodes[m0] < 1.0).all() and (grid.nodes[mi] > 1.0).all()
 
     def test_bad_side_rejected(self):
         with pytest.raises(GridError):
-            projection_mask(make_grid(2.0, 10), "middle")
+            make_grid(2.0, 10).side("middle")
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5])
     def test_block_similarity(self, alpha):
         # inversion symmetry: the two diagonal blocks are exactly isospectral
         grid = make_grid(8.0, 400)
-        A = assemble_A(alpha, grid)
-        m0 = projection_mask(grid, "zero")
-        mi = projection_mask(grid, "infinity")
-        e0 = sym_eigen(project(A, m0, m0))
-        ei = sym_eigen(project(A, mi, mi))
+        A = assemble_A(alpha, grid).entries
+        m0, mi = grid.side("zero"), grid.side("infinity")
+        e0 = sym_eigen(A[m0, m0])
+        ei = sym_eigen(A[mi, mi])
         norm = max(abs(e0[0]), abs(e0[-1]))
         assert np.abs(e0 - ei).max() <= 1e-11 * norm
 
@@ -203,8 +185,8 @@ class TestLogPushforward:
     def test_unitary_equivalence(self, alpha, side):
         grid = make_grid(8.0, 400)
         L = assemble_L(alpha, grid)
-        mask = projection_mask(grid, side)
-        block = project(L, mask, mask).entries
+        half = grid.side(side)
+        block = L.entries[half, half]
         if side == "zero":
             block = block[::-1, ::-1]
         d = change_of_variables_diagonal(grid, side)
@@ -250,8 +232,8 @@ class TestCompactness:
     def test_diagonal_block_schatten_decay(self):
         grid = make_grid(8.0, 400)
         L = assemble_L(0.0, grid)
-        m0 = projection_mask(grid, "zero")
-        sv = singular_values(project(L, m0, m0))
+        m0 = grid.side("zero")
+        sv = singular_values(L.entries[m0, m0])
         assert sv[9] / sv[0] < 1e-6
 
     def test_cross_block_nuclear_bounded(self):
@@ -259,7 +241,6 @@ class TestCompactness:
         for R, N in LADDER:
             grid = make_grid(R, N)
             A = assemble_A(0.0, grid)
-            m0 = projection_mask(grid, "zero")
-            mi = projection_mask(grid, "infinity")
-            nucs.append(nuclear_norm(project(A, m0, mi)))
+            m0, mi = grid.side("zero"), grid.side("infinity")
+            nucs.append(nuclear_norm(A.entries[m0, mi]))
         assert all(b <= 1.10 * a for a, b in zip(nucs, nucs[1:]))

@@ -27,8 +27,6 @@ from hankellab.discretize import (
     assemble_wHa,
     composed_block,
     operator_square,
-    projection_mask,
-    project,
 )
 from hankellab.kernels import power_family, rational_test_family
 from hankellab.linalg import CENTRO_TOL
@@ -148,11 +146,10 @@ class TestSingularValues:
         grid = make_grid(10.0, 800)
         A = assemble_A(0.5, grid)
         L = assemble_L(0.5, grid)
-        m0 = projection_mask(grid, "zero")
-        mi = projection_mask(grid, "infinity")
+        m0, mi = grid.side("zero"), grid.side("infinity")
         for M in (
-            project(A, m0, mi).entries,
-            project(L, m0, m0).entries,
+            A.entries[m0, mi],
+            L.entries[m0, m0],
             operator_square(assemble_L_rect(0.5, grid)).entries - A.entries,
         ):
             ref = scipy.linalg.svd(M, compute_uv=False, lapack_driver="gesvd")

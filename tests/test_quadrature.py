@@ -38,11 +38,15 @@ class TestMakeGrid:
         g = make_grid(5.0, 100)
         assert np.abs(g.nodes * g.nodes[::-1] - 1.0).max() <= 1e-14
 
-    def test_split_at_one(self):
-        g = make_grid(8.0, 400)
-        assert (g.nodes < 1.0).sum() == 200
-        assert (g.nodes > 1.0).sum() == 200
-        assert g.half == 200
+    @pytest.mark.parametrize("R,N", [(1.0, 2), (3.0, 6), (8.0, 400), (14.0, 2400)])
+    def test_split_at_one(self, R, N):
+        # the sides of t = 1 are the two halves of the ascending nodes
+        g = make_grid(R, N)
+        assert g.half == N // 2
+        assert (g.nodes[: g.half] < 1.0).all()
+        assert (g.nodes[g.half :] > 1.0).all()
+        assert g.side("zero") == slice(0, g.half)
+        assert g.side("infinity") == slice(g.half, N)
 
     def test_weight_sum_oracle(self):
         # sum of weights over (0, 1) approximates the length 1 - e^-R
@@ -153,6 +157,28 @@ class TestNystrom:
         M = nystrom_rect(lambda s, t: 1.0 / (s + t), g, wide)
         assert M.entries.shape == (10, 20)
         assert M.col_grid is wide
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    def test_rect_strips_match_one_piece(self, alpha):
+        # N = 344 is not a multiple of ROW_BLOCK, so the last strip is partial
+        g, wide = make_grid(6.0, 344), make_grid(12.0, 688)
+        K = kernel_L(alpha)
+        s, t = g.nodes[:, np.newaxis], wide.nodes[np.newaxis, :]
+        ref = K(s, t) * np.sqrt(np.outer(g.weights, wide.weights))
+        assert np.array_equal(nystrom_rect(K, g, wide).entries, ref)
+
+    def test_rect_memory_stays_at_strip_size(self):
+        # the output plus a few ROW_BLOCK x M temporaries, never N x M ones
+        g, wide = make_grid(12.0, 2000), make_grid(24.0, 4000)
+        K = kernel_L(0.5)
+        tracemalloc.start()
+        try:
+            M = nystrom_rect(K, g, wide)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        strip = ROW_BLOCK * wide.N * 8
+        assert peak <= M.entries.nbytes + 6 * strip
 
     def test_refinement_consistency(self):
         # Cauchy proxy: doubling N at fixed R changes the top eigenvalues of

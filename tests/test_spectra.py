@@ -17,7 +17,7 @@ from hankellab import (
     singular_values,
     sym_eigen,
 )
-from hankellab.discretize import assemble_A, assemble_L, project, projection_mask
+from hankellab.discretize import assemble_A, assemble_L
 from hankellab.spectra import _interval_hausdorff
 
 LADDER = [(6.0, 200), (8.0, 400), (10.0, 800)]
@@ -133,11 +133,10 @@ class TestAnalyze:
 class TestCountingCompare:
     def test_equal_blocks_equal_counts(self):
         grid = make_grid(8.0, 400)
-        A = assemble_A(0.0, grid)
-        m0 = projection_mask(grid, "zero")
-        mi = projection_mask(grid, "infinity")
-        e0 = sym_eigen(project(A, m0, m0))
-        ei = sym_eigen(project(A, mi, mi))
+        A = assemble_A(0.0, grid).entries
+        m0, mi = grid.side("zero"), grid.side("infinity")
+        e0 = sym_eigen(A[m0, m0])
+        ei = sym_eigen(A[mi, mi])
         rows = counting_compare(np.concatenate([e0, ei]), e0, ei, np.linspace(0.1, 2.8, 20))
         assert all(r.n_zero == r.n_infinity for r in rows)
         assert all(r.discrepancy == 0 for r in rows)
@@ -152,12 +151,11 @@ class TestCountingCompare:
     def test_true_coupling_bounded_discrepancy(self):
         # trace-class coupling moves O(1) eigenvalues per window
         grid = make_grid(8.0, 400)
-        A = assemble_A(0.0, grid)
-        m0 = projection_mask(grid, "zero")
-        mi = projection_mask(grid, "infinity")
+        A = assemble_A(0.0, grid).entries
+        m0, mi = grid.side("zero"), grid.side("infinity")
         full = sym_eigen(A)
-        e0 = sym_eigen(project(A, m0, m0))
-        ei = sym_eigen(project(A, mi, mi))
+        e0 = sym_eigen(A[m0, m0])
+        ei = sym_eigen(A[mi, mi])
         rows = counting_compare(full, e0, ei, np.linspace(0.3, 2.8, 26))
         assert max(r.discrepancy for r in rows) <= 8
 
@@ -182,8 +180,8 @@ class TestSchattenDiagnostic:
     def test_factor_block_super_polynomial(self):
         grid = make_grid(8.0, 400)
         L = assemble_L(0.0, grid)
-        m0 = projection_mask(grid, "zero")
-        block = project(L, m0, m0)
+        m0 = grid.side("zero")
+        block = L.entries[m0, m0]
         sv = singular_values(block)
         diag = schatten_diagnostic(sv, max(block.shape) * np.finfo(float).eps * sv[0])
         assert diag.verdict == "super_polynomial"
