@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -60,8 +61,9 @@ class RunConfig:
         if not self.ladder:
             raise ConfigError("ladder must contain at least one (R, N) step")
         for R, N in self.ladder:
-            if not (R > 0 and int(N) == N and N >= 2 and N % 2 == 0):
+            if not (0 < R < math.inf and float(N).is_integer() and N >= 2 and N % 2 == 0):
                 raise ConfigError(f"invalid ladder step (R={R}, N={N})")
+        self.ladder = tuple((R, int(N)) for R, N in self.ladder)
         for name, value in (("delta", self.delta), ("interior_margin", self.interior_margin)):
             if value is not None and not value > 0:
                 raise ConfigError(f"{name} must be positive, got {value}")
@@ -263,22 +265,26 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         unknown = set(raw) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        if "alpha" in raw:
-            config.alpha = float(raw["alpha"])
-        if "kernel" in raw:
-            config.kernel = str(raw["kernel"])
-        if "weight" in raw:
-            config.weight = None if raw["weight"] is None else str(raw["weight"])
-        if "ladder" in raw:
-            config.ladder = tuple((float(R), int(N)) for R, N in raw["ladder"])
-        if "delta" in raw and raw["delta"] is not None:
-            config.delta = float(raw["delta"])
-        if "interior_margin" in raw and raw["interior_margin"] is not None:
-            config.interior_margin = float(raw["interior_margin"])
-        if "output_dir" in raw:
-            config.output_dir = Path(raw["output_dir"])
-        if "checks" in raw and raw["checks"] is not None:
-            config.checks = tuple(str(c) for c in raw["checks"])
+        try:
+            if "alpha" in raw:
+                config.alpha = float(raw["alpha"])
+            if "kernel" in raw:
+                config.kernel = str(raw["kernel"])
+            if "weight" in raw:
+                config.weight = None if raw["weight"] is None else str(raw["weight"])
+            if "ladder" in raw:
+                # N stays a float here, so that validate() sees a fractional N
+                config.ladder = tuple((float(R), float(N)) for R, N in raw["ladder"])
+            if "delta" in raw and raw["delta"] is not None:
+                config.delta = float(raw["delta"])
+            if "interior_margin" in raw and raw["interior_margin"] is not None:
+                config.interior_margin = float(raw["interior_margin"])
+            if "output_dir" in raw:
+                config.output_dir = Path(raw["output_dir"])
+            if "checks" in raw and raw["checks"] is not None:
+                config.checks = tuple(str(c) for c in raw["checks"])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed value in config {args.config}: {exc}") from exc
     # flags win over the file
     if args.alpha is not None:
         config.alpha = args.alpha

@@ -142,7 +142,6 @@ class ConditionReport:
     name: str
     passed: bool
     detail: str
-    samples: Tuple[float, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -246,7 +245,6 @@ def _kernel_end_condition(spec: KernelSpec, end: str) -> List[ConditionReport]:
                     name=f"kernel_{end}_m{m}",
                     passed=ok,
                     detail=detail,
-                    samples=tuple(float(v) for v in vals),
                 )
             )
     return reports
@@ -262,7 +260,6 @@ def _weight_bounded_condition(w: WeightSpec) -> ConditionReport:
         name="weight_bounded",
         passed=ok,
         detail=f"max t^-a w(t) = {vals.max():.3e} (bound {bound:.1f})",
-        samples=tuple(float(v) for v in vals),
     )
 
 
@@ -289,7 +286,6 @@ def _weight_integral_condition(w: WeightSpec, end: str) -> ConditionReport:
         name=f"weight_integral_{end}",
         passed=bool(ok),
         detail=f"shell integrals {['%.3e' % s for s in shells]}",
-        samples=tuple(shells),
     )
 
 

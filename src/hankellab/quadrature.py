@@ -3,6 +3,7 @@ Nystrom discretisation of integral operators."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -57,8 +58,8 @@ def make_grid(R: float, N: int) -> Grid:
     """Build the midpoint log grid; N must be even (the split at t = 1 needs
     a midpoint-free symmetric grid)."""
     R = float(R)
-    if not R > 0.0:
-        raise GridError(f"R must be positive, got {R}")
+    if not 0.0 < R < math.inf:
+        raise GridError(f"R must be positive and finite, got {R}")
     if N != int(N) or int(N) < 2 or int(N) % 2 != 0:
         raise GridError(f"N must be an even integer >= 2, got {N}")
     N = int(N)

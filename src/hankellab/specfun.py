@@ -37,10 +37,10 @@ __all__ = [
 
 
 def check_alpha(alpha) -> float:
-    """Coerce to float and enforce alpha > -1/2."""
+    """Coerce to float and enforce -1/2 < alpha < inf."""
     a = float(alpha)
-    if not a > -0.5:
-        raise DomainError(f"alpha must be > -1/2, got {a}")
+    if not -0.5 < a < math.inf:
+        raise DomainError(f"alpha must be finite and > -1/2, got {a}")
     return a
 
 

@@ -102,16 +102,6 @@ class SpectralReport:
     delta: float
     interior_margin: float
 
-    def as_dict(self):
-        return {
-            "predicted": self.predicted.as_dict(),
-            "max_gap": self.fill_max_gap,
-            "outliers": list(self.outliers),
-            "hausdorff": self.hausdorff,
-            "delta": self.delta,
-            "interior_margin": self.interior_margin,
-        }
-
 
 def _interval_fill_gap(eigs: np.ndarray, lo: float, hi: float) -> float:
     inside = eigs[(eigs >= lo) & (eigs <= hi)]
@@ -222,10 +212,7 @@ def counting_compare(full, block0, block_inf, lam_grid) -> List[CountRow]:
 @dataclass(frozen=True)
 class SchattenDiagnostic:
     p_fit: float
-    nuclear_partial: Tuple[float, ...]
     verdict: str
-    n_used: int
-    half_slopes: Tuple[float, float]
 
 
 def _slope(logk: np.ndarray, logs: np.ndarray) -> float:
@@ -245,15 +232,8 @@ def schatten_diagnostic(sigma, floor: float) -> SchattenDiagnostic:
     if np.any(np.diff(sigma) > 0.0):
         raise DomainError("singular values must be non-increasing")
     used = sigma[sigma > max(floor, 0.0)]
-    partial = tuple(float(s) for s in np.cumsum(sigma))
     if used.size < 5:
-        return SchattenDiagnostic(
-            p_fit=float("nan"),
-            nuclear_partial=partial,
-            verdict="insufficient_data",
-            n_used=int(used.size),
-            half_slopes=(float("nan"), float("nan")),
-        )
+        return SchattenDiagnostic(p_fit=float("nan"), verdict="insufficient_data")
     k = np.arange(1, used.size + 1, dtype=float)
     logk, logs = np.log(k), np.log(used)
     p_fit = _slope(logk, logs)
@@ -266,10 +246,4 @@ def schatten_diagnostic(sigma, floor: float) -> SchattenDiagnostic:
         verdict = "non_summable_suspect"
     else:
         verdict = "polynomial"
-    return SchattenDiagnostic(
-        p_fit=p_fit,
-        nuclear_partial=partial,
-        verdict=verdict,
-        n_used=int(used.size),
-        half_slopes=(s1, s2),
-    )
+    return SchattenDiagnostic(p_fit=p_fit, verdict=verdict)

@@ -112,9 +112,12 @@ class _GridPieces:
 
     @cached_property
     def blocks(self):
-        """(L 1_inf L, L 1_0 L), both composed from one widened factor."""
+        """(L 1_inf L on the whole grid, L 1_0 L on its (infinity, infinity)
+        quarter), both composed from one widened factor: C3 compares the
+        first with H(phi0) everywhere, and the two-block decomposition (C7,
+        C8) reads the second on the infinity side only."""
         Lr = dz.assemble_L_rect(self.alpha, self.grid)
-        return dz.composed_block(Lr, "infinity"), dz.composed_block(Lr, "zero")
+        return dz.composed_block(Lr, "infinity"), dz.composed_block(Lr, "zero", "infinity")
 
     @cached_property
     def weighted(self):
@@ -129,11 +132,11 @@ def _check_c1(alpha: float, pieces: Sequence[_GridPieces]) -> CheckResult:
     for p in pieces:
         A = p.A.entries
         a_norm = op_norm(A)
-        # a short-lived factor of its own: keeping the blocks' factor, or
-        # summing the blocks here, keeps more large matrices alive through
-        # C3's split evaluation and raises the suite's peak memory.  The wide
-        # residual is formed explicitly: at large R it sits at the rounding
-        # floor eps * |A|, below the rounding of the map x -> Lr(Lr^T x) - Ax
+        # a short-lived factor of its own: keeping the blocks' factor keeps
+        # one more large matrix alive through C3's split evaluation and
+        # raises the suite's peak memory.  The wide residual is formed
+        # explicitly: at large R it sits at the rounding floor eps * |A|,
+        # below the rounding of the map x -> Lr(Lr^T x) - Ax
         sq = dz.operator_square(dz.assemble_L_rect(alpha, p.grid))
         wide = op_norm(sq.entries - A) / a_norm
         L = p.L.entries
@@ -301,18 +304,28 @@ def _check_c6(alpha: float, pieces: Sequence[_GridPieces]) -> CheckResult:
     )
 
 
+def _weighted_blocks(p: _GridPieces) -> Tuple[np.ndarray, np.ndarray]:
+    """The two diagonal blocks of the two-block decomposition of the weighted
+    operator, without their coefficients a0 and a_inf: v (L 1_inf L) v on
+    the zero side and v (L 1_0 L) v on the infinity side, v = w(t) t^(-alpha)."""
+    block_inf, block_0 = p.blocks
+    _, v = p.weighted
+    v0, vi = v[p.m0], v[p.mi]
+    wb_zero = v0[:, np.newaxis] * block_inf.entries[p.m0, p.m0] * v0[np.newaxis, :]
+    wb_inf = vi[:, np.newaxis] * block_0.entries * vi[np.newaxis, :]
+    return wb_zero, wb_inf
+
+
 def _residual_matrix(p: _GridPieces) -> np.ndarray:
     """Residual of the two-block decomposition of the weighted operator,
-    assembled from already-verified pieces."""
+    assembled from already-verified pieces: the weighted Hankel matrix less
+    a0 and a_inf times the weighted blocks, each on its own quarter."""
     a0, a_inf, _, _ = p.family
-    WHA, v = p.weighted
-    block_inf, block_0 = p.blocks
-    v0, vi = np.zeros_like(v), np.zeros_like(v)
-    v0[p.m0] = v[p.m0]
-    vi[p.mi] = v[p.mi]
-    term0 = v0[:, np.newaxis] * block_inf.entries * v0[np.newaxis, :]
-    term_inf = vi[:, np.newaxis] * block_0.entries * vi[np.newaxis, :]
-    return WHA.entries - a0 * term0 - a_inf * term_inf
+    wb_zero, wb_inf = _weighted_blocks(p)
+    T = p.weighted[0].entries.copy()
+    T[p.m0, p.m0] -= a0 * wb_zero
+    T[p.mi, p.mi] -= a_inf * wb_inf
+    return T
 
 
 def _check_c7(alpha: float, pieces: Sequence[_GridPieces]) -> CheckResult:
@@ -336,22 +349,16 @@ def _check_c7(alpha: float, pieces: Sequence[_GridPieces]) -> CheckResult:
 def _c8_items(alpha: float, p: _GridPieces):
     a0, a_inf, b0, b_inf = p.family
     pa = pi_alpha(alpha)
-    m0, mi = p.m0, p.mi
     block_inf, block_0 = p.blocks
-    b3_zero = block_inf.entries[m0, m0]
-    b3_inf = block_0.entries[mi, mi]
-    WHA, v = p.weighted
-    v0, vi = v[m0], v[mi]
-    wb_zero = v0[:, np.newaxis] * b3_zero * v0[np.newaxis, :]
-    wb_inf = vi[:, np.newaxis] * b3_inf * vi[np.newaxis, :]
+    wb_zero, wb_inf = _weighted_blocks(p)
     single = lambda c: predict(alpha, c / pa, 0.0, 1.0, 1.0)
     return (
         ("model", p.A.entries, predict(alpha, 1.0, 1.0, 1.0, 1.0)),
-        ("block_zero", b3_zero, single(pa)),
-        ("block_infinity", b3_inf, single(pa)),
+        ("block_zero", block_inf.entries[p.m0, p.m0], single(pa)),
+        ("block_infinity", block_0.entries, single(pa)),
         ("weighted_block_zero", wb_zero, single(pa * b0**2)),
         ("weighted_block_infinity", wb_inf, single(pa * b_inf**2)),
-        ("weighted_hankel", WHA.entries, predict(alpha, a0, a_inf, b0, b_inf)),
+        ("weighted_hankel", p.weighted[0].entries, predict(alpha, a0, a_inf, b0, b_inf)),
     )
 
 

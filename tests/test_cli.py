@@ -253,6 +253,50 @@ class TestConfigValidation:
         config.write_text(json.dumps({"laddr": [[6, 200]]}))
         assert main(["verify", "--config", str(config), "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            {"ladder": [[6]]},
+            {"ladder": 5},
+            {"ladder": [[6, 200.7]]},
+            {"ladder": [[math.inf, 200]]},
+            {"alpha": "abc"},
+            {"checks": 5},
+            {"delta": "x"},
+            {"output_dir": 5},
+        ],
+        ids=[
+            "short_step",
+            "not_a_list",
+            "fractional_N",
+            "infinite_R",
+            "alpha_text",
+            "checks_number",
+            "delta_text",
+            "output_dir_number",
+        ],
+    )
+    def test_malformed_config_rejected(self, tmp_path, raw):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert main(["spectrum", "--config", str(config), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["spectrum", "--alpha", "inf"],
+            ["spectrum", "--R", "inf", "--N", "200"],
+            ["verify", "--alpha", "inf"],
+        ],
+        ids=["spectrum_alpha", "spectrum_R", "verify_alpha"],
+    )
+    def test_non_finite_parameter_rejected(self, tmp_path, args):
+        out = tmp_path / "out"
+        assert main(args + ["--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_bad_json_rejected(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text("{not json")

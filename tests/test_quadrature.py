@@ -61,7 +61,9 @@ class TestMakeGrid:
         with pytest.raises(ValueError):
             g.nodes[0] = 2.0
 
-    @pytest.mark.parametrize("R,N", [(0.0, 10), (-1.0, 10), (2.0, 7), (2.0, 0), (2.0, 2.5)])
+    @pytest.mark.parametrize(
+        "R,N", [(0.0, 10), (-1.0, 10), (math.inf, 10), (math.nan, 10), (2.0, 7), (2.0, 0), (2.0, 2.5)]
+    )
     def test_rejects_bad_parameters(self, R, N):
         with pytest.raises(GridError):
             make_grid(R, N)

@@ -82,8 +82,9 @@ class TestPiAlpha:
     def test_alpha_domain(self):
         with pytest.raises(DomainError):
             pi_alpha(-0.5)
-        with pytest.raises(DomainError):
-            check_alpha(-0.6)
+        for bad in (-0.6, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                check_alpha(bad)
         assert check_alpha(0.25) == 0.25
 
 

@@ -193,8 +193,3 @@ class TestSchattenDiagnostic:
     def test_rejects_increasing(self):
         with pytest.raises(DomainError):
             schatten_diagnostic(np.array([1.0, 2.0]), 0.0)
-
-    def test_nuclear_partials(self):
-        sv = np.array([3.0, 2.0, 1.0])
-        diag = schatten_diagnostic(sv, 1e-12)
-        assert diag.nuclear_partial == (3.0, 5.0, 6.0)

@@ -1,12 +1,16 @@
 """Verification-suite orchestration tests."""
 
 import json
+import math
+import tracemalloc
 from collections import Counter
 
+import numpy as np
 import pytest
 
-from hankellab import DomainError, run_suite
+from hankellab import DomainError, make_grid, run_suite
 from hankellab import discretize as dz
+from hankellab.verify import _GridPieces, _residual_matrix
 
 SHORT_LADDER = [(6.0, 200), (8.0, 400)]
 
@@ -119,5 +123,41 @@ class TestRunSuite:
             run_suite(0.0, [(6.0, 200)], checks=["C9"])
 
     def test_rejects_bad_alpha(self):
-        with pytest.raises(DomainError):
-            run_suite(-0.5, [(6.0, 200)])
+        for bad in (-0.5, math.inf):
+            with pytest.raises(DomainError):
+                run_suite(bad, [(6.0, 200)])
+
+
+class TestTwoBlockDecomposition:
+    @pytest.mark.parametrize(
+        "alpha,family", [(0.0, (1.0, -1.0, 1.0, 1.0)), (0.5, (2.0, 1.0, 1.0, 2.0))]
+    )
+    @pytest.mark.parametrize("R,N", [(6.0, 200), (10.0, 800)])
+    def test_residual_matches_zero_padded_formula(self, R, N, alpha, family):
+        # both terms on the whole grid through zero-padded weights, with
+        # L 1_0 L zero outside the quarter it is kept on
+        p = _GridPieces(alpha, make_grid(R, N), family)
+        a0, a_inf, _, _ = family
+        WHA, v = p.weighted
+        block_inf, block_0 = p.blocks
+        full_0 = np.zeros_like(block_inf.entries)
+        full_0[p.mi, p.mi] = block_0.entries
+        v0, vi = np.zeros_like(v), np.zeros_like(v)
+        v0[p.m0] = v[p.m0]
+        vi[p.mi] = v[p.mi]
+        term0 = v0[:, np.newaxis] * block_inf.entries * v0[np.newaxis, :]
+        term_inf = vi[:, np.newaxis] * full_0 * vi[np.newaxis, :]
+        expected = WHA.entries - a0 * term0 - a_inf * term_inf
+        assert np.array_equal(_residual_matrix(p), expected)
+
+    def test_residual_memory_stays_at_quarter_size(self):
+        p = _GridPieces(0.5, make_grid(10.0, 800), (2.0, 1.0, 1.0, 2.0))
+        p.blocks, p.weighted  # the bound is on the residual's own temporaries
+        tracemalloc.start()
+        try:
+            T = _residual_matrix(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        quarter = T.nbytes // 4
+        assert peak <= T.nbytes + 4 * quarter
