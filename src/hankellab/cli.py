@@ -65,8 +65,8 @@ class RunConfig:
                 raise ConfigError(f"invalid ladder step (R={R}, N={N})")
         self.ladder = tuple((R, int(N)) for R, N in self.ladder)
         for name, value in (("delta", self.delta), ("interior_margin", self.interior_margin)):
-            if value is not None and not value > 0:
-                raise ConfigError(f"{name} must be positive, got {value}")
+            if value is not None and not 0 < value < math.inf:
+                raise ConfigError(f"{name} must be positive and finite, got {value}")
         if self.checks:
             bad = [c for c in self.checks if c.upper() not in CHECK_NAMES]
             if bad:
@@ -170,6 +170,8 @@ def cmd_spectrum(config: RunConfig) -> int:
     out = config.output_dir
     spec_a, spec_w = resolve_family(config)
     predicted = predict(config.alpha, spec_a.a0, spec_a.a_inf, spec_w.b0, spec_w.b_inf)
+    if config.interior_margin is not None:
+        predicted.interiors(config.interior_margin)  # fails before any assembly or file
     hyp_ok = hypothesis_check(spec_a, spec_w).ok
     if not hyp_ok:
         print(
@@ -221,25 +223,37 @@ def cmd_verify(config: RunConfig) -> int:
     return 0 if report.verdict == "pass" else 1
 
 
+_FLAGS = {
+    "config": dict(type=Path, help="JSON config file"),
+    "alpha": dict(type=float),
+    "R": dict(type=float, help="single-step ladder override"),
+    "N": dict(type=int, help="single-step ladder override"),
+    "kernel": dict(type=str),
+    "weight": dict(type=str),
+    "out": dict(type=Path, help="output directory"),
+    "delta": dict(type=float),
+    "margin": dict(type=float),
+    "checks": dict(type=str, help="comma-separated C1..C8"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hankellab",
         description="Spectral laboratory for weighted integral Hankel operators.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (("symbol", cmd_symbol), ("spectrum", cmd_spectrum), ("verify", cmd_verify)):
+    family = ("R", "N", "kernel", "weight")
+    for name, fn, flags in (
+        ("symbol", cmd_symbol, ("config", "alpha", "out")),
+        ("spectrum", cmd_spectrum, ("config", "alpha", *family, "out", "delta", "margin")),
+        ("verify", cmd_verify, ("config", "alpha", *family, "out", "checks")),
+    ):
         p = sub.add_parser(name)
-        p.set_defaults(func=fn)
-        p.add_argument("--config", type=Path, default=None, help="JSON config file")
-        p.add_argument("--alpha", type=float, default=None)
-        p.add_argument("--R", type=float, default=None, help="single-step ladder override")
-        p.add_argument("--N", type=int, default=None, help="single-step ladder override")
-        p.add_argument("--kernel", type=str, default=None)
-        p.add_argument("--weight", type=str, default=None)
-        p.add_argument("--out", type=Path, default=None, help="output directory")
-        p.add_argument("--delta", type=float, default=None)
-        p.add_argument("--margin", type=float, default=None)
-        p.add_argument("--checks", type=str, default=None, help="comma-separated C1..C8")
+        # each subcommand takes only the flags it reads; the others read as unset
+        p.set_defaults(func=fn, **dict.fromkeys(_FLAGS))
+        for flag in flags:
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
     return parser
 
 

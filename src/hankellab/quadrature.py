@@ -96,10 +96,6 @@ class OperatorMatrix:
         e.flags.writeable = False
         object.__setattr__(self, "entries", e)
 
-    @property
-    def shape(self):
-        return self.entries.shape
-
 
 def _evaluate_kernel(K, s, t):
     """K on every pair of the node column ``s`` (n x 1) and row ``t`` (1 x m)."""

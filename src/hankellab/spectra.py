@@ -34,7 +34,6 @@ class SpectralInterval:
     lo: float
     hi: float
     multiplicity: int
-    origin: str  # "zero_end", "infinity_end" or "both"
 
     def distance(self, x: float) -> float:
         return max(self.lo - x, x - self.hi, 0.0)
@@ -56,6 +55,15 @@ class PredictedSpectrum:
             return abs(x)
         return min(i.distance(x) for i in self.intervals)
 
+    def interiors(self, margin: float) -> List[Tuple[float, float]]:
+        """The intervals shrunk by ``margin`` at both ends, those it empties
+        dropped; a margin that empties every interval raises DomainError."""
+        kept = [(i.lo + margin, i.hi - margin) for i in self.intervals]
+        kept = [(lo, hi) for lo, hi in kept if hi > lo]
+        if self.intervals and not kept:
+            raise DomainError(f"interior margin {margin} leaves no predicted interval")
+        return kept
+
     def as_dict(self):
         return [
             {"lo": i.lo, "hi": i.hi, "multiplicity": i.multiplicity}
@@ -73,29 +81,20 @@ def predict(alpha, a0, a_inf, b0, b_inf) -> PredictedSpectrum:
     """
     a = check_alpha(alpha)
     pa = pi_alpha(a)
-    ends = [
-        (pa * float(a0) * float(b0) ** 2, "zero_end"),
-        (pa * float(a_inf) * float(b_inf) ** 2, "infinity_end"),
+    ends = [pa * float(a0) * float(b0) ** 2, pa * float(a_inf) * float(b_inf) ** 2]
+    ends = [c for c in ends if c != 0.0]
+    multiplicity = 1
+    if len(ends) == 2 and math.isclose(ends[0], ends[1], rel_tol=1e-12, abs_tol=0.0):
+        ends, multiplicity = ends[:1], 2
+    intervals = [
+        SpectralInterval(lo=min(0.0, c), hi=max(0.0, c), multiplicity=multiplicity) for c in ends
     ]
-    ends = [(c, origin) for c, origin in ends if c != 0.0]
-    intervals: List[SpectralInterval] = []
-    if len(ends) == 2 and math.isclose(ends[0][0], ends[1][0], rel_tol=1e-12, abs_tol=0.0):
-        c = ends[0][0]
-        intervals.append(
-            SpectralInterval(lo=min(0.0, c), hi=max(0.0, c), multiplicity=2, origin="both")
-        )
-    else:
-        for c, origin in ends:
-            intervals.append(
-                SpectralInterval(lo=min(0.0, c), hi=max(0.0, c), multiplicity=1, origin=origin)
-            )
     return PredictedSpectrum(intervals=tuple(intervals))
 
 
 @dataclass(frozen=True)
 class SpectralReport:
     eigenvalues: np.ndarray  # ascending
-    predicted: PredictedSpectrum
     fill_max_gap: float
     outliers: Tuple[float, ...]
     hausdorff: float
@@ -158,16 +157,12 @@ def analyze(
 
     max_gap = 0.0
     hausdorff = 0.0
-    for iv in predicted.intervals:
-        slo, shi = iv.lo + interior_margin, iv.hi - interior_margin
-        if shi <= slo:
-            continue
+    for slo, shi in predicted.interiors(interior_margin):
         max_gap = max(max_gap, _interval_fill_gap(eigs, slo, shi))
         hausdorff = max(hausdorff, _interval_hausdorff(eigs, slo, shi))
 
     return SpectralReport(
         eigenvalues=eigs,
-        predicted=predicted,
         fill_max_gap=float(max_gap),
         outliers=outliers,
         hausdorff=float(hausdorff),

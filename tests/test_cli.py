@@ -263,6 +263,7 @@ class TestConfigValidation:
             {"alpha": "abc"},
             {"checks": 5},
             {"delta": "x"},
+            {"interior_margin": math.inf},
             {"output_dir": 5},
         ],
         ids=[
@@ -273,6 +274,7 @@ class TestConfigValidation:
             "alpha_text",
             "checks_number",
             "delta_text",
+            "infinite_margin",
             "output_dir_number",
         ],
     )
@@ -289,12 +291,52 @@ class TestConfigValidation:
             ["spectrum", "--alpha", "inf"],
             ["spectrum", "--R", "inf", "--N", "200"],
             ["verify", "--alpha", "inf"],
+            ["spectrum", "--R", "6", "--N", "200", "--delta", "inf"],
+            ["spectrum", "--R", "6", "--N", "200", "--margin", "inf"],
         ],
-        ids=["spectrum_alpha", "spectrum_R", "verify_alpha"],
+        ids=["spectrum_alpha", "spectrum_R", "verify_alpha", "spectrum_delta", "spectrum_margin"],
     )
     def test_non_finite_parameter_rejected(self, tmp_path, args):
         out = tmp_path / "out"
         assert main(args + ["--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_margin_emptying_every_interval_rejected(self, tmp_path):
+        # [0, pi] less 2 at both ends is empty: no fill to report
+        args = ["spectrum", "--R", "6", "--N", "200", "--margin", "2", "--out", str(tmp_path)]
+        assert main(args) == 2
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["symbol", "--kernel", "mystery"],
+            ["symbol", "--weight", "power"],
+            ["symbol", "--R", "6", "--N", "200"],
+            ["symbol", "--delta", "1"],
+            ["symbol", "--margin", "1"],
+            ["symbol", "--checks", "C1"],
+            ["spectrum", "--R", "6", "--N", "200", "--checks", "C1"],
+            ["verify", "--R", "6", "--N", "200", "--checks", "C2", "--delta", "9"],
+            ["verify", "--R", "6", "--N", "200", "--checks", "C2", "--margin", "5"],
+        ],
+        ids=[
+            "symbol_kernel",
+            "symbol_weight",
+            "symbol_ladder",
+            "symbol_delta",
+            "symbol_margin",
+            "symbol_checks",
+            "spectrum_checks",
+            "verify_delta",
+            "verify_margin",
+        ],
+    )
+    def test_flag_the_command_does_not_read_rejected(self, tmp_path, args):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--out", str(out)])
+        assert exc.value.code == 2
         assert not out.exists()
 
     def test_bad_json_rejected(self, tmp_path):

@@ -28,14 +28,14 @@ class TestPredict:
         p = predict(0.0, 1.0, 1.0, 1.0, 1.0)
         assert len(p.intervals) == 1
         iv = p.intervals[0]
-        assert (iv.lo, iv.multiplicity, iv.origin) == (0.0, 2, "both")
+        assert (iv.lo, iv.multiplicity) == (0.0, 2)
         assert iv.hi == pytest.approx(math.pi, abs=1e-12)
 
     def test_drop_convention(self):
         p = predict(0.5, 1.0, 0.0, 1.0, 1.0)
         assert len(p.intervals) == 1
         iv = p.intervals[0]
-        assert iv.multiplicity == 1 and iv.origin == "zero_end"
+        assert iv.multiplicity == 1
         assert iv.hi == pytest.approx(1.0, abs=1e-12)
 
     def test_orientation_convention(self):
@@ -113,6 +113,18 @@ class TestAnalyze:
     def test_empty_list_rejected(self):
         with pytest.raises(DomainError):
             analyze([], predict(0.0, 1.0, 1.0, 1.0, 1.0))
+
+    @pytest.mark.parametrize("margin", [math.pi / 2, 2.0, math.inf])
+    def test_margin_emptying_every_interval_rejected(self, margin):
+        # a fill gap and Hausdorff distance of 0.0 over no interval would
+        # read as a perfect fill
+        with pytest.raises(DomainError):
+            analyze([1.0, 2.0], predict(0.0, 1.0, 1.0, 1.0, 1.0), interior_margin=margin)
+
+    def test_margin_emptying_one_interval_keeps_the_other(self):
+        pred = predict(0.0, 1.0, 0.25, 1.0, 1.0)  # [0, pi] and [0, pi / 4]
+        rep = analyze(np.linspace(0.0, math.pi, 9), pred, interior_margin=0.5)
+        assert rep.fill_max_gap == pytest.approx(math.pi / 8)
 
     def test_hausdorff_sees_eigenvalue_outside_interval(self):
         # the sup over [0, 1] sits at 0.495, midway between -0.01 and 1.0

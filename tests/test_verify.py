@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 from hankellab import DomainError, make_grid, run_suite
 from hankellab import discretize as dz
+from hankellab import verify
 from hankellab.verify import _GridPieces, _residual_matrix
 
 SHORT_LADDER = [(6.0, 200), (8.0, 400)]
@@ -111,6 +113,52 @@ class TestRunSuite:
         for name in ("C4", "C5", "C7"):
             assert checks[name].verdict == "pass"
         assert rep.verdict == "fail"
+
+    def test_one_step_alive_at_a_time(self, monkeypatch):
+        built, alive_at_build = [], []
+        init = _GridPieces.__init__
+
+        def tracked(self, *args):
+            alive_at_build.append([ref() is not None for ref in built])
+            built.append(weakref.ref(self))
+            init(self, *args)
+
+        monkeypatch.setattr(_GridPieces, "__init__", tracked)
+        rep = run_suite(0.0, [(4.0, 100)] + SHORT_LADDER, family=(1.0, -1.0, 1.0, 1.0))
+        assert [c.anchor for c in rep.checks].count("(check aborted)") == 0
+        assert alive_at_build == [[], [False], [False, False]]
+
+    def test_step_check_called_once_per_step_by_name(self, monkeypatch):
+        # the check is looked up by its module name at run time, so a
+        # wrapper installed on the module sees every step
+        steps, check = [], verify._check_c3
+
+        def counted(alpha, p):
+            steps.append((p.grid.R, p.grid.N))
+            return check(alpha, p)
+
+        monkeypatch.setattr(verify, "_check_c3", counted)
+        rep = run_suite(0.0, SHORT_LADDER, checks=["C3"])
+        assert rep.verdict == "pass"
+        assert steps == SHORT_LADDER
+
+    def test_check_raising_on_a_later_step_aborts_for_the_rest(self, monkeypatch):
+        steps, check = [], verify._check_c2
+
+        def fails_at_second(alpha, p):
+            steps.append(p.grid.N)
+            if len(steps) == 2:
+                raise RuntimeError("second step")
+            return check(alpha, p)
+
+        monkeypatch.setattr(verify, "_check_c2", fails_at_second)
+        rep = run_suite(0.0, [(4.0, 100)] + SHORT_LADDER, checks=["C2", "C5"])
+        c2, c5 = rep.checks
+        assert steps == [100, 200]
+        assert c2.anchor == "(check aborted)" and c2.verdict == "fail"
+        assert c2.metrics == ({"error": "RuntimeError: second step"},)
+        assert c2.grids == ((4.0, 100), (6.0, 200), (8.0, 400))
+        assert c5.verdict == "pass" and len(c5.metrics) == 3
 
     def test_rejects_bad_ladder(self):
         with pytest.raises(DomainError):
