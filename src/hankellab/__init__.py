@@ -20,7 +20,6 @@ from .errors import (
 from .kernels import (
     KernelSpec,
     WeightSpec,
-    hypothesis_check,
     kernel_A,
     kernel_L,
     power_family,

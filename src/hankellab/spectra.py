@@ -64,6 +64,18 @@ class PredictedSpectrum:
             raise DomainError(f"interior margin {margin} leaves no predicted interval")
         return kept
 
+    def tolerances(self, delta=None, margin=None) -> Tuple[float, float]:
+        """``delta`` and ``margin``, by default 0.05 and 0.1 times the largest
+        endpoint magnitude; DomainError unless both are positive."""
+        scale = self.max_endpoint
+        if delta is None:
+            delta = DEFAULT_DELTA_FACTOR * scale
+        if margin is None:
+            margin = DEFAULT_MARGIN_FACTOR * scale
+        if not (delta > 0.0 and margin > 0.0):
+            raise DomainError(f"delta and margin must be positive (largest endpoint {scale})")
+        return float(delta), float(margin)
+
     def as_dict(self):
         return [
             {"lo": i.lo, "hi": i.hi, "multiplicity": i.multiplicity}
@@ -75,13 +87,19 @@ def predict(alpha, a0, a_inf, b0, b_inf) -> PredictedSpectrum:
     """Predicted a.c. spectrum of the weighted Hankel operator:
     [0, pi_alpha a0 b0^2] union [0, pi_alpha a_inf b_inf^2].
 
-    Degenerate intervals (zero endpoint) are dropped; a negative endpoint
-    orients the interval as [c, 0]; coinciding intervals merge with
-    multiplicity two (the exactly diagonalisable case).
+    A non-finite endpoint raises DomainError.  Degenerate intervals (zero
+    endpoint) are dropped; a negative endpoint orients the interval as
+    [c, 0]; coinciding intervals merge with multiplicity two (the exactly
+    diagonalisable case).
     """
     a = check_alpha(alpha)
     pa = pi_alpha(a)
-    ends = [pa * float(a0) * float(b0) ** 2, pa * float(a_inf) * float(b_inf) ** 2]
+    try:
+        ends = [pa * float(a0) * float(b0) ** 2, pa * float(a_inf) * float(b_inf) ** 2]
+    except OverflowError:  # float ** raises where float * gives inf
+        ends = [math.inf]
+    if not all(math.isfinite(c) for c in ends):
+        raise DomainError(f"predicted endpoints of {(a0, a_inf, b0, b_inf)} are not finite")
     ends = [c for c in ends if c != 0.0]
     multiplicity = 1
     if len(ends) == 2 and math.isclose(ends[0], ends[1], rel_tol=1e-12, abs_tol=0.0):
@@ -145,13 +163,7 @@ def analyze(
     eigs = np.sort(np.asarray(eigs, dtype=float))
     if eigs.size == 0:
         raise DomainError("analyze requires a non-empty eigenvalue list")
-    scale = predicted.max_endpoint
-    if delta is None:
-        delta = DEFAULT_DELTA_FACTOR * scale
-    if interior_margin is None:
-        interior_margin = DEFAULT_MARGIN_FACTOR * scale
-    if not (delta > 0.0 and interior_margin > 0.0):
-        raise DomainError("delta and interior_margin must be positive")
+    delta, interior_margin = predicted.tolerances(delta, interior_margin)
 
     outliers = tuple(float(e) for e in eigs if predicted.distance(float(e)) > delta)
 

@@ -3,11 +3,16 @@ byte determinism."""
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import hankellab
 from hankellab.cli import main
 
 SPECTRAL_SCHEMA = {
@@ -233,7 +238,9 @@ class TestConfigValidation:
         assert main(["verify", "--alpha", "-0.5", "--out", str(tmp_path)]) == 2
 
     def test_unknown_kernel_rejected(self, tmp_path):
-        assert main(["spectrum", "--kernel", "mystery", "--out", str(tmp_path)]) == 2
+        out = tmp_path / "out"
+        assert main(["spectrum", "--kernel", "mystery", "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_carleman_requires_alpha_zero(self, tmp_path):
         assert main(
@@ -293,8 +300,27 @@ class TestConfigValidation:
             ["verify", "--alpha", "inf"],
             ["spectrum", "--R", "6", "--N", "200", "--delta", "inf"],
             ["spectrum", "--R", "6", "--N", "200", "--margin", "inf"],
+            ["spectrum", "--kernel", "rational(nan,1,1,1)", "--R", "6", "--N", "200"],
+            ["spectrum", "--weight", "rational(nan,1)", "--R", "6", "--N", "200"],
+            ["verify", "--kernel", "rational(nan,1,1,1)", "--R", "6", "--N", "200"],
+            ["spectrum", "--kernel", "rational(1,1,1e200,1)", "--R", "6", "--N", "200"],
+            # predicts no interval, so the default delta and margin are 0
+            ["spectrum", "--kernel", "rational(0,0,0,0)", "--R", "6", "--N", "200"],
+            ["spectrum", "--kernel", "rational(0,0,0,0)", "--R", "6", "--N", "200", "--delta", "1"],
         ],
-        ids=["spectrum_alpha", "spectrum_R", "verify_alpha", "spectrum_delta", "spectrum_margin"],
+        ids=[
+            "spectrum_alpha",
+            "spectrum_R",
+            "verify_alpha",
+            "spectrum_delta",
+            "spectrum_margin",
+            "spectrum_nan_kernel",
+            "spectrum_nan_weight",
+            "verify_nan_kernel",
+            "spectrum_endpoint_overflow",
+            "spectrum_zero_family_defaults",
+            "spectrum_zero_family_default_margin",
+        ],
     )
     def test_non_finite_parameter_rejected(self, tmp_path, args):
         out = tmp_path / "out"
@@ -303,9 +329,19 @@ class TestConfigValidation:
 
     def test_margin_emptying_every_interval_rejected(self, tmp_path):
         # [0, pi] less 2 at both ends is empty: no fill to report
-        args = ["spectrum", "--R", "6", "--N", "200", "--margin", "2", "--out", str(tmp_path)]
+        out = tmp_path / "out"
+        args = ["spectrum", "--R", "6", "--N", "200", "--margin", "2", "--out", str(out)]
         assert main(args) == 2
-        assert list(tmp_path.iterdir()) == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [["spectrum", "--delta", "0.1", "--margin", "0.1"], ["verify", "--checks", "C2"]],
+        ids=["spectrum_delta_and_margin", "verify"],
+    )
+    def test_zero_family_accepted(self, tmp_path, args):
+        family = ["--kernel", "rational(0,0,0,0)", "--R", "6", "--N", "200"]
+        assert main(args + family + ["--out", str(tmp_path)]) == 0
 
     @pytest.mark.parametrize(
         "args",
@@ -365,3 +401,18 @@ class TestConfigValidation:
         assert code == 0
         report = json.loads((tmp_path / "spectral_report.json").read_text())
         assert report["family"]["b_inf"] == 2.0
+
+
+def test_cli_import_loads_no_test_oracle():
+    # the runtime depends on numpy only; scipy, mpmath, jsonschema and
+    # hypothesis are test oracles
+    src = Path(hankellab.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    probe = (
+        "import sys, hankellab.cli; "
+        "print(sorted({'scipy', 'mpmath', 'jsonschema', 'hypothesis'} & set(sys.modules)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"
