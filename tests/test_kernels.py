@@ -10,6 +10,7 @@ import pytest
 from hankellab import (
     DomainError,
     KernelSpec,
+    WeightSpec,
     kernel_A,
     kernel_L,
     power_family,
@@ -108,8 +109,6 @@ class TestRationalFamily:
 
 
 ALPHAS = (-0.25, 0.0, 0.5, 1.0)
-KERNEL_LIMITS = ((0.0, 1.0), (1.0, 1.0), (-1.0, 2.0), (2.0, 0.0))
-WEIGHT_LIMITS = ((0.0, 1.0), (1.0, 1.0), (2.0, 1.0), (1.0, 2.0))
 NEAR_ZERO = [mpmath.mpf(2) ** -k for k in range(5, 31)]
 NEAR_INFINITY = [mpmath.mpf(2) ** k for k in range(5, 31)]
 # power and the families with a0 = a_inf or b0 = b_inf have the bound 0: their
@@ -117,54 +116,99 @@ NEAR_INFINITY = [mpmath.mpf(2) ** k for k in range(5, 31)]
 ABS_SLACK = 1e-25
 
 
-class TestHypothesesInClosedForm:
-    """The regularity hypotheses behind the predicted a.c. spectrum, checked on
-    the closures the program assembles: mpmath differentiates and integrates
-    them at 60 digits.  For the rational family t^(1+2a) a(t) - a0 =
-    (a_inf - a0) t/(1+t) and t^(1+2a) a(t) - a_inf = (a0 - a_inf)/(1+t), so the
-    m-th derivatives are bounded by m! |a_inf - a0| t^(1-m) near 0 and by
-    m! |a_inf - a0| t^(-1-m) near infinity (margin 1), and
-    u = t^(-a) w(t) = (b0 + b_inf t)/(1+t) is a convex combination of b0 and
-    b_inf; power_family is the case with every difference 0."""
+def hypothesis_violations(spec_a, spec_w):
+    """Names of the regularity hypotheses behind the predicted a.c. spectrum
+    that the pair violates, checked on its closures: mpmath differentiates and
+    integrates them at 60 digits.
 
-    @pytest.fixture(autouse=True)
-    def sixty_digits(self):
-        with mpmath.workdps(60):
-            yield
-
-    @pytest.mark.parametrize("alpha", ALPHAS)
-    @pytest.mark.parametrize("limits", KERNEL_LIMITS + ("power",), ids=str)
-    def test_kernel_derivative_decay(self, alpha, limits):
-        if limits == "power":
-            spec_a = power_family(alpha)[0]
-        else:
-            spec_a = rational_test_family(alpha, *limits, 1.0, 1.0)[0]
-        p = 1.0 + 2.0 * alpha
+    For the rational family t^(1+2a) a(t) - a0 = (a_inf - a0) t/(1+t) and
+    t^(1+2a) a(t) - a_inf = (a0 - a_inf)/(1+t), so the m-th derivatives are
+    bounded by m! |a_inf - a0| t^(1-m) near 0 and by m! |a_inf - a0| t^(-1-m)
+    near infinity (margin 1), and u = t^(-a) w(t) = (b0 + b_inf t)/(1+t) is a
+    convex combination of b0 and b_inf; power_family is the case with every
+    difference 0.
+    """
+    failed = set()
+    with mpmath.workdps(60):
+        p = 1.0 + 2.0 * spec_a.alpha
         jump = abs(spec_a.a_inf - spec_a.a0)
-        for ts, limit, shift in ((NEAR_ZERO, spec_a.a0, -1), (NEAR_INFINITY, spec_a.a_inf, 1)):
+        for end, ts, limit, shift in (
+            ("zero", NEAR_ZERO, spec_a.a0, -1),
+            ("infinity", NEAR_INFINITY, spec_a.a_inf, 1),
+        ):
             g = lambda t: t**p * spec_a.eval(t) - limit
-            for t in ts:
-                for m in range(3):
-                    scaled = abs(mpmath.diff(g, t, m)) * t ** (m + shift)
-                    bound = math.factorial(m) * jump * (1.0 + 1e-12) + ABS_SLACK
-                    assert scaled <= bound, (float(t), m, float(scaled), bound)
+            for m in range(3):
+                bound = math.factorial(m) * jump * (1.0 + 1e-12) + ABS_SLACK
+                if any(abs(mpmath.diff(g, t, m)) * t ** (m + shift) > bound for t in ts):
+                    failed.add(f"kernel_{end}_m{m}")
 
-    @pytest.mark.parametrize("alpha", ALPHAS)
-    @pytest.mark.parametrize("limits", WEIGHT_LIMITS + ("power",), ids=str)
-    def test_weight_bound_and_integrals(self, alpha, limits):
-        if limits == "power":
-            spec_w = power_family(alpha)[1]
-        else:
-            spec_w = rational_test_family(alpha, 1.0, 1.0, *limits)[1]
-        b0, b_inf = spec_w.b0, spec_w.b_inf
+        alpha, b0, b_inf = spec_w.alpha, spec_w.b0, spec_w.b_inf
         top = max(abs(b0), abs(b_inf))
-        for t in NEAR_ZERO + NEAR_INFINITY:
-            assert abs(t ** (-alpha) * spec_w.eval(t)) <= top * (1.0 + 1e-12), float(t)
+        if any(abs(t ** (-alpha) * spec_w.eval(t)) > top * (1.0 + 1e-12) for t in NEAR_ZERO + NEAR_INFINITY):
+            failed.add("weight_bounded")
         # u - b0 = (b_inf - b0) t/(1+t), u - b_inf = (b0 - b_inf)/(1+t) and
         # |u + b| <= 2 top, so each integral is at most 2 top |b_inf - b0| ln 2
         bound = 2.0 * top * abs(b_inf - b0) * math.log(2.0) * (1.0 + 1e-9) + ABS_SLACK
         excess = lambda t, b: abs(t ** (-2.0 * alpha) * spec_w.eval(t) ** 2 - b * b) / t
-        near_zero = mpmath.quad(lambda t: excess(t, b0), [0, 1])
-        near_infinity = mpmath.quad(lambda t: excess(t, b_inf), [1, mpmath.inf])
-        for integral in (near_zero, near_infinity):
-            assert mpmath.isfinite(integral) and integral <= bound, (float(integral), bound)
+        for end, b, interval in (("zero", b0, [0, 1]), ("infinity", b_inf, [1, mpmath.inf])):
+            integral = mpmath.quad(lambda t: excess(t, b), interval)
+            if not (mpmath.isfinite(integral) and integral <= bound):
+                failed.add(f"weight_integral_{end}")
+    return sorted(failed)
+
+
+class TestHypothesisCheck:
+    def test_exact_power_kernel_passes_cleanly(self):
+        for alpha in ALPHAS:
+            assert hypothesis_violations(*power_family(alpha)) == [], alpha
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    @pytest.mark.parametrize("a0,a_inf", [(0.0, 1.0), (1.0, 1.0), (-1.0, 2.0), (2.0, 0.0)])
+    @pytest.mark.parametrize("b0,b_inf", [(0.0, 1.0), (1.0, 1.0), (2.0, 1.0), (1.0, 2.0)])
+    def test_rational_family_matrix(self, alpha, a0, a_inf, b0, b_inf):
+        spec_a, spec_w = rational_test_family(alpha, a0, a_inf, b0, b_inf)
+        assert hypothesis_violations(spec_a, spec_w) == []
+
+    def test_rational_family_full_matrix(self):
+        # every tuple of the 4 x 4 x 4 x 3 x 3 test matrix passes: a kernel
+        # closure does not read b0, b_inf and a weight closure does not read
+        # a0, a_inf, so each kernel and each weight is checked once
+        bad = []
+        for alpha in ALPHAS:
+            for a0 in (0.0, 1.0, -1.0, 2.0):
+                for a_inf in (0.0, 1.0, -1.0, 2.0):
+                    if hypothesis_violations(*rational_test_family(alpha, a0, a_inf, 1.0, 1.0)):
+                        bad.append((alpha, a0, a_inf, "kernel"))
+            for b0 in (0.0, 1.0, 2.0):
+                for b_inf in (0.0, 1.0, 2.0):
+                    if hypothesis_violations(*rational_test_family(alpha, 1.0, 1.0, b0, b_inf)):
+                        bad.append((alpha, b0, b_inf, "weight"))
+        assert bad == []
+
+    def test_oscillatory_kernel_fails(self):
+        alpha = 0.0
+        spec_a = KernelSpec(
+            alpha=alpha,
+            eval=lambda t: t ** (-1.0 - 2.0 * alpha) * (2.0 + mpmath.sin(mpmath.log(t))),
+            a0=2.0,
+            a_inf=2.0,
+        )
+        spec_w = power_family(alpha)[1]
+        failed = hypothesis_violations(spec_a, spec_w)
+        assert any(name.startswith("kernel_zero") for name in failed)
+        assert any(name.startswith("kernel_infinity") for name in failed)
+        assert not any(name.startswith("weight") for name in failed)
+
+    def test_divergent_weight_integral_fails(self):
+        alpha = 0.0
+        spec_a, _ = rational_test_family(alpha, 1.0, 1.0, 1.0, 1.0)
+        # |w|^2 - b0^2 = 1/|log t| near zero: the dt/t integral diverges
+        spec_w = WeightSpec(
+            alpha=alpha,
+            eval=lambda t: mpmath.sqrt(1.0 + 1.0 / abs(mpmath.log(t) - 1e-9)),
+            b0=1.0,
+            b_inf=1.0,
+        )
+        failed = hypothesis_violations(spec_a, spec_w)
+        assert "weight_integral_zero" in failed
+        assert not any(name.startswith("kernel") for name in failed)
