@@ -1,13 +1,24 @@
-"""Dense symmetric eigenvalues, singular values, and the operator /
+"""Symmetric eigenvalues, singular values, and the operator /
 Hilbert-Schmidt / nuclear norms.
 
-Singular values come from one backward-stable solve, accurate to about
-eps * sigma_1: the absolute eigenvalues of a symmetric matrix (every square
-operator of the suite), and the SVD of any other matrix (the rectangular
-cross blocks).  Symmetric eigenvalues of an even-order matrix that is
-centrosymmetric to rounding come from two half-size solves (see
-:func:`sym_eigen`), with one private route for eigenvalues and singular
-values alike.
+Eigenvalues and singular values share one private route for symmetric
+matrices (every square operator of the suite); the singular values are the
+sorted absolute eigenvalues.  From order LOWRANK_MIN_ORDER on it is a
+certified low-rank solve: the suite's operators have few eigenvalues above
+the rounding level, because their symbols decay like e^(-pi |xi|) (97-109
+of 3200 above n * eps * max|lambda| for the four benchmark families at (16,
+3200)).  A range finder from a fixed start block and Rayleigh-Ritz give the
+eigenvalues on a basis of k columns, the other n - k are returned as 0, and
+the result is accepted only when the certificate |S - Q T Q^T|_F plus the
+Ritz values set to 0 is at most n * eps * max|lambda|, the absolute
+accuracy of a dense solve.  By Hoffman & Wielandt the returned list then
+lies within the certificate of the exact sorted eigenvalues in 2-norm, so
+every value is within it.  Below that order, or when the numerical rank
+needs more than LOWRANK_CAP * n columns, the dense route runs: an
+even-order matrix that is centrosymmetric to rounding as two half-size
+solves, any other as one ``eigvalsh``, accurate to about n * eps *
+max|lambda| as well.  Any other matrix (the suite's non-symmetric cross
+blocks) gives its singular values from one dense SVD.
 
 The operator norm of a symmetric matrix, or of a symmetric linear map given
 by its action, is its largest |eigenvalue| from Lanczos with full
@@ -18,7 +29,7 @@ other matrix gives sigma_1 from the SVD.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -49,6 +60,22 @@ LANCZOS_START_PHASE = 0.3
 # alpha = 5, 7.4 eps at alpha = 10) on the midpoint log grid.
 CENTRO_TOL = 16.0 * np.finfo(float).eps
 
+# A symmetric matrix of order >= LOWRANK_MIN_ORDER first tries the low-rank
+# route.  On the four benchmark families (best of 3, 2 OpenBLAS threads) it
+# took 1.1-1.3x the dense time at n = 800 on the centrosymmetric ones (about
+# 0.033 s against 0.025-0.031 s), 0.38-0.90x at n = 1200, 0.28-0.74x at 1600
+# and 0.12-0.33x at 3200.  Its basis starts at LOWRANK_BLOCK columns and
+# doubles; a basis is only certified when LOWRANK_SPARE of its columns lie
+# at the rounding level, and the route gives up once more than
+# LOWRANK_CAP * n columns would be needed: a certified 256-column solve took
+# 0.84x the centrosymmetric dense solve at n = 2400 (0.58x at 3200), so near
+# n / 8 columns the two cost the same.  A rank-530 matrix of order 1600 (the
+# R = 80 ladder) gives up after 0.015-0.018 s, 5-15% of its dense solve.
+LOWRANK_MIN_ORDER = 1200
+LOWRANK_CAP = 0.125
+LOWRANK_BLOCK = 128
+LOWRANK_SPARE = 16
+
 
 def _as_array(M) -> np.ndarray:
     if isinstance(M, OperatorMatrix):
@@ -73,6 +100,13 @@ def _is_symmetric(A: np.ndarray) -> bool:
     return A.ndim == 2 and A.shape[0] == A.shape[1] and _asymmetry(A) <= 1e-12
 
 
+def _unit_scale(A: np.ndarray) -> float:
+    """A power of two s with s * max|A| in [1/2, 1) (1 for a zero matrix):
+    scaling by it is exact, and sums of squares of s * A cannot overflow."""
+    amax = max(float(A.max(initial=0.0)), -float(A.min(initial=0.0)))
+    return math.ldexp(1.0, -max(math.frexp(amax)[1], -1000))
+
+
 def _centro_halves(S: np.ndarray):
     """(B' + C'J, B' - C'J) for an even-order symmetric S = [[B, C], [C^T, D]]
     (m x m blocks, J the index reversal), or None when its centrosymmetry
@@ -81,6 +115,7 @@ def _centro_halves(S: np.ndarray):
     B' = 1/2 (B + JDJ) and C' = 1/2 (C + JC^TJ) are the blocks of the
     centrosymmetric part 1/2 (S + JSJ), which maps the even vectors [u; Ju]
     through the first matrix and the odd vectors [u; -Ju] through the second.
+    Both norms are taken of S / max|S|, so neither overflows.
     """
     n = S.shape[0]
     if n % 2 or n == 0:
@@ -88,15 +123,20 @@ def _centro_halves(S: np.ndarray):
     m = n // 2
     B, JDJ = S[:m, :m], S[m:, m:][::-1, ::-1]
     CJ, JCt = S[:m, m:][:, ::-1], S[m:, :m][::-1, :]
+    scale = _unit_scale(S)
+    buf = np.empty((m, m))
+
+    def scaled_sq(X) -> float:
+        np.multiply(X, scale, out=buf)
+        return float(np.dot(buf.ravel(), buf.ravel()))
+
     # |S - JSJ|_F^2 = 2 |B - JDJ|_F^2 + 2 |CJ - JC^T|_F^2, from m x m pieces
-    diff = B - JDJ
-    defect_sq = float(np.dot(diff.ravel(), diff.ravel()))
-    np.subtract(CJ, JCt, out=diff)
-    defect_sq += float(np.dot(diff.ravel(), diff.ravel()))
-    if math.sqrt(2.0 * defect_sq) > CENTRO_TOL * np.linalg.norm(S):
+    defect_sq = scaled_sq(np.subtract(B, JDJ, out=buf)) + scaled_sq(np.subtract(CJ, JCt, out=buf))
+    norm_sq = scaled_sq(B) + scaled_sq(JDJ) + scaled_sq(CJ) + scaled_sq(JCt)
+    if math.sqrt(2.0 * defect_sq) > CENTRO_TOL * math.sqrt(norm_sq):
         return None
     plus = B + JDJ
-    off = np.add(CJ, JCt, out=diff)
+    off = np.add(CJ, JCt, out=buf)
     minus = plus - off
     plus += off
     plus *= 0.5
@@ -104,7 +144,89 @@ def _centro_halves(S: np.ndarray):
     return plus, minus
 
 
-def _sym_eigvalsh(A: np.ndarray) -> np.ndarray:
+def _start_block(n: int, j0: int, j1: int) -> np.ndarray:
+    """Columns j0..j1-1 of a fixed n-row test matrix with entries uniform on
+    [-1, 1): SplitMix64 of the entry's column-major index, in integer
+    arithmetic, so the block is the same on every platform and run."""
+    idx = np.arange(j0, j1, dtype=np.uint64) * np.uint64(n)
+    z = (idx[np.newaxis, :] + np.arange(1, n + 1, dtype=np.uint64)[:, np.newaxis]) * np.uint64(
+        0x9E3779B97F4A7C15
+    )
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return (z >> np.uint64(11)).astype(float) * 2.0**-52 - 1.0
+
+
+def _lowrank_eigvalsh(A: np.ndarray) -> Optional[Tuple[np.ndarray, float]]:
+    """(ascending eigenvalues, certificate) of S = 1/2 (A + A^T) from a
+    certified low-rank factorisation, or None when a basis of more than
+    LOWRANK_CAP * n columns would be needed.
+
+    The range finder (Halko, Martinsson & Tropp, SIAM Review 53, 2011,
+    sections 4.4-4.5) takes Y = A Omega for the first k columns Omega of the
+    fixed test matrix ``_start_block``, k = LOWRANK_BLOCK, 2 LOWRANK_BLOCK,
+    ...  Unless LOWRANK_SPARE singular values of Y lie below tol * |Y|_2,
+    tol = n * eps, the basis cannot hold the numerical range with room to
+    spare and k doubles; the Gram matrix Y^T Y settles the clear cases
+    before the QR.  Otherwise Q = qr(Y), T = Q^T S Q with Ritz values theta,
+    and the certificate is |S - Q T Q^T|_F, formed over the upper triangle
+    in ``ROW_BLOCK``-row strips (no N x N temporary), plus the 2-norm of the
+    Ritz values at or below it, which are set to 0.  The list theta padded
+    with n - k zeros is then the spectrum of a symmetric matrix within the
+    certificate of S in Frobenius norm, so by Hoffman & Wielandt (Duke Math.
+    J. 20, 1953) it differs from the sorted eigenvalues of S by at most the
+    certificate in 2-norm.  It is accepted at tol * max|theta|, the absolute
+    accuracy of a dense solve; if not, k doubles.
+
+    Every product with A takes its thin factor scaled by ``_unit_scale(A)``
+    (a power of two, so exactly), so the work is on S / max|A| and the
+    certificate cannot overflow.  No random state is read: two calls give
+    the same bits.
+    """
+    n = A.shape[0]
+    scale = _unit_scale(A)
+    tol = n * np.finfo(float).eps
+    Y = np.empty((n, 0))
+    k = 0
+    while True:
+        k_new = max(LOWRANK_BLOCK, 2 * k)
+        if k_new > LOWRANK_CAP * n:
+            return None
+        Y = np.hstack([Y, A @ (_start_block(n, k, k_new) * scale)])
+        k = k_new
+        # the squared singular values of Y, resolved to eps * |Y|^2, so
+        # those above tol * |Y|^2 surely lie above tol * |Y|
+        gram = np.linalg.eigvalsh(Y.T @ Y)
+        if gram[LOWRANK_SPARE - 1] > tol * gram[-1]:
+            continue
+        Q, R = np.linalg.qr(Y)
+        sv = np.linalg.svd(R, compute_uv=False)
+        if sv[k - LOWRANK_SPARE] > tol * sv[0]:
+            continue
+        T = Q.T @ (A @ (Q * scale))
+        T = 0.5 * (T + T.T)
+        theta = np.linalg.eigvalsh(T)
+        W = T @ Q.T
+        resid_sq = 0.0
+        for r0 in range(0, n, ROW_BLOCK):
+            r1 = min(r0 + ROW_BLOCK, n)
+            strip = A[r0:r1, r0:] * (0.5 * scale)
+            strip += A[r0:, r0:r1].T * (0.5 * scale)
+            strip -= Q[r0:r1] @ W[:, r0:]
+            diag, upper = strip[:, : r1 - r0].ravel(), strip[:, r1 - r0 :].ravel()
+            resid_sq += float(diag @ diag) + 2.0 * float(upper @ upper)
+        resid = math.sqrt(resid_sq)
+        small = np.abs(theta) <= resid
+        certificate = resid + float(np.linalg.norm(theta[small]))
+        if certificate <= tol * float(np.abs(theta).max()):
+            theta[small] = 0.0
+            values = np.concatenate([theta, np.zeros(n - k)])
+            values.sort()
+            return values / scale, certificate / scale
+
+
+def _dense_eigvalsh(A: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the symmetric part of a square matrix known
     to be symmetric: two half-size solves when it is centrosymmetric to
     rounding, one ``eigvalsh`` otherwise."""
@@ -119,17 +241,32 @@ def _sym_eigvalsh(A: np.ndarray) -> np.ndarray:
     return np.sort(np.concatenate([np.linalg.eigvalsh(plus), np.linalg.eigvalsh(minus)]))
 
 
+def _sym_eigvalsh(A: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric part of a square matrix known
+    to be symmetric: the certified low-rank route from order
+    LOWRANK_MIN_ORDER on, the dense route below it or when that gives up."""
+    if A.shape[0] >= LOWRANK_MIN_ORDER:
+        found = _lowrank_eigvalsh(A)
+        if found is not None:
+            return found[0]
+    return _dense_eigvalsh(A)
+
+
 def sym_eigen(M) -> np.ndarray:
     """Ascending eigenvalues of a symmetric matrix.
 
-    The input must be symmetric to 1e-12 relative; it is symmetrised exactly
-    before the solve so eigenvalues are real by construction.  An even-order
-    S that is centrosymmetric to rounding (JSJ = S with J the index
-    reversal, as the suite's inversion-symmetric operators are on the
-    midpoint log grid), |S - JSJ|_F <= CENTRO_TOL * |S|_F, is solved as the
-    two half-size matrices B +- CJ of 1/2 (S + JSJ) (Cantoni & Butler,
-    Linear Algebra Appl. 13, 1976), at about a quarter of the flops.  By
-    Weyl's inequality that moves each eigenvalue by at most
+    The input must be symmetric to 1e-12 relative; the eigenvalues are those
+    of its exact symmetric part S = 1/2 (M + M^T), so they are real by
+    construction.  From order LOWRANK_MIN_ORDER on they come from the
+    certified low-rank route (see the module docstring and
+    ``_lowrank_eigvalsh``): every value lies within n * eps * max|lambda| of
+    the exact one, and the values outside the numerical range are exactly 0.
+    Otherwise an even-order S that is centrosymmetric to rounding (JSJ = S
+    with J the index reversal, as the suite's inversion-symmetric operators
+    are on the midpoint log grid), |S - JSJ|_F <= CENTRO_TOL * |S|_F, is
+    solved as the two half-size matrices B +- CJ of 1/2 (S + JSJ) (Cantoni &
+    Butler, Linear Algebra Appl. 13, 1976), at about a quarter of the flops.
+    By Weyl's inequality that moves each eigenvalue by at most
     1/2 |S - JSJ|_2 <= 1/2 CENTRO_TOL |S|_F; every other matrix takes one
     ``eigvalsh``.
     """

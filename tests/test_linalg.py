@@ -1,9 +1,11 @@
 """Eigenvalues, singular values and norms, checked against independently
 computed oracles (hand-rolled LU determinant, analytic singular values,
-scipy's gesvd, numpy's eigvalsh for the Lanczos operator norm, the
-Hilbert-Schmidt integral identity)."""
+scipy's gesvd, scipy's eigh for the certified low-rank route, numpy's
+eigvalsh for the Lanczos operator norm, the Hilbert-Schmidt integral
+identity)."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -29,8 +31,16 @@ from hankellab.discretize import (
     operator_square,
 )
 from hankellab.kernels import power_family, rational_test_family
-from hankellab.linalg import CENTRO_TOL
+from hankellab.linalg import (
+    CENTRO_TOL,
+    LOWRANK_MIN_ORDER,
+    _centro_halves,
+    _dense_eigvalsh,
+    _lowrank_eigvalsh,
+)
 from hankellab.quadrature import ROW_BLOCK
+from hankellab.spectra import analyze, predict
+from hankellab.verify import _GridPieces, _residual_matrix
 
 
 def lu_determinant(M):
@@ -118,6 +128,109 @@ class TestSymEigen:
         T = 1.0 / (1.0 + np.abs(i[:, np.newaxis] - i[np.newaxis, :]))
         assert np.array_equal(T, T[::-1, ::-1])
         assert np.array_equal(sym_eigen(T), np.linalg.eigvalsh(T))
+
+    def test_huge_entries_not_split(self):
+        # entries near 1e298: the centrosymmetry defect and |S|_F are taken
+        # of S / max|S|, so neither overflows and this matrix, which is not
+        # centrosymmetric (b0 != b_inf), is not split into halves
+        M = assemble_wHa(*rational_test_family(0.0, 1.0, 1.0, 1e150, 1.0), make_grid(6.0, 200)).entries
+        assert np.abs(M).max() > 1e297
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _centro_halves(0.5 * (M + M.T)) is None
+            eigs = sym_eigen(M)
+        ref = scipy.linalg.eigvalsh(M * 1e-290) / 1e-290
+        assert np.abs(eigs - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+# the benchmark's four spectrum families: kernel -> (alpha, (kernel, weight))
+_FAMILIES = {
+    "carleman": (0.0, power_family(0.0)),
+    "power": (0.5, power_family(0.5)),
+    "rational(1,-1,1,1)": (0.0, rational_test_family(0.0, 1.0, -1.0, 1.0, 1.0)),
+    "rational(2,1,1,2)": (0.5, rational_test_family(0.5, 2.0, 1.0, 1.0, 2.0)),
+}
+
+
+@pytest.fixture(scope="class")
+def verify_large_matrices():
+    """A, the weighted Hankel matrix and the C7 residual at (14, 2400),
+    alpha = 0.5, rational(2,1,1,2): the largest matrices verify solves."""
+    p = _GridPieces(0.5, make_grid(14.0, 2400), (2.0, 1.0, 1.0, 2.0))
+    return {"A": p.A.entries, "weighted": p.weighted[0].entries, "C7": _residual_matrix(p)}
+
+
+_SUITE_CASES = [(name, R, N) for R, N in ((12.0, 1600), (16.0, 3200)) for name in _FAMILIES] + [
+    (name, 14.0, 2400) for name in ("A", "weighted", "C7")
+]
+
+
+class TestLowRankRoute:
+    @pytest.mark.parametrize("case", _SUITE_CASES, ids=lambda c: f"{c[0]}-{c[1]:g}-{c[2]}")
+    def test_suite_matrices_within_certificate(self, case, request):
+        name, R, N = case
+        if name in _FAMILIES:
+            _, (spec_a, spec_w) = _FAMILIES[name]
+            M = assemble_wHa(spec_a, spec_w, make_grid(R, N)).entries
+        else:
+            M = request.getfixturevalue("verify_large_matrices")[name]
+        n = M.shape[0]
+        found = _lowrank_eigvalsh(M)
+        assert found is not None
+        values, certificate = found
+        ref = scipy.linalg.eigh(0.5 * (M + M.T), eigvals_only=True)
+        top = np.abs(ref).max()
+        # Hoffman-Wielandt: the sorted lists differ by the certificate in
+        # 2-norm, which sits below the accuracy of a dense solve
+        assert np.linalg.norm(values - ref) <= certificate <= n * np.finfo(float).eps * top
+        assert abs(values.sum() - np.trace(M)) <= 1e-12 * np.abs(values).sum()
+        again = _lowrank_eigvalsh(M)
+        assert np.array_equal(again[0], values) and again[1] == certificate
+        assert np.array_equal(sym_eigen(M), values)
+        assert np.array_equal(singular_values(M), np.sort(np.abs(values))[::-1])
+
+    def test_full_rank_matrix_takes_dense_path(self):
+        rng = np.random.default_rng(17)
+        B = rng.standard_normal((LOWRANK_MIN_ORDER, LOWRANK_MIN_ORDER))
+        M = B @ B.T / LOWRANK_MIN_ORDER
+        M = 0.5 * (M + M.T)
+        assert _lowrank_eigvalsh(M) is None
+        assert np.array_equal(sym_eigen(M), np.linalg.eigvalsh(M))
+
+    def test_exact_rank_k_matrix_gives_k_nonzero_values(self):
+        rng = np.random.default_rng(23)
+        d = np.array([5.0, -3.0, 2.0, 1.0, -0.5, 0.25, 0.125])
+        U = np.linalg.qr(rng.standard_normal((LOWRANK_MIN_ORDER, d.size)))[0]
+        M = (U * d) @ U.T
+        M = 0.5 * (M + M.T)
+        values, certificate = _lowrank_eigvalsh(M)
+        assert np.count_nonzero(values) == d.size
+        assert np.linalg.norm(values[values != 0.0] - np.sort(d)) <= certificate
+
+    def test_zero_matrix(self):
+        values, certificate = _lowrank_eigvalsh(np.zeros((LOWRANK_MIN_ORDER, LOWRANK_MIN_ORDER)))
+        assert certificate == 0.0 and not values.any()
+
+    def test_huge_entries(self):
+        # the products take a power-of-two scaled thin factor, so entries
+        # near 1e298 neither overflow nor change the relative accuracy
+        M = assemble_wHa(*rational_test_family(0.0, 1.0, 1.0, 1e150, 1.0), make_grid(12.0, 1600)).entries
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values, certificate = _lowrank_eigvalsh(M)
+        ref = scipy.linalg.eigh(M * 1e-290, eigvals_only=True)
+        assert np.linalg.norm(values * 1e-290 - ref) <= certificate * 1e-290
+
+    @pytest.mark.parametrize("kernel", list(_FAMILIES))
+    def test_spectral_metrics_match_dense_route(self, kernel):
+        alpha, (spec_a, spec_w) = _FAMILIES[kernel]
+        M = assemble_wHa(spec_a, spec_w, make_grid(12.0, 1600)).entries
+        predicted = predict(alpha, spec_a.a0, spec_a.a_inf, spec_w.b0, spec_w.b_inf)
+        low, dense = analyze(sym_eigen(M), predicted), analyze(_dense_eigvalsh(M), predicted)
+        tol = 1e-12 * np.abs(dense.eigenvalues).max()
+        assert len(low.outliers) == len(dense.outliers)
+        assert abs(low.fill_max_gap - dense.fill_max_gap) <= tol
+        assert abs(low.hausdorff - dense.hausdorff) <= tol
 
 
 class TestSingularValues:
