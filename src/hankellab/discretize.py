@@ -16,7 +16,7 @@ deviation from the full-line composition does not vanish under refinement.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -81,24 +81,13 @@ def operator_square(Lr: OperatorMatrix) -> OperatorMatrix:
     return OperatorMatrix(grid=Lr.grid, entries=entries, provenance=f"{Lr.provenance}^2")
 
 
-def composed_block(
-    Lr: OperatorMatrix, inner_side: str, outer_side: Optional[str] = None
-) -> OperatorMatrix:
-    """L * (indicator of one side of 1) * L from the widened factor ``Lr``:
-    C C^T with C the columns of ``Lr`` on that side of 1, the half
-    ``Lr.col_grid.side(inner_side)`` of the widened grid.
-
-    With ``outer_side`` None the result is the full-size matrix on the row
-    grid.  With a side name it is only the diagonal block
-    1_out * L * 1_in * L * 1_out on that half of the row grid: C is further
-    restricted to the rows ``Lr.grid.side(outer_side)``, so the product
-    costs a quarter of the full one and the entries are N/2 x N/2.
-    """
+def composed_block(Lr: OperatorMatrix, inner_side: str) -> OperatorMatrix:
+    """L * (indicator of one side of 1) * L on the row grid from the widened
+    factor ``Lr``: C C^T with C the columns of ``Lr`` on that side of 1, the
+    half ``Lr.col_grid.side(inner_side)`` of the widened grid.  The two
+    sides' blocks sum to :func:`operator_square` up to rounding."""
     C = Lr.entries[:, Lr.col_grid.side(inner_side)]
     provenance = f"{Lr.provenance}*1_{inner_side}*L"
-    if outer_side is not None:
-        C = C[Lr.grid.side(outer_side)]
-        provenance = f"1_{outer_side}*{provenance}*1_{outer_side}"
     return OperatorMatrix(grid=Lr.grid, entries=C @ C.T, provenance=provenance)
 
 

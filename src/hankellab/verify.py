@@ -46,7 +46,7 @@ from . import discretize as dz
 from .errors import DomainError
 from .kernels import rational_test_family
 from .linalg import op_norm, singular_values, sym_eigen
-from .quadrature import Grid, make_grid, quad_integral
+from .quadrature import ROW_BLOCK, Grid, make_grid, quad_integral
 from .spectra import analyze, predict, schatten_diagnostic
 from .specfun import check_alpha, pi_alpha
 
@@ -118,12 +118,13 @@ class _GridPieces:
 
     @cached_property
     def blocks(self):
-        """(L 1_inf L on the whole grid, L 1_0 L on its (infinity, infinity)
-        quarter), both composed from one widened factor: C3 compares the
-        first with H(phi0) everywhere, and the two-block decomposition (C7,
-        C8) reads the second on the infinity side only."""
+        """(L 1_inf L, L 1_0 L) on the whole grid, both composed from one
+        widened factor: C1 compares their sum with A, C3 compares the first
+        with H(phi0), and the two-block decomposition (C7, C8) reads the
+        first on its (0, 0) quarter and the second on its (inf, inf)
+        quarter, as views."""
         Lr = dz.assemble_L_rect(self.alpha, self.grid)
-        return dz.composed_block(Lr, "infinity"), dz.composed_block(Lr, "zero", "infinity")
+        return dz.composed_block(Lr, "infinity").entries, dz.composed_block(Lr, "zero").entries
 
     @cached_property
     def weighted(self):
@@ -136,13 +137,13 @@ class _GridPieces:
 def _check_c1(alpha: float, p: _GridPieces):
     A = p.A.entries
     a_norm = op_norm(A)
-    # a short-lived factor of its own: keeping the blocks' factor keeps
-    # one more large matrix alive through C3's split evaluation and
-    # raises the suite's peak memory.  The wide residual is formed
-    # explicitly: at large R it sits at the rounding floor eps * |A|,
-    # below the rounding of the map x -> Lr(Lr^T x) - Ax
-    sq = dz.operator_square(dz.assemble_L_rect(alpha, p.grid))
-    wide = op_norm(sq.entries - A) / a_norm
+    # L 1_inf L + L 1_0 L is the widened square Lr Lr^T.  The wide
+    # residual is formed explicitly: at large R it sits at the rounding
+    # floor eps * |A|, below the rounding of the map x -> Lr(Lr^T x) - Ax
+    block_inf, block_0 = p.blocks
+    wide = np.add(block_inf, block_0)
+    wide -= A
+    wide = op_norm(wide) / a_norm
     L = p.L.entries
     window = op_norm(lambda x: L @ (L @ x) - A @ x, len(A)) / a_norm
     row = {"residual": wide, "window_leakage": window, "model_norm": a_norm}
@@ -162,11 +163,18 @@ def _check_c2(alpha: float, p: _GridPieces):
 
 def _check_c3(alpha: float, p: _GridPieces):
     A = p.A.entries
-    H0, Hi = dz.assemble_model_split(alpha, p.grid)
-    a_max = float(np.abs(A).max())
-    split = float(np.abs(H0.entries + Hi.entries - A).max()) / a_max
+    # the blocks first: their widened factor is gone before the split pair is built
     block_inf, _ = p.blocks
-    comp = op_norm(H0.entries - block_inf.entries)
+    H0, Hi = (H.entries for H in dz.assemble_model_split(alpha, p.grid))
+    # max|H0 + Hi - A| strip by strip, with no N x N temporary
+    defect = 0.0
+    for r0 in range(0, len(A), ROW_BLOCK):
+        strip = H0[r0 : r0 + ROW_BLOCK] + Hi[r0 : r0 + ROW_BLOCK]
+        strip -= A[r0 : r0 + ROW_BLOCK]
+        defect = max(defect, float(np.abs(strip).max()))
+    del Hi
+    split = defect / float(np.abs(A).max())
+    comp = op_norm(H0 - block_inf)
     return {"split_error": split, "composition_residual": comp}, split <= EXACT_TOL
 
 
@@ -224,13 +232,14 @@ def _check_c6(alpha: float, p: _GridPieces):
         ("A_0i", p.A.entries[p.m0, p.mi]),
     ):
         sv = singular_values(block)
-        # the numerical-rank tolerance of the singular values
+        # the numerical-rank tolerance of the singular values; a tenth value
+        # at or below it is rounding noise, and its ratio reads 0
         floor = max(block.shape) * np.finfo(float).eps * sv[0]
         diag = schatten_diagnostic(sv, floor)
         row[label] = {
             "verdict": diag.verdict,
             "p_fit": diag.p_fit,
-            "sigma_ratio_10_1": float(sv[9] / sv[0]) if sv.size >= 10 else 0.0,
+            "sigma_ratio_10_1": float(sv[9] / sv[0]) if sv.size >= 10 and sv[9] > floor else 0.0,
         }
         ok = ok and diag.verdict == "super_polynomial"
         if label == "A_0i":
@@ -245,8 +254,8 @@ def _weighted_blocks(p: _GridPieces) -> Tuple[np.ndarray, np.ndarray]:
     block_inf, block_0 = p.blocks
     _, v = p.weighted
     v0, vi = v[p.m0], v[p.mi]
-    wb_zero = v0[:, np.newaxis] * block_inf.entries[p.m0, p.m0] * v0[np.newaxis, :]
-    wb_inf = vi[:, np.newaxis] * block_0.entries * vi[np.newaxis, :]
+    wb_zero = v0[:, np.newaxis] * block_inf[p.m0, p.m0] * v0[np.newaxis, :]
+    wb_inf = vi[:, np.newaxis] * block_0[p.mi, p.mi] * vi[np.newaxis, :]
     return wb_zero, wb_inf
 
 
@@ -275,8 +284,8 @@ def _c8_items(alpha: float, p: _GridPieces):
     single = lambda c: predict(alpha, c / pa, 0.0, 1.0, 1.0)
     return (
         ("model", p.A.entries, predict(alpha, 1.0, 1.0, 1.0, 1.0)),
-        ("block_zero", block_inf.entries[p.m0, p.m0], single(pa)),
-        ("block_infinity", block_0.entries, single(pa)),
+        ("block_zero", block_inf[p.m0, p.m0], single(pa)),
+        ("block_infinity", block_0[p.mi, p.mi], single(pa)),
         ("weighted_block_zero", wb_zero, single(pa * b0**2)),
         ("weighted_block_infinity", wb_inf, single(pa * b_inf**2)),
         ("weighted_hankel", p.weighted[0].entries, predict(alpha, a0, a_inf, b0, b_inf)),

@@ -1,8 +1,8 @@
 """Eigenvalues, singular values and norms, checked against independently
 computed oracles (hand-rolled LU determinant, analytic singular values,
-scipy's gesvd, scipy's eigh for the certified low-rank route, numpy's
-eigvalsh for the Lanczos operator norm, the Hilbert-Schmidt integral
-identity)."""
+scipy's gesvd, scipy's eigh and svdvals and LAPACK's Jacobi SVD for the
+certified low-rank routes, numpy's eigvalsh for the Lanczos operator norm,
+the Hilbert-Schmidt integral identity)."""
 
 import math
 import warnings
@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.lapack
 
 from hankellab import (
     EigenSolverError,
@@ -37,6 +38,7 @@ from hankellab.linalg import (
     _centro_halves,
     _dense_eigvalsh,
     _lowrank_eigvalsh,
+    _lowrank_svdvals,
 )
 from hankellab.quadrature import ROW_BLOCK
 from hankellab.spectra import analyze, predict
@@ -231,6 +233,76 @@ class TestLowRankRoute:
         assert len(low.outliers) == len(dense.outliers)
         assert abs(low.fill_max_gap - dense.fill_max_gap) <= tol
         assert abs(low.hausdorff - dense.hausdorff) <= tol
+
+
+def _jacobi_svdvals(M):
+    """Oracle: descending singular values from LAPACK's preconditioned
+    Jacobi SVD (dgejsv, JOBA='C').  On the suite's graded cross blocks it
+    resolves the values below eps * sigma_1 that a bidiagonal SVD returns as
+    rounding noise (2-norm about 2e-15 * sigma_1 at order 1200, above the
+    low-rank certificate)."""
+    sva, _, _, work, _, info = scipy.linalg.lapack.dgejsv(M, joba=0, jobu=3, jobv=3)
+    assert info == 0
+    return np.sort(sva * (work[0] / work[1]))[::-1]
+
+
+def _rank_k(shape, d, seed):
+    """A matrix of the given shape with singular values d."""
+    rng = np.random.default_rng(seed)
+    U = np.linalg.qr(rng.standard_normal((shape[0], d.size)))[0]
+    V = np.linalg.qr(rng.standard_normal((shape[1], d.size)))[0]
+    return (U * d) @ V.T
+
+
+_RANK_7 = np.array([5.0, 3.0, 2.0, 1.0, 0.5, 0.25, 0.125])
+
+
+class TestLowRankSVD:
+    @pytest.mark.parametrize("alpha,R,N", [(0.5, 14.0, 2400), (0.0, 16.0, 3200)])
+    def test_cross_block_within_certificate(self, alpha, R, N):
+        # C6's A_0i; the cross block of A does not depend on the family
+        grid = make_grid(R, N)
+        M = assemble_A(alpha, grid).entries[grid.side("zero"), grid.side("infinity")]
+        found = _lowrank_svdvals(M)
+        assert found is not None
+        values, certificate = found
+        ref = _jacobi_svdvals(M)
+        tol = max(M.shape) * np.finfo(float).eps
+        # Mirsky: the sorted lists differ by the certificate in 2-norm, which
+        # sits below the accuracy of a dense SVD
+        assert np.linalg.norm(values - ref) <= certificate <= tol * ref[0]
+        dense = scipy.linalg.svdvals(M)
+        assert np.abs(values - dense).max() <= tol * dense[0]
+        again = _lowrank_svdvals(M)
+        assert np.array_equal(again[0], values) and again[1] == certificate
+        assert np.array_equal(singular_values(M), values)
+        assert abs(op_norm(M) - ref[0]) <= certificate
+
+    @pytest.mark.parametrize("shape", [(1300, 1250), (1250, 1300)], ids=["tall", "wide"])
+    def test_exact_rank_k_matrix_gives_k_nonzero_values(self, shape):
+        M = _rank_k(shape, _RANK_7, seed=29)
+        values, certificate = _lowrank_svdvals(M)
+        assert values.shape == (min(shape),)
+        assert np.count_nonzero(values) == _RANK_7.size
+        assert np.linalg.norm(values[: _RANK_7.size] - _RANK_7) <= certificate
+
+    def test_full_rank_matrix_takes_dense_path(self):
+        M = np.random.default_rng(31).standard_normal((1300, 1250))
+        assert _lowrank_svdvals(M) is None
+        assert np.array_equal(singular_values(M), np.linalg.svd(M, compute_uv=False))
+
+    def test_zero_matrix(self):
+        values, certificate = _lowrank_svdvals(np.zeros((1300, 1250)))
+        assert certificate == 0.0 and values.shape == (1250,) and not values.any()
+
+    def test_huge_entries(self):
+        # the products take a power-of-two scaled thin factor, so entries
+        # near 1e300 neither overflow nor change the relative accuracy
+        M = _rank_k((1300, 1250), _RANK_7, seed=37) * 1e300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values, certificate = _lowrank_svdvals(M)
+        assert np.linalg.norm(values[: _RANK_7.size] * 1e-300 - _RANK_7) <= certificate * 1e-300
 
 
 class TestSingularValues:

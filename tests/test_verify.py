@@ -8,13 +8,21 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from hankellab import DomainError, make_grid, run_suite
+from hankellab import DomainError, make_grid, op_norm, run_suite
 from hankellab import discretize as dz
 from hankellab import verify
 from hankellab.verify import _GridPieces, _residual_matrix
 
 SHORT_LADDER = [(6.0, 200), (8.0, 400)]
+DEFAULT_LADDER = [(6.0, 200), (8.0, 400), (10.0, 800)]
+
+
+@pytest.fixture(scope="module")
+def full_suite_half():
+    """Every check on the default ladder at alpha = 0.5."""
+    return run_suite(0.5, DEFAULT_LADDER)
 
 
 class TestRunSuite:
@@ -93,10 +101,41 @@ class TestRunSuite:
             "assemble_L": steps,
             "assemble_wHa": steps,
             "assemble_model_split": steps,
-            # C1's square and the two blocks per step; C4's three grids
-            "assemble_L_rect": 2 * steps + 3,
+            # one widened factor per step for both blocks; C4's three grids
+            "assemble_L_rect": steps + 3,
             "composed_block": 2 * steps,  # one per inner side
         }
+
+    @pytest.mark.parametrize("name", ["C1", "C3", "C7", "C8"])
+    def test_shared_blocks_give_the_same_rows_alone(self, name, full_suite_half):
+        # the blocks are built by whichever of these checks runs first
+        alone = run_suite(0.5, DEFAULT_LADDER, checks=[name]).checks[0]
+        (full,) = [c for c in full_suite_half.checks if c.name == name]
+        assert alone.metrics == full.metrics
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    def test_c1_residual_matches_widened_square(self, alpha):
+        rows = run_suite(alpha, DEFAULT_LADDER, checks=["C1"]).checks[0].metrics
+        for (R, N), row in zip(DEFAULT_LADDER, rows):
+            grid = make_grid(R, N)
+            A = dz.assemble_A(alpha, grid).entries
+            sq = dz.operator_square(dz.assemble_L_rect(alpha, grid)).entries
+            assert abs(row["residual"] - op_norm(sq - A) / op_norm(A)) <= 1e-14
+
+    def test_c6_sigma_ratio_reads_zero_below_the_rank_floor(self):
+        # L_00 has numerical rank 8: its tenth singular value is rounding noise
+        row = run_suite(0.0, [(6.0, 200)], checks=["C6"]).checks[0].metrics[0]
+        grid = make_grid(6.0, 200)
+        L, A = dz.assemble_L(0.0, grid).entries, dz.assemble_A(0.0, grid).entries
+        m0, mi = grid.side("zero"), grid.side("infinity")
+        for label, block in (("L_00", L[m0, m0]), ("L_ii", L[mi, mi]), ("A_0i", A[m0, mi])):
+            sv = scipy.linalg.svdvals(block)
+            floor = max(block.shape) * np.finfo(float).eps * sv[0]
+            ratio = row[label]["sigma_ratio_10_1"]
+            if label == "L_00":
+                assert sv[9] <= floor and ratio == 0.0
+            else:
+                assert sv[9] > floor and ratio == pytest.approx(sv[9] / sv[0], rel=1e-6)
 
     def test_failed_shared_assembly_aborts_only_its_checks(self, monkeypatch):
         def broken(alpha, grid):
@@ -182,19 +221,16 @@ class TestTwoBlockDecomposition:
     )
     @pytest.mark.parametrize("R,N", [(6.0, 200), (10.0, 800)])
     def test_residual_matches_zero_padded_formula(self, R, N, alpha, family):
-        # both terms on the whole grid through zero-padded weights, with
-        # L 1_0 L zero outside the quarter it is kept on
+        # both terms on the whole grid through zero-padded weights
         p = _GridPieces(alpha, make_grid(R, N), family)
         a0, a_inf, _, _ = family
         WHA, v = p.weighted
         block_inf, block_0 = p.blocks
-        full_0 = np.zeros_like(block_inf.entries)
-        full_0[p.mi, p.mi] = block_0.entries
         v0, vi = np.zeros_like(v), np.zeros_like(v)
         v0[p.m0] = v[p.m0]
         vi[p.mi] = v[p.mi]
-        term0 = v0[:, np.newaxis] * block_inf.entries * v0[np.newaxis, :]
-        term_inf = vi[:, np.newaxis] * full_0 * vi[np.newaxis, :]
+        term0 = v0[:, np.newaxis] * block_inf * v0[np.newaxis, :]
+        term_inf = vi[:, np.newaxis] * block_0 * vi[np.newaxis, :]
         expected = WHA.entries - a0 * term0 - a_inf * term_inf
         assert np.array_equal(_residual_matrix(p), expected)
 
