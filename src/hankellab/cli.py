@@ -32,7 +32,7 @@ from .linalg import sym_eigen
 from .quadrature import make_grid
 from .spectra import PredictedSpectrum, analyze, predict
 from .specfun import check_alpha, mellin_symbol, symbol_by_quadrature
-from .verify import CHECK_NAMES, run_suite
+from .verify import CHECK_NAMES, check_ladder, run_suite
 
 DEFAULT_LADDER: Tuple[Tuple[float, int], ...] = ((6.0, 200), (8.0, 400), (10.0, 800))
 
@@ -229,6 +229,7 @@ def cmd_spectrum(config: RunConfig) -> int:
 
 def cmd_verify(config: RunConfig) -> int:
     spec_a, spec_w, _ = resolve_family(config)
+    check_ladder(config.ladder)
     out = _open_output(config)
     family = (spec_a.a0, spec_a.a_inf, spec_w.b0, spec_w.b_inf)
     report = run_suite(config.alpha, config.ladder, checks=config.checks, family=family)

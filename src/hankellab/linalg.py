@@ -2,8 +2,9 @@
 Hilbert-Schmidt / nuclear norms.
 
 Eigenvalues and singular values share one private route for symmetric
-matrices (every square operator of the suite); the singular values are the
-sorted absolute eigenvalues.  From order LOWRANK_MIN_ORDER on it is a
+matrices (every matrix the suite solves: C6 takes the cross block of A with
+its columns reversed, a symmetric Hankel matrix); the singular values are
+the sorted absolute eigenvalues.  From order LOWRANK_MIN_ORDER on it is a
 certified low-rank solve: the suite's operators have few eigenvalues above
 the rounding level, because their symbols decay like e^(-pi |xi|) (97-109
 of 3200 above n * eps * max|lambda| for the four benchmark families at (16,
@@ -19,12 +20,7 @@ even-order matrix that is centrosymmetric to rounding as two half-size
 solves, any other as one ``eigvalsh``, accurate to about n * eps *
 max|lambda| as well.
 
-Any other matrix (the suite's non-symmetric cross blocks) takes the same
-range finder when its larger dimension is at least LOWRANK_MIN_ORDER: the
-singular values of Q^T B, certified by |B - Q Q^T B|_F <= max(m, n) * eps *
-sigma_1 (Mirsky's theorem bounds the whole list by it), and one dense SVD
-below that order or past LOWRANK_CAP * min(m, n) columns.  On both low-rank
-routes the values below the certificate are written as 0.
+Any other matrix takes one dense SVD at every size.
 
 The operator norm of a symmetric matrix, or of a symmetric linear map given
 by its action, is its largest |eigenvalue| from Lanczos with full
@@ -35,7 +31,7 @@ other matrix gives sigma_1 from its singular values.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterator, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -70,9 +66,7 @@ CENTRO_TOL = 16.0 * np.finfo(float).eps
 # route.  On the four benchmark families (best of 3, 2 OpenBLAS threads) it
 # took 1.1-1.3x the dense time at n = 800 on the centrosymmetric ones (about
 # 0.033 s against 0.025-0.031 s), 0.38-0.90x at n = 1200, 0.28-0.74x at 1600
-# and 0.12-0.33x at 3200.  So does a non-symmetric matrix whose larger
-# dimension is that large: C6's 1200 x 1200 cross block at (14, 2400) took
-# 0.06 s against 0.36 s for the dense SVD.  Its basis starts at LOWRANK_BLOCK columns and
+# and 0.12-0.33x at 3200.  Its basis starts at LOWRANK_BLOCK columns and
 # doubles; a basis is only certified when LOWRANK_SPARE of its columns lie
 # at the rounding level, and the route gives up once more than
 # LOWRANK_CAP * n columns would be needed: a certified 256-column solve took
@@ -166,27 +160,39 @@ def _start_block(n: int, j0: int, j1: int) -> np.ndarray:
     return (z >> np.uint64(11)).astype(float) * 2.0**-52 - 1.0
 
 
-def _range_bases(A: np.ndarray, scale: float, tol: float) -> Iterator[np.ndarray]:
-    """Orthonormal bases Q of k = LOWRANK_BLOCK, 2 LOWRANK_BLOCK, ... columns
-    for the numerical range of an m x n matrix A, each one a candidate for
-    the caller's certificate; it stops once more than LOWRANK_CAP * min(m, n)
-    columns would be needed.
+def _lowrank_eigvalsh(A: np.ndarray) -> Optional[Tuple[np.ndarray, float]]:
+    """(ascending eigenvalues, certificate) of S = 1/2 (A + A^T) from a
+    certified low-rank factorisation, or None when a basis of more than
+    LOWRANK_CAP * n columns would be needed.
 
     The range finder (Halko, Martinsson & Tropp, SIAM Review 53, 2011,
-    sections 4.4-4.5) takes Y = A Omega for the first k columns Omega of the
-    fixed n-row test matrix ``_start_block``, scaled by ``scale``.  Unless
-    LOWRANK_SPARE singular values of Y lie below tol * |Y|_2, the basis
-    cannot hold the numerical range with room to spare and k doubles; the
-    Gram matrix Y^T Y settles the clear cases before the QR, so a failed
-    attempt is cheap.  Otherwise Q = qr(Y) is yielded.
+    sections 4.4-4.5) takes Y = A Omega for the first k = LOWRANK_BLOCK,
+    2 LOWRANK_BLOCK, ... columns Omega of the fixed test matrix
+    ``_start_block``.  Unless LOWRANK_SPARE singular values of Y lie below
+    tol * |Y|_2 (tol = n * eps), the basis cannot hold the numerical range
+    with room to spare and k doubles; the Gram matrix Y^T Y settles the
+    clear cases before the QR, so a failed attempt is cheap.
+
+    Otherwise Q = qr(Y), T = Q^T S Q with Ritz values theta, and the
+    certificate is |S - Q T Q^T|_F, formed over the upper triangle in
+    ``ROW_BLOCK``-row strips (no N x N temporary), plus the 2-norm of the
+    Ritz values at or below it, which are set to 0.  The list theta padded
+    with n - k zeros is then the spectrum of a symmetric matrix within the
+    certificate of S in Frobenius norm, so by Hoffman & Wielandt (Duke Math.
+    J. 20, 1953) it differs from the sorted eigenvalues of S by at most the
+    certificate in 2-norm.  It is accepted at tol * max|theta|, the absolute
+    accuracy of a dense solve; if not, k doubles.
+
+    Every product with A takes its thin factor scaled by ``_unit_scale(A)``
+    (a power of two, so exactly), so the work is on S / max|A| and the
+    certificate cannot overflow.  No random state is read: two calls give
+    the same bits.
     """
-    m, n = A.shape
-    Y = np.empty((m, 0))
-    k = 0
-    while True:
-        k_new = max(LOWRANK_BLOCK, 2 * k)
-        if k_new > LOWRANK_CAP * min(m, n):
-            return
+    n = A.shape[0]
+    scale = _unit_scale(A)
+    tol = n * np.finfo(float).eps
+    Y, k = np.empty((n, 0)), 0
+    while (k_new := max(LOWRANK_BLOCK, 2 * k)) <= LOWRANK_CAP * n:
         Y = np.hstack([Y, A @ (_start_block(n, k, k_new) * scale)])
         k = k_new
         # the squared singular values of Y, resolved to eps * |Y|^2, so
@@ -198,44 +204,6 @@ def _range_bases(A: np.ndarray, scale: float, tol: float) -> Iterator[np.ndarray
         sv = np.linalg.svd(R, compute_uv=False)
         if sv[k - LOWRANK_SPARE] > tol * sv[0]:
             continue
-        yield Q
-
-
-def _drop_below(values: np.ndarray, resid: float) -> float:
-    """Set the values at or below ``resid`` in magnitude to 0, in place, and
-    return the certificate: ``resid`` plus the 2-norm of those values."""
-    small = np.abs(values) <= resid
-    certificate = resid + float(np.linalg.norm(values[small]))
-    values[small] = 0.0
-    return certificate
-
-
-def _lowrank_eigvalsh(A: np.ndarray) -> Optional[Tuple[np.ndarray, float]]:
-    """(ascending eigenvalues, certificate) of S = 1/2 (A + A^T) from a
-    certified low-rank factorisation, or None when a basis of more than
-    LOWRANK_CAP * n columns would be needed.
-
-    For each basis Q of ``_range_bases`` (tol = n * eps), T = Q^T S Q with
-    Ritz values theta, and the certificate is |S - Q T Q^T|_F, formed over
-    the upper triangle in ``ROW_BLOCK``-row strips (no N x N temporary),
-    plus the 2-norm of the Ritz values at or below it, which are set to 0.
-    The list theta padded with n - k zeros is then the spectrum of a
-    symmetric matrix within the certificate of S in Frobenius norm, so by
-    Hoffman & Wielandt (Duke Math. J. 20, 1953) it differs from the sorted
-    eigenvalues of S by at most the certificate in 2-norm.  It is accepted
-    at tol * max|theta|, the absolute accuracy of a dense solve; if not, k
-    doubles.
-
-    Every product with A takes its thin factor scaled by ``_unit_scale(A)``
-    (a power of two, so exactly), so the work is on S / max|A| and the
-    certificate cannot overflow.  No random state is read: two calls give
-    the same bits.
-    """
-    n = A.shape[0]
-    scale = _unit_scale(A)
-    tol = n * np.finfo(float).eps
-    for Q in _range_bases(A, scale, tol):
-        k = Q.shape[1]
         T = Q.T @ (A @ (Q * scale))
         T = 0.5 * (T + T.T)
         theta = np.linalg.eigvalsh(T)
@@ -249,46 +217,13 @@ def _lowrank_eigvalsh(A: np.ndarray) -> Optional[Tuple[np.ndarray, float]]:
             diag, upper = strip[:, : r1 - r0].ravel(), strip[:, r1 - r0 :].ravel()
             resid_sq += float(diag @ diag) + 2.0 * float(upper @ upper)
         top = float(np.abs(theta).max())
-        certificate = _drop_below(theta, math.sqrt(resid_sq))
+        resid = math.sqrt(resid_sq)
+        small = np.abs(theta) <= resid
+        certificate = resid + float(np.linalg.norm(theta[small]))
+        theta[small] = 0.0
         if certificate <= tol * top:
             values = np.concatenate([theta, np.zeros(n - k)])
             values.sort()
-            return values / scale, certificate / scale
-    return None
-
-
-def _lowrank_svdvals(A: np.ndarray) -> Optional[Tuple[np.ndarray, float]]:
-    """(descending singular values, certificate) of an m x n matrix A from a
-    certified low-rank factorisation, or None when a basis of more than
-    LOWRANK_CAP * min(m, n) columns would be needed.
-
-    For each basis Q of ``_range_bases`` (tol = max(m, n) * eps), the values
-    sigma are those of W = Q^T A, and the certificate is |A - Q W|_F,
-    formed in ``ROW_BLOCK``-row strips, plus the 2-norm of the values at or
-    below it, which are set to 0.  The list sigma padded with min(m, n) - k
-    zeros is then the list of singular values of a matrix within the
-    certificate of A in Frobenius norm, so by Mirsky (Quart. J. Math. 11,
-    1960) it differs from the singular values of A by at most the
-    certificate in 2-norm.  It is accepted at tol * sigma_1, the absolute
-    accuracy of a dense SVD; if not, k doubles.  The work is on A / max|A|
-    (see ``_lowrank_eigvalsh``), and two calls give the same bits.
-    """
-    m, n = A.shape
-    scale = _unit_scale(A)
-    tol = max(m, n) * np.finfo(float).eps
-    for Q in _range_bases(A, scale, tol):
-        k = Q.shape[1]
-        W = (Q * scale).T @ A
-        sigma = np.linalg.svd(W, compute_uv=False)
-        resid_sq = 0.0
-        for r0 in range(0, m, ROW_BLOCK):
-            strip = A[r0 : r0 + ROW_BLOCK] * scale
-            strip -= Q[r0 : r0 + ROW_BLOCK] @ W
-            resid_sq += float(strip.ravel() @ strip.ravel())
-        top = float(sigma[0])
-        certificate = _drop_below(sigma, math.sqrt(resid_sq))
-        if certificate <= tol * top:
-            values = np.concatenate([sigma, np.zeros(min(m, n) - k)])
             return values / scale, certificate / scale
     return None
 
@@ -351,19 +286,13 @@ def sym_eigen(M) -> np.ndarray:
 
 def singular_values(M) -> np.ndarray:
     """Descending singular values: sorted |eigenvalues| of a symmetric
-    matrix, the certified low-rank route (``_lowrank_svdvals``) for any other
-    whose larger dimension is at least LOWRANK_MIN_ORDER, and the SVD
-    below that order or when that route gives up."""
+    matrix, one SVD of any other."""
     A = _as_array(M)
     if A.ndim != 2:
         raise EigenSolverError(f"expected a matrix, got ndim={A.ndim}")
     try:
         if _is_symmetric(A):
             return np.sort(np.abs(_sym_eigvalsh(A)))[::-1]
-        if max(A.shape) >= LOWRANK_MIN_ORDER:
-            found = _lowrank_svdvals(A)
-            if found is not None:
-                return found[0]
         return np.linalg.svd(A, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise EigenSolverError(f"singular-value solver failed to converge: {exc}") from exc

@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,7 +50,7 @@ from .quadrature import ROW_BLOCK, Grid, make_grid, quad_integral
 from .spectra import analyze, predict, schatten_diagnostic
 from .specfun import check_alpha, pi_alpha
 
-__all__ = ["CheckResult", "VerificationReport", "run_suite", "CHECK_NAMES"]
+__all__ = ["CheckResult", "VerificationReport", "run_suite", "check_ladder", "CHECK_NAMES"]
 
 CHECK_NAMES = ("C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8")
 
@@ -156,7 +156,11 @@ def _check_c2(alpha: float, p: _GridPieces):
     ei = sym_eigen(A[p.mi, p.mi])
     diff = float(np.abs(e0 - ei).max())
     a_norm = float(np.abs(np.concatenate([e0, ei])).max())
-    persym = float(np.abs(A - A[::-1, ::-1]).max())
+    # max|A - JAJ| strip by strip against the reversed rows, with no N x N temporary
+    JAJ, persym = A[::-1, ::-1], 0.0
+    for r0 in range(0, len(A), ROW_BLOCK):
+        strip = A[r0 : r0 + ROW_BLOCK] - JAJ[r0 : r0 + ROW_BLOCK]
+        persym = max(persym, float(np.abs(strip).max()))
     row = {"eig_diff": diff, "persymmetry_defect": persym}
     return row, diff <= BLOCK_EIG_TOL * max(a_norm, 1e-300)
 
@@ -229,7 +233,9 @@ def _check_c6(alpha: float, p: _GridPieces):
     for label, block in (
         ("L_00", p.L.entries[p.m0, p.m0]),
         ("L_ii", p.L.entries[p.mi, p.mi]),
-        ("A_0i", p.A.entries[p.m0, p.mi]),
+        # inversion symmetry makes the cross block with its columns reversed
+        # a symmetric Hankel matrix with the same singular values
+        ("A_0i", p.A.entries[p.m0, p.mi][:, ::-1]),
     ):
         sv = singular_values(block)
         # the numerical-rank tolerance of the singular values; a tenth value
@@ -262,12 +268,19 @@ def _weighted_blocks(p: _GridPieces) -> Tuple[np.ndarray, np.ndarray]:
 def _residual_matrix(p: _GridPieces) -> np.ndarray:
     """Residual of the two-block decomposition of the weighted operator,
     assembled from already-verified pieces: the weighted Hankel matrix less
-    a0 and a_inf times the weighted blocks, each on its own quarter."""
+    a0 v (L 1_inf L) v on the zero quarter and a_inf v (L 1_0 L) v on the
+    infinity quarter, subtracted in ``ROW_BLOCK``-row strips."""
     a0, a_inf, _, _ = p.family
-    wb_zero, wb_inf = _weighted_blocks(p)
-    T = p.weighted[0].entries.copy()
-    T[p.m0, p.m0] -= a0 * wb_zero
-    T[p.mi, p.mi] -= a_inf * wb_inf
+    block_inf, block_0 = p.blocks
+    WHA, v = p.weighted
+    T = WHA.entries.copy()
+    for coeff, block, side in ((a0, block_inf, p.m0), (a_inf, block_0, p.mi)):
+        quarter, inner, vs = T[side, side], block[side, side], v[side]
+        for r0 in range(0, len(vs), ROW_BLOCK):
+            rows = slice(r0, r0 + ROW_BLOCK)
+            strip = vs[rows, np.newaxis] * inner[rows] * vs[np.newaxis, :]
+            strip *= coeff
+            quarter[rows] -= strip
     return T
 
 
@@ -373,6 +386,17 @@ _CHECKS: Dict[str, Tuple[str, str, Callable[[Sequence[dict]], bool]]] = {
 }
 
 
+def check_ladder(ladder: Sequence[Tuple[float, int]]) -> List[Tuple[float, int]]:
+    """The ladder as (R, N) pairs; raises DomainError unless it is non-empty
+    and increasing in (R, N)."""
+    ladder = [(float(R), int(N)) for R, N in ladder]
+    if not ladder:
+        raise DomainError("ladder must be non-empty")
+    if any(ladder[i] >= ladder[i + 1] for i in range(len(ladder) - 1)):
+        raise DomainError("ladder must be increasing in (R, N)")
+    return ladder
+
+
 def run_suite(
     alpha,
     ladder: Sequence[Tuple[float, int]],
@@ -386,11 +410,7 @@ def run_suite(
     rerunning with identical inputs gives identical output.
     """
     a = check_alpha(alpha)
-    ladder = [(float(R), int(N)) for R, N in ladder]
-    if not ladder:
-        raise DomainError("ladder must be non-empty")
-    if any(ladder[i] >= ladder[i + 1] for i in range(len(ladder) - 1)):
-        raise DomainError("ladder must be increasing in (R, N)")
+    ladder = check_ladder(ladder)
     grids = [make_grid(R, N) for R, N in ladder]
     selected = tuple(checks) if checks else CHECK_NAMES
     bad = [c for c in selected if c.upper() not in CHECK_NAMES]

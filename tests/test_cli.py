@@ -260,6 +260,13 @@ class TestConfigValidation:
         config.write_text(json.dumps({"laddr": [[6, 200]]}))
         assert main(["verify", "--config", str(config), "--out", str(tmp_path)]) == 2
 
+    def test_non_increasing_ladder_rejected_before_output(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"ladder": [[8, 400], [6, 200]]}))
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(config), "--out", str(out)]) == 2
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "raw",
         [

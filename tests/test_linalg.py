@@ -1,7 +1,7 @@
 """Eigenvalues, singular values and norms, checked against independently
 computed oracles (hand-rolled LU determinant, analytic singular values,
-scipy's gesvd, scipy's eigh and svdvals and LAPACK's Jacobi SVD for the
-certified low-rank routes, numpy's eigvalsh for the Lanczos operator norm,
+scipy's gesvd, scipy's eigh and LAPACK's Jacobi SVD for the certified
+low-rank route, numpy's eigvalsh for the Lanczos operator norm,
 the Hilbert-Schmidt integral identity)."""
 
 import math
@@ -38,7 +38,6 @@ from hankellab.linalg import (
     _centro_halves,
     _dense_eigvalsh,
     _lowrank_eigvalsh,
-    _lowrank_svdvals,
 )
 from hankellab.quadrature import ROW_BLOCK
 from hankellab.spectra import analyze, predict
@@ -162,9 +161,25 @@ def verify_large_matrices():
     return {"A": p.A.entries, "weighted": p.weighted[0].entries, "C7": _residual_matrix(p)}
 
 
-_SUITE_CASES = [(name, R, N) for R, N in ((12.0, 1600), (16.0, 3200)) for name in _FAMILIES] + [
-    (name, 14.0, 2400) for name in ("A", "weighted", "C7")
-]
+def _jacobi_svdvals(M):
+    """Oracle: descending singular values from LAPACK's preconditioned
+    Jacobi SVD (dgejsv, JOBA='C').  On the suite's graded cross blocks it
+    resolves the values below eps * sigma_1 that a bidiagonal SVD returns as
+    rounding noise (2-norm about 2e-15 * sigma_1 at order 1200, above the
+    low-rank certificate)."""
+    sva, _, _, work, _, info = scipy.linalg.lapack.dgejsv(M, joba=0, jobu=3, jobv=3)
+    assert info == 0
+    return np.sort(sva * (work[0] / work[1]))[::-1]
+
+
+# C6's cross block of A at (R, N) -> alpha; it does not depend on the family
+_CROSS_BLOCKS = {(14.0, 2400): 0.5, (16.0, 3200): 0.0}
+
+_SUITE_CASES = (
+    [(name, R, N) for R, N in ((12.0, 1600), (16.0, 3200)) for name in _FAMILIES]
+    + [(name, 14.0, 2400) for name in ("A", "weighted", "C7")]
+    + [("A_0iJ", R, N) for R, N in _CROSS_BLOCKS]
+)
 
 
 class TestLowRankRoute:
@@ -174,17 +189,28 @@ class TestLowRankRoute:
         if name in _FAMILIES:
             _, (spec_a, spec_w) = _FAMILIES[name]
             M = assemble_wHa(spec_a, spec_w, make_grid(R, N)).entries
+        elif name == "A_0iJ":
+            grid = make_grid(R, N)
+            A = assemble_A(_CROSS_BLOCKS[R, N], grid).entries
+            cross = A[grid.side("zero"), grid.side("infinity")]
+            M = cross[:, ::-1]  # C6's Hankel form, with the columns reversed
         else:
             M = request.getfixturevalue("verify_large_matrices")[name]
         n = M.shape[0]
         found = _lowrank_eigvalsh(M)
         assert found is not None
         values, certificate = found
-        ref = scipy.linalg.eigh(0.5 * (M + M.T), eigvals_only=True)
+        if name == "A_0iJ":
+            # Mirsky: the sorted |values| and the singular values of the
+            # unreversed block differ by the certificate in 2-norm
+            got, ref = np.sort(np.abs(values))[::-1], _jacobi_svdvals(cross)
+        else:
+            # Hoffman-Wielandt: the sorted lists differ by the certificate
+            # in 2-norm
+            got, ref = values, scipy.linalg.eigh(0.5 * (M + M.T), eigvals_only=True)
         top = np.abs(ref).max()
-        # Hoffman-Wielandt: the sorted lists differ by the certificate in
-        # 2-norm, which sits below the accuracy of a dense solve
-        assert np.linalg.norm(values - ref) <= certificate <= n * np.finfo(float).eps * top
+        # the certificate sits below the accuracy of a dense solve
+        assert np.linalg.norm(got - ref) <= certificate <= n * np.finfo(float).eps * top
         assert abs(values.sum() - np.trace(M)) <= 1e-12 * np.abs(values).sum()
         again = _lowrank_eigvalsh(M)
         assert np.array_equal(again[0], values) and again[1] == certificate
@@ -235,76 +261,6 @@ class TestLowRankRoute:
         assert abs(low.hausdorff - dense.hausdorff) <= tol
 
 
-def _jacobi_svdvals(M):
-    """Oracle: descending singular values from LAPACK's preconditioned
-    Jacobi SVD (dgejsv, JOBA='C').  On the suite's graded cross blocks it
-    resolves the values below eps * sigma_1 that a bidiagonal SVD returns as
-    rounding noise (2-norm about 2e-15 * sigma_1 at order 1200, above the
-    low-rank certificate)."""
-    sva, _, _, work, _, info = scipy.linalg.lapack.dgejsv(M, joba=0, jobu=3, jobv=3)
-    assert info == 0
-    return np.sort(sva * (work[0] / work[1]))[::-1]
-
-
-def _rank_k(shape, d, seed):
-    """A matrix of the given shape with singular values d."""
-    rng = np.random.default_rng(seed)
-    U = np.linalg.qr(rng.standard_normal((shape[0], d.size)))[0]
-    V = np.linalg.qr(rng.standard_normal((shape[1], d.size)))[0]
-    return (U * d) @ V.T
-
-
-_RANK_7 = np.array([5.0, 3.0, 2.0, 1.0, 0.5, 0.25, 0.125])
-
-
-class TestLowRankSVD:
-    @pytest.mark.parametrize("alpha,R,N", [(0.5, 14.0, 2400), (0.0, 16.0, 3200)])
-    def test_cross_block_within_certificate(self, alpha, R, N):
-        # C6's A_0i; the cross block of A does not depend on the family
-        grid = make_grid(R, N)
-        M = assemble_A(alpha, grid).entries[grid.side("zero"), grid.side("infinity")]
-        found = _lowrank_svdvals(M)
-        assert found is not None
-        values, certificate = found
-        ref = _jacobi_svdvals(M)
-        tol = max(M.shape) * np.finfo(float).eps
-        # Mirsky: the sorted lists differ by the certificate in 2-norm, which
-        # sits below the accuracy of a dense SVD
-        assert np.linalg.norm(values - ref) <= certificate <= tol * ref[0]
-        dense = scipy.linalg.svdvals(M)
-        assert np.abs(values - dense).max() <= tol * dense[0]
-        again = _lowrank_svdvals(M)
-        assert np.array_equal(again[0], values) and again[1] == certificate
-        assert np.array_equal(singular_values(M), values)
-        assert abs(op_norm(M) - ref[0]) <= certificate
-
-    @pytest.mark.parametrize("shape", [(1300, 1250), (1250, 1300)], ids=["tall", "wide"])
-    def test_exact_rank_k_matrix_gives_k_nonzero_values(self, shape):
-        M = _rank_k(shape, _RANK_7, seed=29)
-        values, certificate = _lowrank_svdvals(M)
-        assert values.shape == (min(shape),)
-        assert np.count_nonzero(values) == _RANK_7.size
-        assert np.linalg.norm(values[: _RANK_7.size] - _RANK_7) <= certificate
-
-    def test_full_rank_matrix_takes_dense_path(self):
-        M = np.random.default_rng(31).standard_normal((1300, 1250))
-        assert _lowrank_svdvals(M) is None
-        assert np.array_equal(singular_values(M), np.linalg.svd(M, compute_uv=False))
-
-    def test_zero_matrix(self):
-        values, certificate = _lowrank_svdvals(np.zeros((1300, 1250)))
-        assert certificate == 0.0 and values.shape == (1250,) and not values.any()
-
-    def test_huge_entries(self):
-        # the products take a power-of-two scaled thin factor, so entries
-        # near 1e300 neither overflow nor change the relative accuracy
-        M = _rank_k((1300, 1250), _RANK_7, seed=37) * 1e300
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            values, certificate = _lowrank_svdvals(M)
-        assert np.linalg.norm(values[: _RANK_7.size] * 1e-300 - _RANK_7) <= certificate * 1e-300
-
-
 class TestSingularValues:
     def test_zero_matrix(self):
         assert (singular_values(np.zeros((4, 6))) == 0.0).all()
@@ -325,15 +281,21 @@ class TestSingularValues:
         sv = singular_values(rng.standard_normal((15, 9)))
         assert (np.diff(sv) <= 0.0).all()
 
+    def test_non_symmetric_matrix_takes_one_svd(self):
+        M = np.random.default_rng(31).standard_normal((1300, 1250))
+        assert np.array_equal(singular_values(M), np.linalg.svd(M, compute_uv=False))
+
     def test_matches_gesvd_on_suite_matrices(self):
-        # the cross block (rectangular route), a diagonal factor block and a
-        # C1 residual (symmetric route), each to the numerical-rank tolerance
+        # the cross block (one SVD), its Hankel form with reversed columns, a
+        # diagonal factor block and a C1 residual (symmetric route), each to
+        # the numerical-rank tolerance
         grid = make_grid(10.0, 800)
         A = assemble_A(0.5, grid)
         L = assemble_L(0.5, grid)
         m0, mi = grid.side("zero"), grid.side("infinity")
         for M in (
             A.entries[m0, mi],
+            A.entries[m0, mi][:, ::-1],
             L.entries[m0, m0],
             operator_square(assemble_L_rect(0.5, grid)).entries - A.entries,
         ):

@@ -13,10 +13,12 @@ import scipy.linalg
 from hankellab import DomainError, make_grid, op_norm, run_suite
 from hankellab import discretize as dz
 from hankellab import verify
+from hankellab.linalg import _is_symmetric
 from hankellab.verify import _GridPieces, _residual_matrix
 
 SHORT_LADDER = [(6.0, 200), (8.0, 400)]
 DEFAULT_LADDER = [(6.0, 200), (8.0, 400), (10.0, 800)]
+LARGE_LADDER = [(12.0, 1600), (14.0, 2400)]
 
 
 @pytest.fixture(scope="module")
@@ -136,6 +138,31 @@ class TestRunSuite:
                 assert sv[9] <= floor and ratio == 0.0
             else:
                 assert sv[9] > floor and ratio == pytest.approx(sv[9] / sv[0], rel=1e-6)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 2.0])
+    @pytest.mark.parametrize("R,N", DEFAULT_LADDER + LARGE_LADDER)
+    def test_c6_cross_block_takes_the_symmetric_route(self, R, N, alpha):
+        # inversion symmetry makes the cross block with reversed columns a
+        # symmetric Hankel matrix; were it not, it would take one dense SVD
+        grid = make_grid(R, N)
+        A = dz.assemble_A(alpha, grid).entries
+        assert _is_symmetric(A[grid.side("zero"), grid.side("infinity")][:, ::-1])
+
+    def test_every_matrix_solved_is_symmetric(self, monkeypatch):
+        # one singular-value route: each matrix handed to singular_values or
+        # op_norm is symmetric (sym_eigen rejects any other)
+        seen = []
+        for name in ("singular_values", "op_norm"):
+
+            def recorded(M, *args, _fn=getattr(verify, name)):
+                if not callable(M):
+                    seen.append(_is_symmetric(np.asarray(M)))
+                return _fn(M, *args)
+
+            monkeypatch.setattr(verify, name, recorded)
+        rep = run_suite(0.5, SHORT_LADDER, family=(2.0, 1.0, 1.0, 2.0))
+        assert [c.anchor for c in rep.checks].count("(check aborted)") == 0
+        assert len(seen) == 7 * len(SHORT_LADDER) and all(seen)
 
     def test_failed_shared_assembly_aborts_only_its_checks(self, monkeypatch):
         def broken(alpha, grid):
