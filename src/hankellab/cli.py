@@ -7,8 +7,10 @@ an optional JSON file plus flag overrides (flags win).  Output files are
 written atomically and byte-deterministically.
 
 Exit codes: 0 ran / suite passed, 1 verification failure, 2 usage or
-configuration error.  Every check of a command runs before it makes the
-output directory, so a rejected run leaves no directory behind.
+configuration error, or a kernel that is not finite on the grid.  Every check
+of a command runs, and ``symbol`` and ``spectrum`` compute every result,
+before the command makes the output directory, so a rejected run leaves no
+directory behind.
 """
 
 from __future__ import annotations
@@ -19,20 +21,20 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .discretize import assemble_wHa
-from .errors import ConfigError, DomainError, GridError
+from .errors import ConfigError, DomainError, GridError, KernelEvaluationError
 from .kernels import KernelSpec, WeightSpec, power_family, rational_test_family
 from .linalg import sym_eigen
-from .quadrature import make_grid
+from .quadrature import check_step, make_grid
 from .spectra import PredictedSpectrum, analyze, predict
 from .specfun import check_alpha, mellin_symbol, symbol_by_quadrature
-from .verify import CHECK_NAMES, check_ladder, run_suite
+from .verify import check_ladder, run_suite, select_checks
 
 DEFAULT_LADDER: Tuple[Tuple[float, int], ...] = ((6.0, 200), (8.0, 400), (10.0, 800))
 
@@ -48,24 +50,30 @@ class RunConfig:
     output_dir: Path = Path(".")
     checks: Optional[Tuple[str, ...]] = None
 
+    def coerce(self) -> "RunConfig":
+        """Convert each field, as a JSON file gives it, to its type; raises
+        TypeError or ValueError on a value that does not convert."""
+        optional = lambda convert, value: None if value is None else convert(value)
+        self.alpha, self.kernel = float(self.alpha), str(self.kernel)
+        self.weight = optional(str, self.weight)
+        # N stays a float here, so that check_step sees a fractional N
+        self.ladder = tuple((float(R), float(N)) for R, N in self.ladder)
+        self.delta = optional(float, self.delta)
+        self.interior_margin = optional(float, self.interior_margin)
+        self.output_dir = Path(self.output_dir)
+        self.checks = optional(lambda names: tuple(str(c) for c in names), self.checks)
+        return self
+
     def validate(self) -> "RunConfig":
-        try:
-            check_alpha(self.alpha)
-        except DomainError as exc:
-            raise ConfigError(str(exc)) from exc
+        """Check each field with the rule that owns it (each error exits 2)."""
+        check_alpha(self.alpha)
         if not self.ladder:
             raise ConfigError("ladder must contain at least one (R, N) step")
-        for R, N in self.ladder:
-            if not (0 < R < math.inf and float(N).is_integer() and N >= 2 and N % 2 == 0):
-                raise ConfigError(f"invalid ladder step (R={R}, N={N})")
-        self.ladder = tuple((R, int(N)) for R, N in self.ladder)
+        self.ladder = tuple(check_step(R, N) for R, N in self.ladder)
         for name, value in (("delta", self.delta), ("interior_margin", self.interior_margin)):
             if value is not None and not 0 < value < math.inf:
                 raise ConfigError(f"{name} must be positive and finite, got {value}")
-        if self.checks:
-            bad = [c for c in self.checks if c.upper() not in CHECK_NAMES]
-            if bad:
-                raise ConfigError(f"unknown checks {bad}; valid: {list(CHECK_NAMES)}")
+        self.checks = select_checks(self.checks)
         return self
 
 
@@ -167,7 +175,6 @@ def _open_output(config: RunConfig) -> Path:
 
 
 def cmd_symbol(config: RunConfig) -> int:
-    out = _open_output(config)
     xi_grid = np.arange(-50, 51) / 10.0
     lines = ["xi,sigma_gamma,sigma_quadrature,abs_diff"]
     for xi in xi_grid:
@@ -176,7 +183,7 @@ def cmd_symbol(config: RunConfig) -> int:
         lines.append(
             ",".join([_fmt(xi), _fmt(s_gamma), _fmt(s_quad), _fmt(abs(s_gamma - s_quad))])
         )
-    _write_atomic(out / "symbol.csv", "\n".join(lines) + "\n")
+    _write_atomic(_open_output(config) / "symbol.csv", "\n".join(lines) + "\n")
     return 0
 
 
@@ -189,15 +196,10 @@ def cmd_spectrum(config: RunConfig) -> int:
             f"{exc}: the defaults are fractions of it; give --delta and --margin"
         ) from exc
     predicted.interiors(margin)  # a margin that empties every interval fails here
-    out = _open_output(config)
-    steps = []
+    eig_files, steps = {}, []
     for R, N in config.ladder:
-        grid = make_grid(R, N)
-        eigs = sym_eigen(assemble_wHa(spec_a, spec_w, grid))
-        _write_atomic(
-            out / f"eigs_R{R:g}_N{N}.csv",
-            "\n".join(_fmt(e) for e in eigs) + "\n",
-        )
+        eigs = sym_eigen(assemble_wHa(spec_a, spec_w, make_grid(R, N)))
+        eig_files[f"eigs_R{R:g}_N{N}.csv"] = "\n".join(_fmt(e) for e in eigs) + "\n"
         report = analyze(eigs, predicted, delta, margin)
         steps.append(
             {
@@ -223,6 +225,9 @@ def cmd_spectrum(config: RunConfig) -> int:
         "predicted": predicted.as_dict(),
         "steps": steps,
     }
+    out = _open_output(config)
+    for name, text in eig_files.items():
+        _write_atomic(out / name, text)
     _write_json(out / "spectral_report.json", payload)
     return 0
 
@@ -244,10 +249,13 @@ _FLAGS = {
     "N": dict(type=int, help="single-step ladder override"),
     "kernel": dict(type=str),
     "weight": dict(type=str),
-    "out": dict(type=Path, help="output directory"),
+    "out": dict(type=Path, dest="output_dir", help="output directory"),
     "delta": dict(type=float),
-    "margin": dict(type=float),
-    "checks": dict(type=str, help="comma-separated C1..C8"),
+    "margin": dict(type=float, dest="interior_margin"),
+    "checks": dict(
+        type=lambda text: tuple(c.strip() for c in text.split(",") if c.strip()),
+        help="comma-separated C1..C8",
+    ),
 }
 
 
@@ -264,8 +272,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("verify", cmd_verify, ("config", "alpha", *family, "out", "checks")),
     ):
         p = sub.add_parser(name)
-        # each subcommand takes only the flags it reads; the others read as unset
-        p.set_defaults(func=fn, **dict.fromkeys(_FLAGS))
+        p.set_defaults(func=fn)
         for flag in flags:
             p.add_argument(f"--{flag}", **_FLAGS[flag])
     return parser
@@ -280,58 +287,24 @@ def load_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"could not read config {args.config}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config file must hold a JSON object")
-        known = {
-            "alpha",
-            "kernel",
-            "weight",
-            "ladder",
-            "delta",
-            "interior_margin",
-            "output_dir",
-            "checks",
-        }
-        unknown = set(raw) - known
+        unknown = set(raw) - {f.name for f in fields(RunConfig)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         try:
-            if "alpha" in raw:
-                config.alpha = float(raw["alpha"])
-            if "kernel" in raw:
-                config.kernel = str(raw["kernel"])
-            if "weight" in raw:
-                config.weight = None if raw["weight"] is None else str(raw["weight"])
-            if "ladder" in raw:
-                # N stays a float here, so that validate() sees a fractional N
-                config.ladder = tuple((float(R), float(N)) for R, N in raw["ladder"])
-            if "delta" in raw and raw["delta"] is not None:
-                config.delta = float(raw["delta"])
-            if "interior_margin" in raw and raw["interior_margin"] is not None:
-                config.interior_margin = float(raw["interior_margin"])
-            if "output_dir" in raw:
-                config.output_dir = Path(raw["output_dir"])
-            if "checks" in raw and raw["checks"] is not None:
-                config.checks = tuple(str(c) for c in raw["checks"])
+            config = RunConfig(**raw).coerce()
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"malformed value in config {args.config}: {exc}") from exc
-    # flags win over the file
-    if args.alpha is not None:
-        config.alpha = args.alpha
-    if args.kernel is not None:
-        config.kernel = args.kernel
-    if args.weight is not None:
-        config.weight = args.weight
-    if (args.R is None) != (args.N is None):
+    # flags win over the file; a subcommand's flags are named after the
+    # fields they set, and a flag it does not take reads as unset
+    for f in fields(RunConfig):
+        value = getattr(args, f.name, None)
+        if value is not None:
+            setattr(config, f.name, value)
+    R, N = getattr(args, "R", None), getattr(args, "N", None)
+    if (R is None) != (N is None):
         raise ConfigError("--R and --N must be given together")
-    if args.R is not None:
-        config.ladder = ((args.R, args.N),)
-    if args.out is not None:
-        config.output_dir = args.out
-    if args.delta is not None:
-        config.delta = args.delta
-    if args.margin is not None:
-        config.interior_margin = args.margin
-    if args.checks is not None:
-        config.checks = tuple(c.strip() for c in args.checks.split(",") if c.strip())
+    if R is not None:
+        config.ladder = ((R, N),)
     return config.validate()
 
 
@@ -340,10 +313,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(load_config(args))
-    except (ConfigError, DomainError, GridError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ConfigError, DomainError, GridError, KernelEvaluationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

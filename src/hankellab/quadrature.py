@@ -11,7 +11,10 @@ import numpy as np
 
 from .errors import GridError, KernelEvaluationError, QuadratureError
 
-__all__ = ["Grid", "OperatorMatrix", "make_grid", "nystrom", "nystrom_rect", "quad_integral"]
+__all__ = [
+    "Grid", "OperatorMatrix", "check_step", "make_grid", "nystrom", "nystrom_rect",
+    "quad_integral",
+]
 
 # Rows per strip of the Nystrom assemblies and of the symmetry test in
 # linalg: temporaries stay at ROW_BLOCK rows of the output.
@@ -54,15 +57,21 @@ class Grid:
         raise GridError(f"side must be 'zero' or 'infinity', got {name!r}")
 
 
-def make_grid(R: float, N: int) -> Grid:
-    """Build the midpoint log grid; N must be even (the split at t = 1 needs
+def check_step(R: float, N: int) -> Tuple[float, int]:
+    """The grid step (R, N) as (float, int); raises GridError unless R is
+    positive and finite and N an even integer >= 2 (the split at t = 1 needs
     a midpoint-free symmetric grid)."""
     R = float(R)
     if not 0.0 < R < math.inf:
         raise GridError(f"R must be positive and finite, got {R}")
-    if N != int(N) or int(N) < 2 or int(N) % 2 != 0:
+    if not (float(N).is_integer() and N >= 2 and N % 2 == 0):
         raise GridError(f"N must be an even integer >= 2, got {N}")
-    N = int(N)
+    return R, int(N)
+
+
+def make_grid(R: float, N: int) -> Grid:
+    """Build the midpoint log grid on the step (R, N) of :func:`check_step`."""
+    R, N = check_step(R, N)
     h = 2.0 * R / N
     x_low = -R + (np.arange(N // 2) + 0.5) * h
     x = np.concatenate([x_low, -x_low[::-1]])
@@ -109,10 +118,9 @@ def _evaluate_kernel(K, s, t):
     bad = ~np.isfinite(vals)
     if bad.any():
         i, j = np.argwhere(bad)[0]
+        s_bad, t_bad = float(s[i, 0]), float(t[0, j])
         raise KernelEvaluationError(
-            f"kernel evaluation not finite at (s, t) = ({s[i, 0]!r}, {t[0, j]!r})",
-            s=float(s[i, 0]),
-            t=float(t[0, j]),
+            f"kernel evaluation not finite at (s, t) = ({s_bad!r}, {t_bad!r})", s=s_bad, t=t_bad
         )
     return vals
 

@@ -117,9 +117,12 @@ def mellin_symbol(alpha, xi: float) -> float:
 
     The model operator with kernel s^a t^a (s+t)^(-1-2a) is unitarily
     equivalent to multiplication by this function; its range is (0, pi_alpha].
+    The logs are subtracted before exp: each Gamma factor alone overflows
+    from alpha ~ 98.6 on.
     """
     a = check_alpha(alpha)
-    return gamma_abs_sq(a, xi) * math.exp(-ln_gamma(1.0 + 2.0 * a))
+    ln_abs_sq = 2.0 * _ln_gamma_complex(complex(0.5 + a, float(xi))).real
+    return math.exp(ln_abs_sq - ln_gamma(1.0 + 2.0 * a))
 
 
 def _symbol_trapezoid(a: float, xi: float, half_width: float, step: float) -> float:

@@ -46,11 +46,13 @@ from . import discretize as dz
 from .errors import DomainError
 from .kernels import rational_test_family
 from .linalg import op_norm, singular_values, sym_eigen
-from .quadrature import ROW_BLOCK, Grid, make_grid, quad_integral
+from .quadrature import ROW_BLOCK, Grid, check_step, make_grid, quad_integral
 from .spectra import analyze, predict, schatten_diagnostic
 from .specfun import check_alpha, pi_alpha
 
-__all__ = ["CheckResult", "VerificationReport", "run_suite", "check_ladder", "CHECK_NAMES"]
+__all__ = [
+    "CheckResult", "VerificationReport", "run_suite", "check_ladder", "select_checks", "CHECK_NAMES"
+]
 
 CHECK_NAMES = ("C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8")
 
@@ -193,21 +195,22 @@ _HS_GRIDS = ((8.0, 600), (4.0, 600), (8.0, 1200))
 
 
 def _check_c4(alpha: float):
-    g_id = make_grid(*_HS_GRIDS[0])
-    Lr = dz.assemble_L_rect(alpha, g_id)
+    grids = [make_grid(R, N) for R, N in _HS_GRIDS]
+    # |u L|_HS^2 = sum_i u(t_i)^2 r_i, with r_i the squared norm of row i of
+    # the widened factor; each factor is reduced to r as soon as it is built,
+    # with no temporary of its size
+    row_norms_sq = lambda L: np.einsum("ij,ij->i", L, L)
+    row_sq = [row_norms_sq(dz.assemble_L_rect(alpha, g).entries) for g in grids]
+    g_id = grids[0]
     scale = 2.0 ** (-1.0 - 2.0 * alpha)
     rows, ok = [], True
     for label, u in _HS_BATTERY:
-        lhs = float((dz.assemble_uL(u, Lr).entries ** 2).sum())
+        lhs = float((u(g_id.nodes) ** 2 * row_sq[0]).sum())
         rhs = scale * quad_integral(lambda t: u(t) ** 2 / t, g_id)
         rel = abs(lhs - rhs) / abs(rhs)
         rows.append({"u": label, "hs_sq": lhs, "integral": rhs, "rel_err": rel})
         ok = ok and rel <= HS_REL_TOL
-    del Lr  # freed before the witness's larger assemblies, the suite's memory peak
-    fr = []
-    for R, N in _HS_GRIDS[1:]:
-        uL = dz.assemble_uL(np.ones_like, dz.assemble_L_rect(alpha, make_grid(R, N)))
-        fr.append(float(np.sqrt((uL.entries**2).sum())))
+    fr = [float(np.sqrt(r.sum())) for r in row_sq[1:]]
     ratio = fr[1] / fr[0]
     rows.append({"u": "constant_1", "hs_R4": fr[0], "hs_R8": fr[1], "ratio": ratio})
     return rows, ok and ratio >= HS_WITNESS_RATIO
@@ -387,14 +390,27 @@ _CHECKS: Dict[str, Tuple[str, str, Callable[[Sequence[dict]], bool]]] = {
 
 
 def check_ladder(ladder: Sequence[Tuple[float, int]]) -> List[Tuple[float, int]]:
-    """The ladder as (R, N) pairs; raises DomainError unless it is non-empty
-    and increasing in (R, N)."""
-    ladder = [(float(R), int(N)) for R, N in ladder]
+    """The ladder as (R, N) pairs of :func:`check_step`, which raises
+    GridError on a bad step; raises DomainError unless the ladder is
+    non-empty and increasing in (R, N)."""
+    ladder = [check_step(R, N) for R, N in ladder]
     if not ladder:
         raise DomainError("ladder must be non-empty")
     if any(ladder[i] >= ladder[i + 1] for i in range(len(ladder) - 1)):
         raise DomainError("ladder must be increasing in (R, N)")
     return ladder
+
+
+def select_checks(names: Optional[Sequence[str]] = None) -> Tuple[str, ...]:
+    """The named checks, in any case, in report order, or all eight when none
+    are named; raises DomainError on an unknown name."""
+    if not names:
+        return CHECK_NAMES
+    upper = {c.upper() for c in names}
+    bad = [c for c in names if c.upper() not in CHECK_NAMES]
+    if bad:
+        raise DomainError(f"unknown checks: {bad}; valid names are {CHECK_NAMES}")
+    return tuple(name for name in CHECK_NAMES if name in upper)
 
 
 def run_suite(
@@ -405,18 +421,15 @@ def run_suite(
 ) -> VerificationReport:
     """Run the selected checks (all eight by default) over the ladder.
 
-    The ladder must be non-empty and increasing in (R, N); individual check
-    failures are recorded and the suite continues.  Reports are deterministic:
-    rerunning with identical inputs gives identical output.
+    The ladder must pass :func:`check_ladder` and the checks
+    :func:`select_checks`; individual check failures are recorded and the
+    suite continues.  Reports are deterministic: rerunning with identical
+    inputs gives identical output.
     """
     a = check_alpha(alpha)
     ladder = check_ladder(ladder)
     grids = [make_grid(R, N) for R, N in ladder]
-    selected = tuple(checks) if checks else CHECK_NAMES
-    bad = [c for c in selected if c.upper() not in CHECK_NAMES]
-    if bad:
-        raise DomainError(f"unknown checks: {bad}; valid names are {CHECK_NAMES}")
-    selected = [name for name in CHECK_NAMES if name in {c.upper() for c in selected}]
+    selected = select_checks(checks)
 
     rows: Dict[str, list] = {name: [] for name in selected}
     passed = dict.fromkeys(selected, True)

@@ -98,6 +98,12 @@ class TestSymbolCommand:
         order = np.argsort(xi)
         assert sg[order] == pytest.approx(sg[order][::-1], rel=1e-12)
 
+    def test_large_alpha(self, tmp_path):
+        # each Gamma factor of the symbol overflows on its own from alpha ~ 98.6
+        assert main(["symbol", "--alpha", "200", "--out", str(tmp_path)]) == 0
+        sg = read_csv_column(tmp_path / "symbol.csv", "sigma_gamma")
+        assert np.isfinite(sg).all() and sg.max() <= 4.86e-122
+
     def test_half_alpha_value_one(self, tmp_path):
         assert main(["symbol", "--alpha", "0.5", "--out", str(tmp_path)]) == 0
         xi = read_csv_column(tmp_path / "symbol.csv", "xi")
@@ -311,6 +317,8 @@ class TestConfigValidation:
             ["spectrum", "--weight", "rational(nan,1)", "--R", "6", "--N", "200"],
             ["verify", "--kernel", "rational(nan,1,1,1)", "--R", "6", "--N", "200"],
             ["spectrum", "--kernel", "rational(1,1,1e200,1)", "--R", "6", "--N", "200"],
+            # finite parameters whose kernel overflows on the grid
+            ["spectrum", "--kernel", "rational(1e307,1,1,1)", "--R", "6", "--N", "200"],
             # predicts no interval, so the default delta and margin are 0
             ["spectrum", "--kernel", "rational(0,0,0,0)", "--R", "6", "--N", "200"],
             ["spectrum", "--kernel", "rational(0,0,0,0)", "--R", "6", "--N", "200", "--delta", "1"],
@@ -325,6 +333,7 @@ class TestConfigValidation:
             "spectrum_nan_weight",
             "verify_nan_kernel",
             "spectrum_endpoint_overflow",
+            "spectrum_kernel_overflow",
             "spectrum_zero_family_defaults",
             "spectrum_zero_family_default_margin",
         ],

@@ -93,6 +93,10 @@ class TestMellinSymbol:
     def test_origin_is_pi_alpha(self, alpha):
         assert mellin_symbol(alpha, 0.0) == pytest.approx(pi_alpha(alpha), rel=1e-13)
 
+    def test_large_alpha_does_not_overflow(self):
+        # |Gamma(1/2 + alpha + i xi)|^2 alone overflows from alpha ~ 98.6 on
+        assert mellin_symbol(200.0, 0.0) == pytest.approx(pi_alpha(200.0), rel=1e-12)
+
     def test_carleman_closed_form(self):
         for xi in np.linspace(-4.0, 4.0, 33):
             assert mellin_symbol(0.0, float(xi)) == pytest.approx(

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from hankellab import DomainError, make_grid, op_norm, run_suite
+from hankellab import DomainError, GridError, make_grid, op_norm, run_suite
 from hankellab import discretize as dz
 from hankellab import verify
 from hankellab.linalg import _is_symmetric
@@ -124,6 +124,19 @@ class TestRunSuite:
             sq = dz.operator_square(dz.assemble_L_rect(alpha, grid)).entries
             assert abs(row["residual"] - op_norm(sq - A) / op_norm(A)) <= 1e-14
 
+    @pytest.mark.parametrize("alpha", [-0.25, 0.0, 0.5, 2.0])
+    def test_c4_row_norms_match_the_uL_product(self, alpha):
+        # oracle: the HS norms from the full N x 2N products u L
+        rows, ok = verify._check_c4(alpha)
+        factors = [dz.assemble_L_rect(alpha, make_grid(R, N)) for R, N in verify._HS_GRIDS]
+        hs_sq = lambda u, Lr: float((dz.assemble_uL(u, Lr).entries ** 2).sum())
+        for row, (label, u) in zip(rows, verify._HS_BATTERY):
+            assert row["u"] == label
+            assert row["hs_sq"] == pytest.approx(hs_sq(u, factors[0]), rel=1e-14)
+        witness = [math.sqrt(hs_sq(np.ones_like, Lr)) for Lr in factors[1:]]
+        assert [rows[-1]["hs_R4"], rows[-1]["hs_R8"]] == pytest.approx(witness, rel=1e-14)
+        assert ok
+
     def test_c6_sigma_ratio_reads_zero_below_the_rank_floor(self):
         # L_00 has numerical rank 8: its tenth singular value is rounding noise
         row = run_suite(0.0, [(6.0, 200)], checks=["C6"]).checks[0].metrics[0]
@@ -231,6 +244,15 @@ class TestRunSuite:
             run_suite(0.0, [])
         with pytest.raises(DomainError):
             run_suite(0.0, [(8.0, 400), (6.0, 200)])
+
+    @pytest.mark.parametrize("step", [(6.0, 200.9), (6.0, 201), (0.0, 200), (math.inf, 200)])
+    def test_rejects_bad_step(self, step):
+        with pytest.raises(GridError):
+            run_suite(0.0, [step])
+
+    def test_select_checks_in_report_order(self):
+        assert verify.select_checks(None) == verify.CHECK_NAMES
+        assert verify.select_checks(["c5", "C2", "C5"]) == ("C2", "C5")
 
     def test_rejects_unknown_check(self):
         with pytest.raises(DomainError):
