@@ -43,16 +43,11 @@ from .spectra import (
     schatten_diagnostic,
 )
 from .specfun import (
-    gamma_abs_sq,
     ln_gamma,
     mellin_symbol,
-    phi0,
-    phi_inf,
     pi_alpha,
     psi_minus,
     psi_plus,
-    reg_gamma_lower,
-    reg_gamma_upper,
     symbol_by_quadrature,
 )
 from .verify import VerificationReport, run_suite

@@ -31,7 +31,7 @@ from .discretize import assemble_wHa
 from .errors import ConfigError, DomainError, GridError, KernelEvaluationError
 from .kernels import KernelSpec, WeightSpec, power_family, rational_test_family
 from .linalg import sym_eigen
-from .quadrature import check_step, make_grid
+from .quadrature import make_grid
 from .spectra import PredictedSpectrum, analyze, predict
 from .specfun import check_alpha, mellin_symbol, symbol_by_quadrature
 from .verify import check_ladder, run_suite, select_checks
@@ -67,9 +67,7 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         """Check each field with the rule that owns it (each error exits 2)."""
         check_alpha(self.alpha)
-        if not self.ladder:
-            raise ConfigError("ladder must contain at least one (R, N) step")
-        self.ladder = tuple(check_step(R, N) for R, N in self.ladder)
+        self.ladder = tuple(check_ladder(self.ladder))
         for name, value in (("delta", self.delta), ("interior_margin", self.interior_margin)):
             if value is not None and not 0 < value < math.inf:
                 raise ConfigError(f"{name} must be positive and finite, got {value}")
@@ -234,7 +232,6 @@ def cmd_spectrum(config: RunConfig) -> int:
 
 def cmd_verify(config: RunConfig) -> int:
     spec_a, spec_w, _ = resolve_family(config)
-    check_ladder(config.ladder)
     out = _open_output(config)
     family = (spec_a.a0, spec_a.a_inf, spec_w.b0, spec_w.b_inf)
     report = run_suite(config.alpha, config.ladder, checks=config.checks, family=family)

@@ -109,7 +109,9 @@ class OperatorMatrix:
 def _evaluate_kernel(K, s, t):
     """K on every pair of the node column ``s`` (n x 1) and row ``t`` (1 x m)."""
     try:
-        vals = np.asarray(K(s, t), dtype=float)
+        # an overflow or a division by zero shows as a non-finite value below
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            vals = np.asarray(K(s, t), dtype=float)
     except Exception as exc:
         raise KernelEvaluationError(f"kernel evaluation raised on the node arrays: {exc}") from exc
     shape = (s.shape[0], t.shape[1])

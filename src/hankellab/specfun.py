@@ -22,15 +22,10 @@ from .errors import DomainError, QuadratureError
 __all__ = [
     "check_alpha",
     "ln_gamma",
-    "gamma_abs_sq",
     "pi_alpha",
     "mellin_symbol",
     "symbol_by_quadrature",
-    "reg_gamma_lower",
-    "reg_gamma_upper",
     "phi_split",
-    "phi0",
-    "phi_inf",
     "psi_plus",
     "psi_minus",
 ]
@@ -93,17 +88,6 @@ def _ln_gamma_complex(z: complex) -> complex:
         series += _LANCZOS_C[i] / (zz + i)
     t = zz + _LANCZOS_G
     return _LOG_SQRT_TWO_PI + (zz + 0.5) * cmath.log(t) - t + cmath.log(series)
-
-
-def gamma_abs_sq(alpha, xi: float) -> float:
-    """|Gamma(1/2 + alpha + i*xi)|^2.
-
-    Strictly positive, even in xi and decreasing in |xi|.  Computed from the
-    real part of the complex log-Gamma, never from the reflection formula (the
-    reflection identity at alpha = 0 is kept as an independent test oracle).
-    """
-    a = check_alpha(alpha)
-    return math.exp(2.0 * _ln_gamma_complex(complex(0.5 + a, float(xi))).real)
 
 
 def pi_alpha(alpha) -> float:
@@ -234,16 +218,6 @@ def _reg_gamma_pair(s, t, tol: float = 1e-14, itmax: int = 500):
     return p, q
 
 
-def reg_gamma_lower(s, t):
-    """Regularised lower incomplete Gamma P(s, t); P(s, 0) = 0."""
-    return _reg_gamma_pair(s, t)[0]
-
-
-def reg_gamma_upper(s, t):
-    """Regularised upper incomplete Gamma Q(s, t) = 1 - P(s, t)."""
-    return _reg_gamma_pair(s, t)[1]
-
-
 def _check_positive_t(t):
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr <= 0.0):
@@ -253,7 +227,12 @@ def _check_positive_t(t):
 
 def phi_split(alpha, t):
     """The split t^(-1-2a) = phi0(t) + phi_inf(t) as the pair (phi0, phi_inf),
-    from one evaluation of the incomplete Gamma pair (Q, P)(1+2a, t)."""
+    from one evaluation of the incomplete Gamma pair (Q, P)(1+2a, t).
+
+    phi0(t) = t^(-1-2a) Q(1+2a, t) = (1/Gamma(1+2a)) int_1^inf x^(2a) e^(-xt) dx
+    carries the large-t end and decays like e^(-t); phi_inf(t) = t^(-1-2a)
+    P(1+2a, t) = (1/Gamma(1+2a)) int_0^1 x^(2a) e^(-xt) dx carries the small-t
+    end and is bounded near 0 with limit 1/Gamma(2+2a)."""
     a = check_alpha(alpha)
     t_arr = _check_positive_t(t)
     p, q = _reg_gamma_pair(1.0 + 2.0 * a, t_arr)
@@ -261,24 +240,6 @@ def phi_split(alpha, t):
     if np.ndim(t) == 0:
         return float(power * q), float(power * p)
     return power * q, power * p
-
-
-def phi0(alpha, t):
-    """Model kernel carrying the large-t end: t^(-1-2a) * Q(1+2a, t).
-
-    Equals (1/Gamma(1+2a)) * int_1^inf x^(2a) e^(-x t) dx and decays like
-    e^(-t) at infinity.
-    """
-    return phi_split(alpha, t)[0]
-
-
-def phi_inf(alpha, t):
-    """Model kernel carrying the small-t end: t^(-1-2a) * P(1+2a, t).
-
-    Equals (1/Gamma(1+2a)) * int_0^1 x^(2a) e^(-x t) dx; bounded near t = 0
-    with limit 1/Gamma(2+2a), and phi0 + phi_inf = t^(-1-2a) identically.
-    """
-    return phi_split(alpha, t)[1]
 
 
 def psi_plus(alpha, t):

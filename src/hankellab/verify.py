@@ -5,14 +5,16 @@ deterministic report.
 Check table (names match the report):
 
   C1  factorisation        A = L^2 through the widened composition quadrature
-  C2  block similarity     inversion symmetry makes the two diagonal blocks
-                           of A exactly isospectral
+  C2  block equivalence    inversion symmetry makes the two diagonal blocks
+                           of A unitarily equivalent under J (the index
+                           reversal): A_00 = J A_inf,inf J entrywise
   C3  kernel split         H(phi0) + H(phi_inf) = A entrywise, and H(phi0)
                            approximates L * 1_inf * L under refinement
   C4  hs identity          |u L|_HS^2 = 2^(-1-2a) int |u|^2 dt/t, plus the
                            divergence witness u = 1
   C5  log pushforward      diagonal blocks of L are unitarily equivalent to
-                           Hankel matrices with kernels psi+/psi-
+                           Hankel matrices with kernels psi+/psi-: d B d = H
+                           entrywise, d the change-of-variables diagonal
   C6  schatten decay       diagonal blocks of L and the cross block of A
                            decay faster than any polynomial; cross-block
                            nuclear norm bounded along the ladder
@@ -23,8 +25,11 @@ Check table (names match the report):
                            weighted blocks, weighted Hankel operator)
 
 Exact identities (C2, the split in C3, C5) are held to tight absolute
-thresholds; quadrature checks (C1, C3 composition, C4, C6, C7) are held to
-decreasing/bounded ladder rules with calibrated caps.
+thresholds.  C2 and C5 compare entries under the known unitary: the
+Frobenius norm of the difference bounds that of the two sorted eigenvalue
+lists (Hoffman-Wielandt), so neither solves an eigenproblem.  Quadrature
+checks (C1, C3 composition, C4, C6, C7) are held to decreasing/bounded
+ladder rules with calibrated caps.
 
 :func:`run_suite` walks the ladder once.  On each step (R, N) it builds the
 operators the checks share (:class:`_GridPieces`), lets every selected check
@@ -153,18 +158,24 @@ def _check_c1(alpha: float, p: _GridPieces):
 
 
 def _check_c2(alpha: float, p: _GridPieces):
-    A = p.A.entries
-    e0 = sym_eigen(A[p.m0, p.m0])
-    ei = sym_eigen(A[p.mi, p.mi])
-    diff = float(np.abs(e0 - ei).max())
-    a_norm = float(np.abs(np.concatenate([e0, ei])).max())
-    # max|A - JAJ| strip by strip against the reversed rows, with no N x N temporary
-    JAJ, persym = A[::-1, ::-1], 0.0
+    A, n = p.A.entries, p.m0.stop
+    # A - JAJ strip by strip against the reversed rows, with no N x N
+    # temporary: its largest entry is the persymmetry defect, and its (0, 0)
+    # quarter is A_00 - J A_inf,inf J, whose Frobenius norm bounds the
+    # difference of the two blocks' sorted eigenvalues (Hoffman-Wielandt)
+    JAJ, persym, diff_sq, scale = A[::-1, ::-1], 0.0, 0.0, 1e-300
     for r0 in range(0, len(A), ROW_BLOCK):
         strip = A[r0 : r0 + ROW_BLOCK] - JAJ[r0 : r0 + ROW_BLOCK]
         persym = max(persym, float(np.abs(strip).max()))
+        if r0 < n:
+            rows = slice(r0, min(r0 + ROW_BLOCK, n))
+            quarter = strip[: rows.stop - r0, :n]
+            diff_sq += float(np.einsum("ij,ij->", quarter, quarter))
+            scale = max(scale, float(np.abs(A[rows, :n]).max()))
+    diff = math.sqrt(diff_sq)
     row = {"eig_diff": diff, "persymmetry_defect": persym}
-    return row, diff <= BLOCK_EIG_TOL * max(a_norm, 1e-300)
+    # max|A_00| <= |A_00|_2: never looser than a scale from the top eigenvalue
+    return row, diff <= BLOCK_EIG_TOL * scale
 
 
 def _check_c3(alpha: float, p: _GridPieces):
@@ -217,15 +228,19 @@ def _check_c4(alpha: float):
 
 
 def _check_c5(alpha: float, p: _GridPieces):
+    # |d B d - H|_F bounds the difference of the sorted eigenvalues of the
+    # block B and of the Hankel matrix H (Hoffman-Wielandt)
     row, ok = {}, True
     for side, mask in (("zero", p.m0), ("infinity", p.mi)):
         block = p.L.entries[mask, mask]
         if side == "zero":
             block = block[::-1, ::-1]  # ascending in x = -ln t
         d = dz.change_of_variables_diagonal(p.grid, side)
-        pushed = d[:, np.newaxis] * block * d[np.newaxis, :]
-        H = dz.log_pushforward_hankel(side, alpha, p.grid).entries
-        diff = float(np.abs(sym_eigen(pushed) - sym_eigen(H)).max())
+        # one quarter-size buffer per side: scaled, then differenced in place
+        pushed = d[:, np.newaxis] * block
+        pushed *= d[np.newaxis, :]
+        pushed -= dz.log_pushforward_hankel(side, alpha, p.grid).entries
+        diff = float(np.linalg.norm(pushed))
         row[f"eig_diff_{side}"] = diff
         ok = ok and diff <= PUSHFORWARD_TOL
     return row, ok
@@ -352,7 +367,7 @@ _CHECKS: Dict[str, Tuple[str, str, Callable[[Sequence[dict]], bool]]] = {
     ),
     "C2": (
         "inversion symmetry: diagonal blocks isospectral",
-        f"block eigenvalue lists agree to {BLOCK_EIG_TOL} * |A|",
+        f"|A_00 - J A_inf,inf J|_F <= {BLOCK_EIG_TOL} * max|A_00|",
         _any_ladder,
     ),
     "C3": (
@@ -367,7 +382,7 @@ _CHECKS: Dict[str, Tuple[str, str, Callable[[Sequence[dict]], bool]]] = {
     ),
     "C5": (
         "log-variable Hankel equivalence of diagonal blocks",
-        f"pushforward eigenvalue agreement <= {PUSHFORWARD_TOL}",
+        f"|d L_block d - H(psi)|_F <= {PUSHFORWARD_TOL} on each side",
         _any_ladder,
     ),
     "C6": (

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -273,6 +274,14 @@ class TestConfigValidation:
         assert main(["verify", "--config", str(config), "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_repeated_spectrum_step_rejected_before_output(self, tmp_path):
+        # the ladder rule that verify applies holds for spectrum too
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"ladder": [[6, 200], [6, 200]]}))
+        out = tmp_path / "out"
+        assert main(["spectrum", "--config", str(config), "--out", str(out)]) == 2
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "raw",
         [
@@ -342,6 +351,13 @@ class TestConfigValidation:
         out = tmp_path / "out"
         assert main(args + ["--out", str(out)]) == 2
         assert not out.exists()
+
+    def test_kernel_overflow_reported_without_a_numpy_warning(self, tmp_path):
+        args = ["spectrum", "--kernel", "rational(1e307,1,1,1)", "--R", "6", "--N", "200"]
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            assert main(args + ["--out", str(tmp_path / "out")]) == 2
+        assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
 
     def test_margin_emptying_every_interval_rejected(self, tmp_path):
         # [0, pi] less 2 at both ends is empty: no fill to report

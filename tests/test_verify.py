@@ -1,5 +1,6 @@
 """Verification-suite orchestration tests."""
 
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -12,8 +13,9 @@ import scipy.linalg
 
 from hankellab import DomainError, GridError, make_grid, op_norm, run_suite
 from hankellab import discretize as dz
-from hankellab import verify
+from hankellab import specfun, verify
 from hankellab.linalg import _is_symmetric
+from hankellab.quadrature import OperatorMatrix
 from hankellab.verify import _GridPieces, _residual_matrix
 
 SHORT_LADDER = [(6.0, 200), (8.0, 400)]
@@ -262,6 +264,101 @@ class TestRunSuite:
         for bad in (-0.5, math.inf):
             with pytest.raises(DomainError):
                 run_suite(bad, [(6.0, 200)])
+
+
+def _replace_entries(monkeypatch, name, change):
+    """Make ``dz.<name>`` return its matrix with the entries ``change(entries)``."""
+    assemble = getattr(dz, name)
+
+    def faulty(*args):
+        M = assemble(*args)
+        return OperatorMatrix(M.grid, change(M.entries), M.provenance, M.col_grid)
+
+    monkeypatch.setattr(dz, name, faulty)
+
+
+class TestUnitaryEquivalences:
+    """C2 and C5 compare the entries of two matrices under the known unitary,
+    so a fault that keeps the spectrum still fails them."""
+
+    def test_permuted_infinity_nodes_fail_c2(self, monkeypatch):
+        # A_inf,inf becomes P A_inf,inf P^T: the spectrum is kept, so equal
+        # eigenvalue lists would pass it
+        def relabel(A):
+            n = len(A) // 2
+            idx = np.concatenate([np.arange(n), n + np.random.default_rng(0).permutation(n)])
+            return A[np.ix_(idx, idx)]
+
+        _replace_entries(monkeypatch, "assemble_A", relabel)
+        assert run_suite(0.0, SHORT_LADDER, checks=["C2"]).verdict == "fail"
+
+    def test_reversed_hankel_fails_c5(self, monkeypatch):
+        # J H J has the spectrum of H, so equal eigenvalue lists would pass it
+        _replace_entries(monkeypatch, "log_pushforward_hankel", lambda H: H[::-1, ::-1])
+        assert run_suite(0.0, SHORT_LADDER, checks=["C5"]).verdict == "fail"
+
+    def test_wrong_weight_on_one_node_fails_c2(self, monkeypatch):
+        # equal eigenvalue lists reject this fault too
+        make = verify.make_grid
+
+        def one_wrong_weight(R, N):
+            grid = make(R, N)
+            w = grid.weights.copy()
+            w[3] *= 1.0 + 1e-6
+            return dataclasses.replace(grid, weights=w)
+
+        monkeypatch.setattr(verify, "make_grid", one_wrong_weight)
+        assert run_suite(0.0, SHORT_LADDER, checks=["C2"]).verdict == "fail"
+
+    @pytest.mark.parametrize("name", ["psi_plus", "psi_minus"])
+    def test_scaled_psi_fails_c5(self, monkeypatch, name):
+        # equal eigenvalue lists reject this fault too
+        psi = getattr(specfun, name)
+        monkeypatch.setattr(dz, name, lambda alpha, t: (1.0 + 1e-6) * psi(alpha, t))
+        assert run_suite(0.0, SHORT_LADDER, checks=["C5"]).verdict == "fail"
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    @pytest.mark.parametrize("R,N", DEFAULT_LADDER + LARGE_LADDER)
+    def test_metric_bounds_the_eigenvalue_lists(self, R, N, alpha):
+        # oracle: the sorted eigenvalue lists of each pair differ by at most
+        # the reported Frobenius norm (Hoffman-Wielandt) plus the
+        # eigensolver's rounding
+        p = _GridPieces(alpha, make_grid(R, N), (1.0, 1.0, 1.0, 1.0))
+        c2, c2_ok = verify._check_c2(alpha, p)
+        c5, c5_ok = verify._check_c5(alpha, p)
+        assert c2_ok and c5_ok
+        A, L = p.A.entries, p.L.entries
+        pairs = [(c2["eig_diff"], A[p.m0, p.m0], A[p.mi, p.mi])]
+        for side, mask in (("zero", p.m0), ("infinity", p.mi)):
+            d = dz.change_of_variables_diagonal(p.grid, side)
+            block = L[mask, mask] if side == "infinity" else L[mask, mask][::-1, ::-1]
+            H = dz.log_pushforward_hankel(side, alpha, p.grid).entries
+            pairs.append((c5[f"eig_diff_{side}"], d[:, np.newaxis] * block * d, H))
+        for bound, X, Y in pairs:
+            ex, ey = scipy.linalg.eigvalsh(X), scipy.linalg.eigvalsh(Y)
+            lam = max(np.abs(ex).max(), np.abs(ey).max())
+            assert np.abs(ex - ey).max() <= bound + len(X) * np.finfo(float).eps * lam
+
+    def test_no_eigen_or_singular_value_solver(self, monkeypatch):
+        # comparing eigenvalue lists would take two solves per step for C2 and four for C5
+        calls = Counter()
+        for owner, name in (
+            (verify, "sym_eigen"),
+            (verify, "singular_values"),
+            (verify, "op_norm"),
+            (np.linalg, "eigvalsh"),
+            (np.linalg, "eigh"),
+            (np.linalg, "svd"),
+        ):
+
+            def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+        rep = run_suite(0.5, SHORT_LADDER, checks=["C2", "C5"])
+        assert rep.verdict == "pass"
+        assert calls == {}
 
 
 class TestTwoBlockDecomposition:
