@@ -22,7 +22,6 @@ from .kernels import (
     WeightSpec,
     kernel_A,
     kernel_L,
-    power_family,
     rational_test_family,
     weighted_hankel_kernel,
 )

@@ -29,7 +29,7 @@ import numpy as np
 
 from .discretize import assemble_wHa
 from .errors import ConfigError, DomainError, GridError, KernelEvaluationError
-from .kernels import KernelSpec, WeightSpec, power_family, rational_test_family
+from .kernels import rational_test_family
 from .linalg import sym_eigen
 from .quadrature import make_grid
 from .spectra import PredictedSpectrum, analyze, predict
@@ -89,21 +89,19 @@ def _parse_call(text: str, name: str, n_args: int) -> List[float]:
     return values
 
 
-def resolve_family(config: RunConfig) -> Tuple[KernelSpec, WeightSpec, PredictedSpectrum]:
-    """Kernel/weight selection by built-in name, and the predicted spectrum; no
-    user code is executed.  A family with finite parameters and endpoints
-    meets the asymptotic hypotheses (see ``kernels``)."""
+def resolve_family(config: RunConfig) -> Tuple[Tuple[float, ...], PredictedSpectrum]:
+    """The family (a0, a_inf, b0, b_inf) of a built-in kernel and weight name,
+    and the predicted spectrum; no user code is executed.  ``power`` and
+    ``carleman`` are (1, 1, 1, 1).  A family with finite parameters and
+    endpoints meets the asymptotic hypotheses (see ``kernels``)."""
     alpha = config.alpha
     text = config.kernel.strip()
-    if text == "power":
-        spec_a, spec_w = power_family(alpha)
-    elif text == "carleman":
-        if alpha != 0.0:
-            raise ConfigError("the carleman kernel requires alpha = 0")
-        spec_a, spec_w = power_family(0.0)
+    if text == "carleman" and alpha != 0.0:
+        raise ConfigError("the carleman kernel requires alpha = 0")
+    if text in ("power", "carleman"):
+        family = [1.0, 1.0, 1.0, 1.0]
     elif text.startswith("rational(") and text.endswith(")"):
-        a0, a_inf, b0, b_inf = _parse_call(text, "rational", 4)
-        spec_a, spec_w = rational_test_family(alpha, a0, a_inf, b0, b_inf)
+        family = _parse_call(text, "rational", 4)
     else:
         raise ConfigError(
             f"unknown kernel {text!r}; built-ins: power, carleman, rational(a0,ainf,b0,binf)"
@@ -111,35 +109,18 @@ def resolve_family(config: RunConfig) -> Tuple[KernelSpec, WeightSpec, Predicted
     if config.weight is not None:
         wtext = config.weight.strip()
         if wtext == "power":
-            spec_w = power_family(alpha)[1]
+            family[2:] = 1.0, 1.0
         elif wtext.startswith("rational(") and wtext.endswith(")"):
-            b0, b_inf = _parse_call(wtext, "rational", 2)
-            spec_w = rational_test_family(alpha, 1.0, 1.0, b0, b_inf)[1]
+            family[2:] = _parse_call(wtext, "rational", 2)
         else:
             raise ConfigError(
                 f"unknown weight {wtext!r}; built-ins: power, rational(b0,binf)"
             )
-    predicted = predict(alpha, spec_a.a0, spec_a.a_inf, spec_w.b0, spec_w.b_inf)
-    return spec_a, spec_w, predicted
+    return tuple(family), predict(alpha, *family)
 
 
 def _fmt(value: float) -> str:
     return "%.17g" % float(value)
-
-
-def _normalize(obj):
-    """Round-trip floats through %.17g so reports are byte-deterministic."""
-    if isinstance(obj, dict):
-        return {str(k): _normalize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_normalize(v) for v in obj]
-    if isinstance(obj, (bool, int, str)) or obj is None:
-        return obj
-    if isinstance(obj, (float, np.floating)):
-        return float(_fmt(float(obj)))
-    if isinstance(obj, np.integer):
-        return int(obj)
-    return obj
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -156,7 +137,7 @@ def _write_atomic(path: Path, text: str) -> None:
 
 
 def _write_json(path: Path, payload) -> None:
-    _write_atomic(path, json.dumps(_normalize(payload), indent=2, sort_keys=True) + "\n")
+    _write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _open_output(config: RunConfig) -> Path:
@@ -186,7 +167,7 @@ def cmd_symbol(config: RunConfig) -> int:
 
 
 def cmd_spectrum(config: RunConfig) -> int:
-    spec_a, spec_w, predicted = resolve_family(config)
+    family, predicted = resolve_family(config)
     try:
         delta, margin = predicted.tolerances(config.delta, config.interior_margin)
     except DomainError as exc:
@@ -194,6 +175,7 @@ def cmd_spectrum(config: RunConfig) -> int:
             f"{exc}: the defaults are fractions of it; give --delta and --margin"
         ) from exc
     predicted.interiors(margin)  # a margin that empties every interval fails here
+    spec_a, spec_w = rational_test_family(config.alpha, *family)
     eig_files, steps = {}, []
     for R, N in config.ladder:
         eigs = sym_eigen(assemble_wHa(spec_a, spec_w, make_grid(R, N)))
@@ -215,10 +197,7 @@ def cmd_spectrum(config: RunConfig) -> int:
         "family": {
             "kernel": config.kernel,
             "weight": config.weight,
-            "a0": spec_a.a0,
-            "a_inf": spec_a.a_inf,
-            "b0": spec_w.b0,
-            "b_inf": spec_w.b_inf,
+            **dict(zip(("a0", "a_inf", "b0", "b_inf"), family)),
         },
         "predicted": predicted.as_dict(),
         "steps": steps,
@@ -231,9 +210,8 @@ def cmd_spectrum(config: RunConfig) -> int:
 
 
 def cmd_verify(config: RunConfig) -> int:
-    spec_a, spec_w, _ = resolve_family(config)
+    family, _ = resolve_family(config)
     out = _open_output(config)
-    family = (spec_a.a0, spec_a.a_inf, spec_w.b0, spec_w.b_inf)
     report = run_suite(config.alpha, config.ladder, checks=config.checks, family=family)
     _write_json(out / "verification_report.json", report.as_dict())
     return 0 if report.verdict == "pass" else 1

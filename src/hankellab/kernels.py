@@ -1,9 +1,15 @@
 """Kernel and weight families.
 
+A family is four numbers (a0, a_inf, b0, b_inf): every weighted operator the
+program assembles comes from ``rational_test_family(alpha, a0, a_inf, b0,
+b_inf)``.  The model pair a(t) = t^(-1-2 alpha), w(t) = t^alpha (the
+``power`` and ``carleman`` kernels of the command line) is its point
+(1, 1, 1, 1).
+
 The spectral predictions need the derivatives of t^(1+2 alpha) a(t) minus its
 limits a0, a_inf to decay at both ends, and t^(-alpha) w(t) to be bounded with
-finite integrals of |t^(-2 alpha) w^2 - b^2| dt/t.  The built-in families meet
-them in closed form, so nothing checks them at run time:
+finite integrals of |t^(-2 alpha) w^2 - b^2| dt/t.  The family meets them in
+closed form, so nothing checks them at run time:
 
     t^(1+2 alpha) a(t) - a0 = (a_inf - a0) t / (1+t),
     t^(-alpha) w(t) = (b0 + b_inf t) / (1+t), a convex combination of b0, b_inf.
@@ -33,7 +39,6 @@ __all__ = [
     "kernel_L",
     "weighted_hankel_kernel",
     "rational_test_family",
-    "power_family",
 ]
 
 
@@ -112,7 +117,7 @@ def rational_test_family(alpha, a0, a_inf, b0, b_inf) -> Tuple[KernelSpec, Weigh
     so that t^(1+2 alpha) a(t) - a0 = (a_inf - a0) t / (1+t) and
     t^(-alpha) w(t) = (b0 + b_inf t) / (1+t), a convex combination of b0 and
     b_inf: the hypotheses hold with margin 1 for any finite parameters.
-    At (1, 1, 1, 1) this reduces exactly to the model kernel/weight pair.
+    At (1, 1, 1, 1) this is the model kernel/weight pair in exact arithmetic.
     """
     a = check_alpha(alpha)
     a0, a_inf, b0, b_inf = float(a0), float(a_inf), float(b0), float(b_inf)
@@ -126,13 +131,4 @@ def rational_test_family(alpha, a0, a_inf, b0, b_inf) -> Tuple[KernelSpec, Weigh
     return (
         KernelSpec(alpha=a, eval=a_eval, a0=a0, a_inf=a_inf),
         WeightSpec(alpha=a, eval=w_eval, b0=b0, b_inf=b_inf),
-    )
-
-
-def power_family(alpha) -> Tuple[KernelSpec, WeightSpec]:
-    """Exact model pair a(t) = t^(-1-2 alpha), w(t) = t^alpha."""
-    a = check_alpha(alpha)
-    return (
-        KernelSpec(alpha=a, eval=lambda t: t ** (-1.0 - 2.0 * a), a0=1.0, a_inf=1.0),
-        WeightSpec(alpha=a, eval=lambda t: t**a, b0=1.0, b_inf=1.0),
     )

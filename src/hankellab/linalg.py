@@ -4,21 +4,21 @@ Hilbert-Schmidt / nuclear norms.
 Eigenvalues and singular values share one private route for symmetric
 matrices (every matrix the suite solves: C6 takes the cross block of A with
 its columns reversed, a symmetric Hankel matrix); the singular values are
-the sorted absolute eigenvalues.  From order LOWRANK_MIN_ORDER on it is a
-certified low-rank solve: the suite's operators have few eigenvalues above
-the rounding level, because their symbols decay like e^(-pi |xi|) (97-109
-of 3200 above n * eps * max|lambda| for the four benchmark families at (16,
-3200)).  A range finder from a fixed start block and Rayleigh-Ritz give the
+the sorted absolute eigenvalues.  It first tries a certified low-rank
+solve: the suite's operators have few eigenvalues above the rounding level,
+because their symbols decay like e^(-pi |xi|) (97-109 of 3200 above
+n * eps * max|lambda| for the four benchmark families at (16, 3200)).  A
+range finder from a fixed start block and Rayleigh-Ritz give the
 eigenvalues on a basis of k columns, the other n - k are returned as 0, and
 the result is accepted only when the certificate |S - Q T Q^T|_F plus the
 Ritz values set to 0 is at most n * eps * max|lambda|, the absolute
 accuracy of a dense solve.  By Hoffman & Wielandt the returned list then
 lies within the certificate of the exact sorted eigenvalues in 2-norm, so
-every value is within it.  Below that order, or when the numerical rank
-needs more than LOWRANK_CAP * n columns, the dense route runs: an
-even-order matrix that is centrosymmetric to rounding as two half-size
-solves, any other as one ``eigvalsh``, accurate to about n * eps *
-max|lambda| as well.
+every value is within it.  When the numerical rank needs more than
+LOWRANK_CAP * n columns (always below order 1024, where not even the first
+LOWRANK_BLOCK = 128 fit), the dense route runs: an even-order matrix that
+is centrosymmetric to rounding as two half-size solves, any other as one
+``eigvalsh``, accurate to about n * eps * max|lambda| as well.
 
 Any other matrix takes one dense SVD at every size.
 
@@ -62,18 +62,19 @@ LANCZOS_START_PHASE = 0.3
 # alpha = 5, 7.4 eps at alpha = 10) on the midpoint log grid.
 CENTRO_TOL = 16.0 * np.finfo(float).eps
 
-# A symmetric matrix of order >= LOWRANK_MIN_ORDER first tries the low-rank
-# route.  On the four benchmark families (best of 3, 2 OpenBLAS threads) it
-# took 1.1-1.3x the dense time at n = 800 on the centrosymmetric ones (about
-# 0.033 s against 0.025-0.031 s), 0.38-0.90x at n = 1200, 0.28-0.74x at 1600
-# and 0.12-0.33x at 3200.  Its basis starts at LOWRANK_BLOCK columns and
-# doubles; a basis is only certified when LOWRANK_SPARE of its columns lie
-# at the rounding level, and the route gives up once more than
-# LOWRANK_CAP * n columns would be needed: a certified 256-column solve took
-# 0.84x the centrosymmetric dense solve at n = 2400 (0.58x at 3200), so near
-# n / 8 columns the two cost the same.  A rank-530 matrix of order 1600 (the
-# R = 80 ladder) gives up after 0.015-0.018 s, 5-15% of its dense solve.
-LOWRANK_MIN_ORDER = 1200
+# A symmetric matrix first tries the low-rank route.  On the four benchmark
+# families (best of 3, 2 OpenBLAS threads) it took 1.1-1.3x the dense time at
+# n = 800 on the centrosymmetric ones (about 0.033 s against 0.025-0.031 s),
+# 0.38-0.90x at n = 1200, 0.28-0.74x at 1600 and 0.12-0.33x at 3200.  Its
+# basis starts at LOWRANK_BLOCK columns and doubles; a basis is only certified
+# when LOWRANK_SPARE of its columns lie at the rounding level, and the route
+# gives up once more than LOWRANK_CAP * n columns would be needed: a certified
+# 256-column solve took 0.84x the centrosymmetric dense solve at n = 2400
+# (0.58x at 3200), so near n / 8 columns the two cost the same, and below
+# order 1024 not even the first LOWRANK_BLOCK columns fit.  At n = 1024,
+# 1100 and 1198 (R = 11) it certified every family and took 0.85-1.00x the
+# dense time on the centrosymmetric ones and 0.41-0.59x on the others.  A rank-530 matrix of order 1600
+# (the R = 80 ladder) gives up after 0.015-0.018 s, 5-15% of its dense solve.
 LOWRANK_CAP = 0.125
 LOWRANK_BLOCK = 128
 LOWRANK_SPARE = 16
@@ -189,6 +190,8 @@ def _lowrank_eigvalsh(A: np.ndarray) -> Optional[Tuple[np.ndarray, float]]:
     the same bits.
     """
     n = A.shape[0]
+    if LOWRANK_BLOCK > LOWRANK_CAP * n:
+        return None
     scale = _unit_scale(A)
     tol = n * np.finfo(float).eps
     Y, k = np.empty((n, 0)), 0
@@ -245,12 +248,11 @@ def _dense_eigvalsh(A: np.ndarray) -> np.ndarray:
 
 def _sym_eigvalsh(A: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the symmetric part of a square matrix known
-    to be symmetric: the certified low-rank route from order
-    LOWRANK_MIN_ORDER on, the dense route below it or when that gives up."""
-    if A.shape[0] >= LOWRANK_MIN_ORDER:
-        found = _lowrank_eigvalsh(A)
-        if found is not None:
-            return found[0]
+    to be symmetric: the certified low-rank route, or the dense route when
+    that gives up."""
+    found = _lowrank_eigvalsh(A)
+    if found is not None:
+        return found[0]
     return _dense_eigvalsh(A)
 
 
@@ -259,16 +261,16 @@ def sym_eigen(M) -> np.ndarray:
 
     The input must be symmetric to 1e-12 relative; the eigenvalues are those
     of its exact symmetric part S = 1/2 (M + M^T), so they are real by
-    construction.  From order LOWRANK_MIN_ORDER on they come from the
-    certified low-rank route (see the module docstring and
-    ``_lowrank_eigvalsh``): every value lies within n * eps * max|lambda| of
-    the exact one, and the values outside the numerical range are exactly 0.
-    Otherwise an even-order S that is centrosymmetric to rounding (JSJ = S
-    with J the index reversal, as the suite's inversion-symmetric operators
-    are on the midpoint log grid), |S - JSJ|_F <= CENTRO_TOL * |S|_F, is
-    solved as the two half-size matrices B +- CJ of 1/2 (S + JSJ) (Cantoni &
-    Butler, Linear Algebra Appl. 13, 1976), at about a quarter of the flops.
-    By Weyl's inequality that moves each eigenvalue by at most
+    construction.  From order 1024 on they may come from the certified
+    low-rank route (see the module docstring and ``_lowrank_eigvalsh``):
+    every value lies within n * eps * max|lambda| of the exact one, and the
+    values outside the numerical range are exactly 0.  Otherwise an
+    even-order S that is centrosymmetric to rounding (JSJ = S with J the
+    index reversal, as the suite's inversion-symmetric operators are on the
+    midpoint log grid), |S - JSJ|_F <= CENTRO_TOL * |S|_F, is solved as the
+    two half-size matrices B +- CJ of 1/2 (S + JSJ) (Cantoni & Butler,
+    Linear Algebra Appl. 13, 1976), at about a quarter of the flops.  By
+    Weyl's inequality that moves each eigenvalue by at most
     1/2 |S - JSJ|_2 <= 1/2 CENTRO_TOL |S|_F; every other matrix takes one
     ``eigvalsh``.
     """

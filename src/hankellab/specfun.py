@@ -113,7 +113,7 @@ def _symbol_trapezoid(a: float, xi: float, half_width: float, step: float) -> fl
     n = int(math.ceil(2.0 * half_width / step))
     x = -half_width + step * np.arange(n + 1)
     # integrand of int_0^inf s^a (1+s)^(-1-2a) s^(-1/2+i xi) ds after s = e^x
-    f = np.exp((a + 0.5) * x - (1.0 + 2.0 * a) * np.log1p(np.exp(x))) * np.exp(1j * xi * x)
+    f = np.exp((a + 0.5) * x - (1.0 + 2.0 * a) * np.logaddexp(0.0, x)) * np.exp(1j * xi * x)
     total = f.sum() - 0.5 * (f[0] + f[-1])
     return abs(step * total)
 

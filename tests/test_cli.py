@@ -105,6 +105,13 @@ class TestSymbolCommand:
         sg = read_csv_column(tmp_path / "symbol.csv", "sigma_gamma")
         assert np.isfinite(sg).all() and sg.max() <= 4.86e-122
 
+    def test_alpha_near_minus_half_without_a_numpy_warning(self, tmp_path):
+        # the quadrature window passes x ~ 709, where e^x overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["symbol", "--alpha", "-0.45", "--out", str(tmp_path)]) == 0
+        assert read_csv_column(tmp_path / "symbol.csv", "abs_diff").max() <= 1e-8
+
     def test_half_alpha_value_one(self, tmp_path):
         assert main(["symbol", "--alpha", "0.5", "--out", str(tmp_path)]) == 0
         xi = read_csv_column(tmp_path / "symbol.csv", "xi")
@@ -177,6 +184,22 @@ class TestSpectrumCommand:
         eigs = read_csv_column(tmp_path / "eigs_R8_N400.csv", None, header=False)
         assert eigs.min() < -0.5  # negative branch genuinely populated
 
+    @pytest.mark.parametrize("alpha,name", [("0.5", "power"), ("0", "carleman")])
+    def test_model_names_are_rational_one(self, tmp_path, alpha, name):
+        # power and carleman are the family (1, 1, 1, 1), so they assemble
+        # the same matrix as rational(1,1,1,1), bit for bit
+        reports = {}
+        for kernel in (name, "rational(1,1,1,1)"):
+            out = tmp_path / kernel
+            args = ["spectrum", "--alpha", alpha, "--kernel", kernel, "--R", "8", "--N", "400"]
+            assert main(args + ["--out", str(out)]) == 0
+            reports[kernel] = json.loads((out / "spectral_report.json").read_text())
+        eigs = [(tmp_path / k / "eigs_R8_N400.csv").read_bytes() for k in reports]
+        assert eigs[0] == eigs[1]
+        for report in reports.values():
+            del report["family"]["kernel"]
+        assert reports[name] == reports["rational(1,1,1,1)"]
+
 
 class TestVerifyCommand:
     def test_defaults_pass(self, tmp_path):
@@ -228,6 +251,16 @@ class TestVerifyCommand:
         b1 = (out1 / "verification_report.json").read_bytes()
         b2 = (out2 / "verification_report.json").read_bytes()
         assert b1 == b2
+
+    def test_weighted_top_is_spectrum_top(self, tmp_path):
+        # verify's C8 and spectrum solve the one weighted matrix of a step
+        args = ["--alpha", "0.5", "--kernel", "power", "--R", "8", "--N", "400"]
+        assert main(["verify", *args, "--checks", "C8", "--out", str(tmp_path / "v")]) == 0
+        assert main(["spectrum", *args, "--out", str(tmp_path / "s")]) == 0
+        report = json.loads((tmp_path / "v" / "verification_report.json").read_text())
+        (c8,) = report["checks"]
+        eigs = read_csv_column(tmp_path / "s" / "eigs_R8_N400.csv", None, header=False)
+        assert c8["metrics"][0]["weighted_hankel"]["top"] == eigs.max()
 
     def test_single_coarse_step_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -433,6 +466,39 @@ class TestConfigValidation:
         assert code == 0
         report = json.loads((tmp_path / "spectral_report.json").read_text())
         assert report["family"]["b_inf"] == 2.0
+
+
+def _builtin_only(obj) -> bool:
+    """Whether obj is made of dicts with str keys, lists, tuples, str, int,
+    float, bool and None alone (no numpy scalars), which json writes
+    exactly: each float as its shortest round-trip repr."""
+    if type(obj) is dict:
+        return all(type(k) is str and _builtin_only(v) for k, v in obj.items())
+    if type(obj) in (list, tuple):
+        return all(_builtin_only(v) for v in obj)
+    return obj is None or type(obj) in (str, int, float, bool)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "--alpha", "0.5", "--kernel", "power"],
+        ["verify", "--alpha", "0", "--kernel", "rational(1,-1,1,1)"],
+        ["verify", "--alpha", "0.5", "--kernel", "rational(2,1,1,2)", "--checks", "C6,C8"],
+        ["spectrum", "--alpha", "0", "--kernel", "carleman"],
+        ["spectrum", "--alpha", "0.5", "--kernel", "rational(0,1,1,1)", "--weight", "rational(1,2)"],
+    ],
+    ids=lambda a: " ".join(a[:5]),
+)
+def test_report_payloads_hold_builtin_types(tmp_path, monkeypatch, args):
+    payloads, write = [], hankellab.cli._write_json
+    monkeypatch.setattr(
+        hankellab.cli, "_write_json", lambda path, p: payloads.append(p) or write(path, p)
+    )
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"ladder": [[6, 200], [8, 400]]}))
+    assert main(args + ["--config", str(config), "--out", str(tmp_path)]) in (0, 1)
+    assert len(payloads) == 1 and _builtin_only(payloads[0])
 
 
 def test_cli_import_loads_no_test_oracle():

@@ -13,7 +13,6 @@ from hankellab import (
     WeightSpec,
     kernel_A,
     kernel_L,
-    power_family,
     rational_test_family,
     weighted_hankel_kernel,
 )
@@ -61,7 +60,7 @@ class TestKernelL:
 class TestWeightedHankelKernel:
     def test_power_family_reproduces_model(self):
         for alpha in (-0.25, 0.0, 0.5, 1.0):
-            spec_a, spec_w = power_family(alpha)
+            spec_a, spec_w = rational_test_family(alpha, 1.0, 1.0, 1.0, 1.0)
             K = weighted_hankel_kernel(spec_a, spec_w)
             KA = kernel_A(alpha)
             s = np.geomspace(0.01, 100.0, 25)
@@ -71,7 +70,7 @@ class TestWeightedHankelKernel:
 
     def test_zero_kernel(self):
         spec_a = KernelSpec(alpha=0.0, eval=lambda t: 0.0 * t, a0=0.0, a_inf=0.0)
-        spec_w = power_family(0.0)[1]
+        spec_w = rational_test_family(0.0, 1.0, 1.0, 1.0, 1.0)[1]
         K = weighted_hankel_kernel(spec_a, spec_w)
         assert K(1.0, 2.0) == 0.0
 
@@ -125,8 +124,8 @@ def hypothesis_violations(spec_a, spec_w):
     t^(1+2a) a(t) - a_inf = (a0 - a_inf)/(1+t), so the m-th derivatives are
     bounded by m! |a_inf - a0| t^(1-m) near 0 and by m! |a_inf - a0| t^(-1-m)
     near infinity (margin 1), and u = t^(-a) w(t) = (b0 + b_inf t)/(1+t) is a
-    convex combination of b0 and b_inf; power_family is the case with every
-    difference 0.
+    convex combination of b0 and b_inf; the model pair (1, 1, 1, 1) is the
+    case with every difference 0.
     """
     failed = set()
     with mpmath.workdps(60):
@@ -160,7 +159,7 @@ def hypothesis_violations(spec_a, spec_w):
 class TestHypothesisCheck:
     def test_exact_power_kernel_passes_cleanly(self):
         for alpha in ALPHAS:
-            assert hypothesis_violations(*power_family(alpha)) == [], alpha
+            assert hypothesis_violations(*rational_test_family(alpha, 1.0, 1.0, 1.0, 1.0)) == [], alpha
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     @pytest.mark.parametrize("a0,a_inf", [(0.0, 1.0), (1.0, 1.0), (-1.0, 2.0), (2.0, 0.0)])
@@ -193,7 +192,7 @@ class TestHypothesisCheck:
             a0=2.0,
             a_inf=2.0,
         )
-        spec_w = power_family(alpha)[1]
+        spec_w = rational_test_family(alpha, 1.0, 1.0, 1.0, 1.0)[1]
         failed = hypothesis_violations(spec_a, spec_w)
         assert any(name.startswith("kernel_zero") for name in failed)
         assert any(name.startswith("kernel_infinity") for name in failed)

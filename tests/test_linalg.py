@@ -12,6 +12,7 @@ import pytest
 import scipy.linalg
 import scipy.linalg.lapack
 
+import hankellab.linalg
 from hankellab import (
     EigenSolverError,
     frobenius_norm,
@@ -31,10 +32,9 @@ from hankellab.discretize import (
     composed_block,
     operator_square,
 )
-from hankellab.kernels import power_family, rational_test_family
+from hankellab.kernels import rational_test_family
 from hankellab.linalg import (
     CENTRO_TOL,
-    LOWRANK_MIN_ORDER,
     _centro_halves,
     _dense_eigvalsh,
     _lowrank_eigvalsh,
@@ -108,7 +108,7 @@ class TestSymEigen:
         # rounding, so they take the two half-size solves; the oracle is
         # LAPACK on the full matrix
         grid = make_grid(8.0, 400)
-        spec_a, spec_w = power_family(alpha)
+        spec_a, spec_w = rational_test_family(alpha, 1.0, 1.0, 1.0, 1.0)
         for M in (assemble_A(alpha, grid).entries, assemble_wHa(spec_a, spec_w, grid).entries):
             defect = np.linalg.norm(M - M[::-1, ::-1])
             assert defect <= CENTRO_TOL * np.linalg.norm(M)
@@ -146,8 +146,8 @@ class TestSymEigen:
 
 # the benchmark's four spectrum families: kernel -> (alpha, (kernel, weight))
 _FAMILIES = {
-    "carleman": (0.0, power_family(0.0)),
-    "power": (0.5, power_family(0.5)),
+    "carleman": (0.0, rational_test_family(0.0, 1.0, 1.0, 1.0, 1.0)),
+    "power": (0.5, rational_test_family(0.5, 1.0, 1.0, 1.0, 1.0)),
     "rational(1,-1,1,1)": (0.0, rational_test_family(0.0, 1.0, -1.0, 1.0, 1.0)),
     "rational(2,1,1,2)": (0.5, rational_test_family(0.5, 2.0, 1.0, 1.0, 2.0)),
 }
@@ -175,8 +175,9 @@ def _jacobi_svdvals(M):
 # C6's cross block of A at (R, N) -> alpha; it does not depend on the family
 _CROSS_BLOCKS = {(14.0, 2400): 0.5, (16.0, 3200): 0.0}
 
+# (11, 1100) lies in 1024 <= n < 1200, the lowest orders the route can take
 _SUITE_CASES = (
-    [(name, R, N) for R, N in ((12.0, 1600), (16.0, 3200)) for name in _FAMILIES]
+    [(name, R, N) for R, N in ((11.0, 1100), (12.0, 1600), (16.0, 3200)) for name in _FAMILIES]
     + [(name, 14.0, 2400) for name in ("A", "weighted", "C7")]
     + [("A_0iJ", R, N) for R, N in _CROSS_BLOCKS]
 )
@@ -214,13 +215,27 @@ class TestLowRankRoute:
         assert abs(values.sum() - np.trace(M)) <= 1e-12 * np.abs(values).sum()
         again = _lowrank_eigvalsh(M)
         assert np.array_equal(again[0], values) and again[1] == certificate
-        assert np.array_equal(sym_eigen(M), values)
+        eigs = sym_eigen(M)
+        assert np.array_equal(eigs, values)
+        # the values past the numerical range are exact zeros
+        assert np.count_nonzero(eigs) <= n // 8
         assert np.array_equal(singular_values(M), np.sort(np.abs(values))[::-1])
+
+    def test_gives_up_unread_below_order_1024(self, monkeypatch):
+        # the first 128 columns exceed n / 8 below order 1024, so the route
+        # gives up before it scales or multiplies A
+        def unread(A):
+            raise AssertionError("A was read")
+
+        monkeypatch.setattr(hankellab.linalg, "_unit_scale", unread)
+        assert _lowrank_eigvalsh(np.zeros((1023, 1023))) is None
+        with pytest.raises(AssertionError, match="A was read"):
+            _lowrank_eigvalsh(np.zeros((1024, 1024)))
 
     def test_full_rank_matrix_takes_dense_path(self):
         rng = np.random.default_rng(17)
-        B = rng.standard_normal((LOWRANK_MIN_ORDER, LOWRANK_MIN_ORDER))
-        M = B @ B.T / LOWRANK_MIN_ORDER
+        B = rng.standard_normal((1200, 1200))
+        M = B @ B.T / 1200
         M = 0.5 * (M + M.T)
         assert _lowrank_eigvalsh(M) is None
         assert np.array_equal(sym_eigen(M), np.linalg.eigvalsh(M))
@@ -228,7 +243,7 @@ class TestLowRankRoute:
     def test_exact_rank_k_matrix_gives_k_nonzero_values(self):
         rng = np.random.default_rng(23)
         d = np.array([5.0, -3.0, 2.0, 1.0, -0.5, 0.25, 0.125])
-        U = np.linalg.qr(rng.standard_normal((LOWRANK_MIN_ORDER, d.size)))[0]
+        U = np.linalg.qr(rng.standard_normal((1200, d.size)))[0]
         M = (U * d) @ U.T
         M = 0.5 * (M + M.T)
         values, certificate = _lowrank_eigvalsh(M)
@@ -236,7 +251,7 @@ class TestLowRankRoute:
         assert np.linalg.norm(values[values != 0.0] - np.sort(d)) <= certificate
 
     def test_zero_matrix(self):
-        values, certificate = _lowrank_eigvalsh(np.zeros((LOWRANK_MIN_ORDER, LOWRANK_MIN_ORDER)))
+        values, certificate = _lowrank_eigvalsh(np.zeros((1200, 1200)))
         assert certificate == 0.0 and not values.any()
 
     def test_huge_entries(self):

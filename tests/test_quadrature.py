@@ -16,7 +16,7 @@ from hankellab import (
     quad_integral,
     sym_eigen,
 )
-from hankellab.kernels import kernel_A, kernel_L, power_family, weighted_hankel_kernel
+from hankellab.kernels import kernel_A, kernel_L, rational_test_family, weighted_hankel_kernel
 from hankellab.quadrature import ROW_BLOCK, check_step
 
 
@@ -145,7 +145,7 @@ class TestNystrom:
         g = make_grid(9.0, 2 * ROW_BLOCK + 88)
         for K in (kernel_A(alpha), kernel_L(alpha)):
             assert np.array_equal(nystrom(K, g).entries, full_square(K, g))
-        K = weighted_hankel_kernel(*power_family(alpha))
+        K = weighted_hankel_kernel(*rational_test_family(alpha, 1.0, 1.0, 1.0, 1.0))
         np.testing.assert_array_max_ulp(nystrom(K, g).entries, full_square(K, g), maxulp=2)
 
     def test_memory_stays_at_strip_size(self):

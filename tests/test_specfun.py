@@ -3,6 +3,7 @@
 evenness/monotonicity/split invariants."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -127,6 +128,15 @@ class TestSymbolByQuadrature:
             for xi in xis
         )
         assert worst <= 1e-8
+
+    @pytest.mark.parametrize("xi", [-5.0, 0.0, 5.0])
+    def test_window_past_exp_overflow(self, xi):
+        # the window 30 / (alpha + 1/2) reaches x = 3750 here, far past the
+        # x ~ 709 where e^x overflows; log(1 + e^x) must keep the tail
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = symbol_by_quadrature(-0.49, xi)
+        assert abs(value - mellin_symbol(-0.49, xi)) <= 1e-12
 
 
 class TestRegularisedGamma:
