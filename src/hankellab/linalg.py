@@ -8,11 +8,15 @@ the sorted absolute eigenvalues.  It first tries a certified low-rank
 solve: the suite's operators have few eigenvalues above the rounding level,
 because their symbols decay like e^(-pi |xi|) (97-109 of 3200 above
 n * eps * max|lambda| for the four benchmark families at (16, 3200)).  A
-range finder from a fixed start block and Rayleigh-Ritz give the
-eigenvalues on a basis of k columns, the other n - k are returned as 0, and
-the result is accepted only when the certificate |S - Q T Q^T|_F plus the
-Ritz values set to 0 is at most n * eps * max|lambda|, the absolute
-accuracy of a dense solve.  By Hoffman & Wielandt the returned list then
+range finder from a fixed start block gives Y = A Omega with k columns.  Its
+numerical range is orthonormalised from Gram eigendecompositions alone
+(SVQB at two levels, about sqrt(eps) * |Y| each, so no Householder QR), and
+Rayleigh-Ritz on that basis of m <= k columns gives m eigenvalues; the other
+n - m are returned as 0.  The result is accepted only when the certificate
+is at most n * eps * max|lambda|, the absolute accuracy of a dense solve.
+The certificate is |S - Q T Q^T|_F, plus |T|_2 |E|_F (2 + |E|_F) for the
+rounding-level departure E = Q^T Q - I of the basis from orthonormality,
+plus the Ritz values set to 0.  By Hoffman & Wielandt the returned list then
 lies within the certificate of the exact sorted eigenvalues in 2-norm, so
 every value is within it.  When the numerical rank needs more than
 LOWRANK_CAP * n columns (always below order 1024, where not even the first
@@ -63,18 +67,20 @@ LANCZOS_START_PHASE = 0.3
 CENTRO_TOL = 16.0 * np.finfo(float).eps
 
 # A symmetric matrix first tries the low-rank route.  On the four benchmark
-# families (best of 3, 2 OpenBLAS threads) it took 1.1-1.3x the dense time at
-# n = 800 on the centrosymmetric ones (about 0.033 s against 0.025-0.031 s),
-# 0.38-0.90x at n = 1200, 0.28-0.74x at 1600 and 0.12-0.33x at 3200.  Its
-# basis starts at LOWRANK_BLOCK columns and doubles; a basis is only certified
-# when LOWRANK_SPARE of its columns lie at the rounding level, and the route
-# gives up once more than LOWRANK_CAP * n columns would be needed: a certified
-# 256-column solve took 0.84x the centrosymmetric dense solve at n = 2400
-# (0.58x at 3200), so near n / 8 columns the two cost the same, and below
-# order 1024 not even the first LOWRANK_BLOCK columns fit.  At n = 1024,
-# 1100 and 1198 (R = 11) it certified every family and took 0.85-1.00x the
-# dense time on the centrosymmetric ones and 0.41-0.59x on the others.  A rank-530 matrix of order 1600
-# (the R = 80 ladder) gives up after 0.015-0.018 s, 5-15% of its dense solve.
+# families (best of 3, 2 OpenBLAS threads) it took 0.52-0.64x the dense time
+# on the centrosymmetric ones and 0.28-0.36x on the others at n = 1024, 1100
+# and 1198 (R = 11), 0.48-0.51x and 0.17-0.20x at 1600, 0.31-0.35x and
+# 0.11-0.14x at 2400, 0.27-0.28x and 0.10x at 3200.  Its basis starts at
+# LOWRANK_BLOCK columns and doubles; a basis is only certified when
+# LOWRANK_SPARE of its columns lie at the rounding level, and the route gives
+# up once more than LOWRANK_CAP * n columns would be needed.  With a
+# Householder QR a certified 256-column solve took 0.84x the centrosymmetric
+# dense solve at n = 2400, so near n / 8 columns the two cost the same; the
+# Gram orthonormalisation brought it to 0.55x at 2400 (R = 20) and
+# 0.47-0.54x at 3200 (R = 24), so the cap now leaves some speed unused.
+# Below order 1024 not even the first LOWRANK_BLOCK columns fit.  A rank-530
+# matrix of order 1600 (the R = 80 ladder) gives up after 0.024-0.032 s,
+# 7-22% of its dense solve.
 LOWRANK_CAP = 0.125
 LOWRANK_BLOCK = 128
 LOWRANK_SPARE = 16
@@ -87,14 +93,19 @@ def _as_array(M) -> np.ndarray:
 
 
 def _asymmetry(A: np.ndarray) -> float:
-    """max|A - A^T| / max|A| of a square matrix, compared strip by strip over
-    the upper triangle (``ROW_BLOCK`` rows at a time) with no N x N
-    temporary."""
+    """max|A - A^T| / max|A| of a square matrix, compared over the upper
+    triangle in square ``ROW_BLOCK`` tiles, A[I, J] against A[J, I]^T, into
+    one tile-sized buffer.  Each transposed tile is read from ``ROW_BLOCK``
+    rows at a time; whole transposed strips A[r0:, r0:r1]^T took 83 ms
+    against 49 ms for the tiles at n = 3200."""
     n, asym = A.shape[0], 0.0
+    buf = np.empty((ROW_BLOCK, ROW_BLOCK))
     for r0 in range(0, n, ROW_BLOCK):
         r1 = min(r0 + ROW_BLOCK, n)
-        strip = A[r0:r1, r0:] - A[r0:, r0:r1].T
-        asym = max(asym, float(np.abs(strip).max(initial=0.0)))
+        for c0 in range(r0, n, ROW_BLOCK):
+            c1 = min(c0 + ROW_BLOCK, n)
+            tile = np.subtract(A[r0:r1, c0:c1], A[c0:c1, r0:r1].T, out=buf[: r1 - r0, : c1 - c0])
+            asym = max(asym, float(np.abs(tile, out=tile).max()))
     return asym / max(float(A.max(initial=0.0)), -float(A.min(initial=0.0)), 1e-300)
 
 
@@ -161,6 +172,53 @@ def _start_block(n: int, j0: int, j1: int) -> np.ndarray:
     return (z >> np.uint64(11)).astype(float) * 2.0**-52 - 1.0
 
 
+def _svqb(X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(X V diag(lam)^(-1/2), lam) from the eigenpairs (lam, V) of the Gram
+    matrix X^T X, over the eigenvalues above eps * max(lam): orthonormal
+    columns spanning the directions of X with singular values above
+    sqrt(eps) * |X|_2 (SVQB, Stathopoulos & Wu, SIAM J. Sci. Comput. 23,
+    2002).  The Gram product carries rounding errors of about
+    eps * |X|_2^2, so two of the columns are orthogonal only to about
+    eps * max(lam) / sqrt(lam_i lam_j); a call on a result that is
+    orthonormal to within d makes it orthonormal to about eps / (1 - d)."""
+    lam, V = np.linalg.eigh(X.T @ X)
+    keep = lam > np.finfo(float).eps * np.max(lam, initial=0.0)
+    return X @ (V[:, keep] / np.sqrt(lam[keep])), lam
+
+
+def _range_basis(Y: np.ndarray, tol: float, limit: int) -> Tuple[Optional[np.ndarray], int]:
+    """(Q, count): an orthonormal basis Q of the numerical range of Y, and
+    the number of singular values of Y above tol * |Y|_2 that it finds; or
+    (None, count) as soon as level 1 alone counts more than ``limit``.
+
+    Two levels of ``_svqb``.  Level 1 keeps the directions of Y above
+    sqrt(eps) * |Y|_2.  Level 2 takes the remainder Z = (I - Q1 Q1^T) Y,
+    projected twice, whose norm is about that size, and keeps its
+    directions above sqrt(eps) * |Z|_2, about eps * |Y|_2, where the
+    rounding noise of Z begins.  At each level two more passes, each after
+    projecting off Q1 at level 2, make the columns orthonormal to rounding
+    (one more pass is not enough where the first leaves two columns
+    orthogonal only to O(1)).  Q1 Q1^T Y has rank m1, so
+    sigma_(m1 + j)(Y) <= sigma_j(Z) (Weyl): the count, m1 plus the singular
+    values of Z above tol * |Y|_2, is never below the numerical rank of Y.
+    """
+    Q1, lam = _svqb(Y)
+    if Q1.shape[1] > limit:
+        return None, Q1.shape[1]
+    for _ in range(2):
+        Q1 = _svqb(Q1)[0]
+    Z = Y - Q1 @ (Q1.T @ Y)
+    Z -= Q1 @ (Q1.T @ Z)
+    Q2, lam_z = _svqb(Z)
+    # Z has rank k - m1 at most: the columns past that are rounding noise
+    Q2 = Q2[:, max(0, Q2.shape[1] - (Y.shape[1] - Q1.shape[1])) :]
+    for _ in range(2):
+        Q2 -= Q1 @ (Q1.T @ Q2)
+        Q2 = _svqb(Q2)[0]
+    count = Q1.shape[1] + int(np.count_nonzero(lam_z > tol * tol * np.max(lam, initial=0.0)))
+    return np.hstack([Q1, Q2]), count
+
+
 def _lowrank_eigvalsh(A: np.ndarray) -> Optional[Tuple[np.ndarray, float]]:
     """(ascending eigenvalues, certificate) of S = 1/2 (A + A^T) from a
     certified low-rank factorisation, or None when a basis of more than
@@ -169,20 +227,27 @@ def _lowrank_eigvalsh(A: np.ndarray) -> Optional[Tuple[np.ndarray, float]]:
     The range finder (Halko, Martinsson & Tropp, SIAM Review 53, 2011,
     sections 4.4-4.5) takes Y = A Omega for the first k = LOWRANK_BLOCK,
     2 LOWRANK_BLOCK, ... columns Omega of the fixed test matrix
-    ``_start_block``.  Unless LOWRANK_SPARE singular values of Y lie below
-    tol * |Y|_2 (tol = n * eps), the basis cannot hold the numerical range
-    with room to spare and k doubles; the Gram matrix Y^T Y settles the
-    clear cases before the QR, so a failed attempt is cheap.
+    ``_start_block``, and ``_range_basis`` gives an orthonormal basis Q of
+    its numerical range with m <= k columns.  Unless at most
+    k - LOWRANK_SPARE singular values of Y lie above tol * |Y|_2
+    (tol = n * eps), the basis cannot hold the numerical range with room to
+    spare and k doubles.
 
-    Otherwise Q = qr(Y), T = Q^T S Q with Ritz values theta, and the
-    certificate is |S - Q T Q^T|_F, formed over the upper triangle in
-    ``ROW_BLOCK``-row strips (no N x N temporary), plus the 2-norm of the
-    Ritz values at or below it, which are set to 0.  The list theta padded
-    with n - k zeros is then the spectrum of a symmetric matrix within the
-    certificate of S in Frobenius norm, so by Hoffman & Wielandt (Duke Math.
-    J. 20, 1953) it differs from the sorted eigenvalues of S by at most the
-    certificate in 2-norm.  It is accepted at tol * max|theta|, the absolute
-    accuracy of a dense solve; if not, k doubles.
+    Otherwise T = Q^T S Q with Ritz values theta.  The residual
+    r = |S - Q T Q^T|_F is formed over the upper triangle in
+    ``ROW_BLOCK``-row strips (no N x N temporary).  Q is orthonormal only
+    to rounding: with G = Q^T Q = I + E, the nonzero eigenvalues of
+    Q T Q^T are those of G^(1/2) T G^(1/2) (the nonzero spectra of XY and
+    YX agree).  F = G^(1/2) - I shares the eigenvectors of E, and
+    |sqrt(1 + e) - 1| <= |e| for e >= -1, so |F|_F <= |E|_F and
+    G^(1/2) T G^(1/2) - T = F T + T F + F T F has Frobenius norm at most
+    o = |T|_2 |E|_F (2 + |E|_F).  By Hoffman & Wielandt (Duke Math. J. 20,
+    1953), applied to S against Q T Q^T and to diag(G^(1/2) T G^(1/2), 0)
+    against diag(T, 0), the list theta padded with n - m zeros differs from
+    the sorted eigenvalues of S by at most r + o in 2-norm.  The Ritz values
+    at or below r are set to 0, which adds their 2-norm: that sum is the
+    certificate.  It is accepted at tol * max|theta|, the absolute accuracy
+    of a dense solve; if not, k doubles.
 
     Every product with A takes its thin factor scaled by ``_unit_scale(A)``
     (a power of two, so exactly), so the work is on S / max|A| and the
@@ -198,14 +263,8 @@ def _lowrank_eigvalsh(A: np.ndarray) -> Optional[Tuple[np.ndarray, float]]:
     while (k_new := max(LOWRANK_BLOCK, 2 * k)) <= LOWRANK_CAP * n:
         Y = np.hstack([Y, A @ (_start_block(n, k, k_new) * scale)])
         k = k_new
-        # the squared singular values of Y, resolved to eps * |Y|^2, so
-        # those above tol * |Y|^2 surely lie above tol * |Y|
-        gram = np.linalg.eigvalsh(Y.T @ Y)
-        if gram[LOWRANK_SPARE - 1] > tol * gram[-1]:
-            continue
-        Q, R = np.linalg.qr(Y)
-        sv = np.linalg.svd(R, compute_uv=False)
-        if sv[k - LOWRANK_SPARE] > tol * sv[0]:
+        Q, count = _range_basis(Y, tol, k - LOWRANK_SPARE)
+        if count > k - LOWRANK_SPARE:
             continue
         T = Q.T @ (A @ (Q * scale))
         T = 0.5 * (T + T.T)
@@ -219,13 +278,14 @@ def _lowrank_eigvalsh(A: np.ndarray) -> Optional[Tuple[np.ndarray, float]]:
             strip -= Q[r0:r1] @ W[:, r0:]
             diag, upper = strip[:, : r1 - r0].ravel(), strip[:, r1 - r0 :].ravel()
             resid_sq += float(diag @ diag) + 2.0 * float(upper @ upper)
-        top = float(np.abs(theta).max())
+        top = float(np.abs(theta).max(initial=0.0))
         resid = math.sqrt(resid_sq)
+        orth = float(np.linalg.norm(Q.T @ Q - np.eye(Q.shape[1])))
         small = np.abs(theta) <= resid
-        certificate = resid + float(np.linalg.norm(theta[small]))
+        certificate = resid + top * orth * (2.0 + orth) + float(np.linalg.norm(theta[small]))
         theta[small] = 0.0
         if certificate <= tol * top:
-            values = np.concatenate([theta, np.zeros(n - k)])
+            values = np.concatenate([theta, np.zeros(n - theta.size)])
             values.sort()
             return values / scale, certificate / scale
     return None

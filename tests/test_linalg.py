@@ -35,9 +35,14 @@ from hankellab.discretize import (
 from hankellab.kernels import rational_test_family
 from hankellab.linalg import (
     CENTRO_TOL,
+    LOWRANK_BLOCK,
+    LOWRANK_SPARE,
     _centro_halves,
     _dense_eigvalsh,
     _lowrank_eigvalsh,
+    _range_basis,
+    _start_block,
+    _unit_scale,
 )
 from hankellab.quadrature import ROW_BLOCK
 from hankellab.spectra import analyze, predict
@@ -175,9 +180,11 @@ def _jacobi_svdvals(M):
 # C6's cross block of A at (R, N) -> alpha; it does not depend on the family
 _CROSS_BLOCKS = {(14.0, 2400): 0.5, (16.0, 3200): 0.0}
 
-# (11, 1100) lies in 1024 <= n < 1200, the lowest orders the route can take
+# (11, 1100) lies in 1024 <= n < 1200, the lowest orders the route can take;
+# (24, 3200) has numerical rank 159, so it needs the second basis size
 _SUITE_CASES = (
     [(name, R, N) for R, N in ((11.0, 1100), (12.0, 1600), (16.0, 3200)) for name in _FAMILIES]
+    + [("rational(2,1,1,2)", 24.0, 3200)]
     + [(name, 14.0, 2400) for name in ("A", "weighted", "C7")]
     + [("A_0iJ", R, N) for R, N in _CROSS_BLOCKS]
 )
@@ -185,7 +192,7 @@ _SUITE_CASES = (
 
 class TestLowRankRoute:
     @pytest.mark.parametrize("case", _SUITE_CASES, ids=lambda c: f"{c[0]}-{c[1]:g}-{c[2]}")
-    def test_suite_matrices_within_certificate(self, case, request):
+    def test_suite_matrices_within_certificate(self, case, request, monkeypatch):
         name, R, N = case
         if name in _FAMILIES:
             _, (spec_a, spec_w) = _FAMILIES[name]
@@ -198,9 +205,19 @@ class TestLowRankRoute:
         else:
             M = request.getfixturevalue("verify_large_matrices")[name]
         n = M.shape[0]
+        widths = []
+
+        def spy(rows, j0, j1):
+            widths.append(j1)
+            return _start_block(rows, j0, j1)
+
+        monkeypatch.setattr(hankellab.linalg, "_start_block", spy)
         found = _lowrank_eigvalsh(M)
         assert found is not None
         values, certificate = found
+        # certified at the first basis size, at the second for (24, 3200)
+        k = widths[-1]
+        assert k == (2 if R == 24.0 else 1) * LOWRANK_BLOCK
         if name == "A_0iJ":
             # Mirsky: the sorted |values| and the singular values of the
             # unreversed block differ by the certificate in 2-norm
@@ -210,8 +227,14 @@ class TestLowRankRoute:
             # in 2-norm
             got, ref = values, scipy.linalg.eigh(0.5 * (M + M.T), eigvals_only=True)
         top = np.abs(ref).max()
+        tol = n * np.finfo(float).eps
         # the certificate sits below the accuracy of a dense solve
-        assert np.linalg.norm(got - ref) <= certificate <= n * np.finfo(float).eps * top
+        assert np.linalg.norm(got - ref) <= certificate <= tol * top
+        # the basis of the certified range is orthonormal to rounding, and
+        # it counts the numerical rank to within the spare columns
+        Q, count = _range_basis(M @ (_start_block(n, 0, k) * _unit_scale(M)), tol, k)
+        assert np.linalg.norm(Q.T @ Q - np.eye(Q.shape[1])) <= 10 * k * np.finfo(float).eps
+        assert abs(count - np.count_nonzero(np.abs(ref) > tol * top)) <= LOWRANK_SPARE
         assert abs(values.sum() - np.trace(M)) <= 1e-12 * np.abs(values).sum()
         again = _lowrank_eigvalsh(M)
         assert np.array_equal(again[0], values) and again[1] == certificate
@@ -231,6 +254,18 @@ class TestLowRankRoute:
         assert _lowrank_eigvalsh(np.zeros((1023, 1023))) is None
         with pytest.raises(AssertionError, match="A was read"):
             _lowrank_eigvalsh(np.zeros((1024, 1024)))
+
+    def test_no_householder_qr(self, monkeypatch):
+        # the basis comes from Gram eigendecompositions alone
+        def no_qr(*args, **kwargs):
+            raise AssertionError("np.linalg.qr was called")
+
+        monkeypatch.setattr(np.linalg, "qr", no_qr)
+        _, (spec_a, spec_w) = _FAMILIES["rational(2,1,1,2)"]
+        M = assemble_wHa(spec_a, spec_w, make_grid(12.0, 1600)).entries
+        values, certificate = _lowrank_eigvalsh(M)
+        assert certificate <= M.shape[0] * np.finfo(float).eps * np.abs(values).max()
+        assert np.array_equal(sym_eigen(M), values)
 
     def test_full_rank_matrix_takes_dense_path(self):
         rng = np.random.default_rng(17)

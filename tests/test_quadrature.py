@@ -175,7 +175,21 @@ class TestNystrom:
         K = kernel_L(alpha)
         s, t = g.nodes[:, np.newaxis], wide.nodes[np.newaxis, :]
         ref = K(s, t) * np.sqrt(np.outer(g.weights, wide.weights))
+        ref[np.abs(ref) < np.finfo(float).tiny] = 0.0  # subnormals are stored as 0
         assert np.array_equal(nystrom_rect(K, g, wide).entries, ref)
+
+    @pytest.mark.parametrize("alpha", [0.0, 2.0])
+    def test_rect_stores_no_subnormals(self, alpha):
+        # the far corners of the widened grid underflow: one evaluation holds
+        # subnormal entries, the stored matrix holds 0 in their place
+        g, wide = make_grid(10.0, 800), make_grid(20.0, 1600)
+        K = kernel_L(alpha)
+        tiny = np.finfo(float).tiny
+        raw = K(g.nodes[:, np.newaxis], wide.nodes[np.newaxis, :]) * np.sqrt(np.outer(g.weights, wide.weights))
+        assert np.count_nonzero((raw != 0.0) & (np.abs(raw) < tiny)) >= 800
+        M = nystrom_rect(K, g, wide).entries
+        assert not ((M != 0.0) & (np.abs(M) < tiny)).any()
+        assert np.abs(M - raw).max() < tiny
 
     def test_rect_memory_stays_at_strip_size(self):
         # the output plus a few ROW_BLOCK x M temporaries, never N x M ones

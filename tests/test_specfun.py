@@ -13,6 +13,7 @@ from scipy.special import gammainc, gammaincc
 
 from hankellab import (
     DomainError,
+    QuadratureError,
     ln_gamma,
     mellin_symbol,
     pi_alpha,
@@ -20,7 +21,13 @@ from hankellab import (
     psi_plus,
     symbol_by_quadrature,
 )
-from hankellab.specfun import _reg_gamma_pair, check_alpha, phi_split
+from hankellab.specfun import (
+    _reg_gamma_pair,
+    _reg_lower_series,
+    _reg_upper_cf,
+    check_alpha,
+    phi_split,
+)
 
 ALPHAS = (-0.25, 0.0, 0.5, 1.0)
 
@@ -129,6 +136,19 @@ class TestSymbolByQuadrature:
         )
         assert worst <= 1e-8
 
+    @pytest.mark.parametrize("alpha", [20.0, 200.0])
+    @pytest.mark.parametrize("xi", [-5.0, 0.0, 5.0])
+    def test_relative_agreement_at_large_alpha(self, alpha, xi):
+        # sigma_20(0) = 3.6e-13 and sigma_200(0) = 4.85e-122: an absolute
+        # stopping rule or comparison sees no error here at all
+        ref = mellin_symbol(alpha, xi)
+        assert ref < 1e-12
+        assert abs(symbol_by_quadrature(alpha, xi) - ref) <= 1e-12 * ref
+        # the stopping rule is relative there: 1e-20 of the value is out of
+        # reach, though far above the absolute error
+        with pytest.raises(QuadratureError):
+            symbol_by_quadrature(alpha, xi, tol=1e-20)
+
     @pytest.mark.parametrize("xi", [-5.0, 0.0, 5.0])
     def test_window_past_exp_overflow(self, xi):
         # the window 30 / (alpha + 1/2) reaches x = 3750 here, far past the
@@ -137,6 +157,46 @@ class TestSymbolByQuadrature:
             warnings.simplefilter("error")
             value = symbol_by_quadrature(-0.49, xi)
         assert abs(value - mellin_symbol(-0.49, xi)) <= 1e-12
+
+
+def _series_loop(s, t, tol, itmax):
+    """Sum of the ascending series of P(s, t) (without its prefactor), one
+    point at a time in scalar arithmetic."""
+    if t == 0.0:
+        return 0.0
+    ap, delt = s, 1.0 / s
+    total = delt
+    for _ in range(itmax):
+        ap += 1.0
+        delt *= t / ap
+        total += delt
+        if not abs(delt) >= abs(total) * tol:
+            break
+    return total
+
+
+def _continued_fraction_loop(s, t, tol, itmax):
+    """Lentz's continued fraction of Q(s, t) (without its prefactor), one
+    point at a time in scalar arithmetic."""
+    tiny = 1e-300
+    b = t + 1.0 - s
+    c, d = 1.0 / tiny, 1.0 / b
+    h = d
+    for i in range(1, itmax + 1):
+        an = -i * (i - s)
+        b += 2.0
+        d = an * d + b
+        if abs(d) < tiny:
+            d = tiny
+        c = b + an / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1.0 / d
+        delt = d * c
+        h *= delt
+        if not abs(delt - 1.0) >= tol:
+            break
+    return h
 
 
 class TestRegularisedGamma:
@@ -162,6 +222,25 @@ class TestRegularisedGamma:
             p, q = _reg_gamma_pair(s, ts)
             assert np.abs(p - gammainc(s, ts)).max() <= 5e-14
             assert np.abs(q - gammaincc(s, ts)).max() <= 5e-14
+
+    @pytest.mark.parametrize("s", [0.5, 1.0, 2.0, 11.0])
+    def test_point_by_point_reference(self, s):
+        # the series and the continued fraction iterate on the points not yet
+        # converged only; the arithmetic of each point is that of a scalar
+        # loop, so the values agree bit for bit
+        tol, itmax = 1e-14, 500
+        ts = np.concatenate([[0.0, 1e-300], np.geomspace(1e-6, 400.0, 120), [s + 1.0]])
+        series, cf = ts < s + 1.0, ts >= s + 1.0
+        sums = np.array([_series_loop(s, t, tol, itmax) for t in ts[series]])
+        live = ts[series] > 0.0
+        ref = np.zeros_like(sums)
+        t = ts[series][live]
+        ref[live] = sums[live] * np.exp(-t + s * np.log(t) - ln_gamma(s))
+        assert np.array_equal(_reg_lower_series(s, ts[series], tol, itmax), ref)
+        t = ts[cf]
+        h = np.array([_continued_fraction_loop(s, x, tol, itmax) for x in t])
+        ref = np.exp(-t + s * np.log(t) - ln_gamma(s)) * h
+        assert np.array_equal(_reg_upper_cf(s, t, tol, itmax), ref)
 
     def test_complementarity_and_endpoints(self):
         for s in (0.5, 1.0, 2.7):
