@@ -32,7 +32,7 @@ from .linalg import (
     singular_values,
     sym_eigen,
 )
-from .quadrature import Grid, OperatorMatrix, make_grid, nystrom, nystrom_rect, quad_integral
+from .quadrature import Grid, OperatorMatrix, make_grid, nystrom, quad_integral
 from .spectra import (
     PredictedSpectrum,
     SpectralReport,

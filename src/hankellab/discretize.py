@@ -12,6 +12,11 @@ Hilbert-Schmidt norms of u L) discretise the inner integration variable on a
 widened grid (double log-width, same step): a product over the truncated grid
 only represents the composition restricted to the truncation window, whose
 deviation from the full-line composition does not vanish under refinement.
+
+The widened factor's entries depend on i + j alone (t_i tau_j = e^(x_i + y_j)
+on one step h), so it is gathered from 3N - 1 values.  A and L stay
+entrywise: C2 and C5 test structure (inversion symmetry, the log-variable
+Hankel form) that a gather would impose by construction.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from typing import Callable, Tuple
 import numpy as np
 
 from .kernels import KernelSpec, WeightSpec, kernel_A, kernel_L, weighted_hankel_kernel
-from .quadrature import Grid, OperatorMatrix, _nystrom_strips, make_grid, nystrom, nystrom_rect
+from .quadrature import Grid, OperatorMatrix, _evaluate_kernel, _nystrom_strips, make_grid, nystrom
 from .specfun import check_alpha, ln_gamma, phi_split, psi_minus, psi_plus
 
 __all__ = [
@@ -64,10 +69,29 @@ def widened_grid(grid: Grid) -> Grid:
     return make_grid(WIDE_FACTOR * grid.R, WIDE_FACTOR * grid.N)
 
 
+def _widened_factor_rows(alpha, grid: Grid) -> np.ndarray:
+    """The widened factor as a read-only N x 2N sliding-window view of its
+    3N - 1 antidiagonal values (row i is values[i : i + 2N]): the kernel on
+    the first row and the last column (the node pairs of
+    :func:`log_pushforward_hankel`) times sqrt(w_i om_j).  Values below the
+    smallest normal number are stored as 0: subnormals slow every product."""
+    K, wide = kernel_L(alpha), widened_grid(grid)
+    t, w, tau, om = grid.nodes, grid.weights, wide.nodes, wide.weights
+    first = _evaluate_kernel(K, t[:1, np.newaxis], tau[np.newaxis, :])[0] * np.sqrt(w[0] * om)
+    last = _evaluate_kernel(K, t[1:, np.newaxis], tau[np.newaxis, -1:])[:, 0]
+    values = np.concatenate([first, last * np.sqrt(w[1:] * om[-1])])
+    values[np.abs(values) < np.finfo(float).tiny] = 0.0
+    return np.lib.stride_tricks.sliding_window_view(values, wide.N)
+
+
 def assemble_L_rect(alpha, grid: Grid) -> OperatorMatrix:
-    """Rectangular factor matrix: rows on ``grid``, columns on the widened grid."""
+    """Rectangular factor matrix: rows on ``grid``, columns on the widened
+    grid, gathered from its 3N - 1 antidiagonal values into a contiguous
+    array.  Each entry is the kernel at a node pair with the same t_i tau_j,
+    so it agrees with the entrywise evaluation to the rounding of the nodes."""
     a = check_alpha(alpha)
-    return nystrom_rect(kernel_L(a), grid, widened_grid(grid), provenance=f"L_rect(alpha={a})")
+    entries = _widened_factor_rows(a, grid).copy()
+    return OperatorMatrix(grid, entries, f"L_rect(alpha={a})", col_grid=widened_grid(grid))
 
 
 def operator_square(Lr: OperatorMatrix) -> OperatorMatrix:

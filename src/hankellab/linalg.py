@@ -235,7 +235,8 @@ def _lowrank_eigvalsh(A: np.ndarray) -> Optional[Tuple[np.ndarray, float]]:
 
     Otherwise T = Q^T S Q with Ritz values theta.  The residual
     r = |S - Q T Q^T|_F is formed over the upper triangle in
-    ``ROW_BLOCK``-row strips (no N x N temporary).  Q is orthonormal only
+    ``ROW_BLOCK``-row strips, S in square tiles (no N x N temporary, and
+    no transposed strip is read, as in ``_asymmetry``).  Q is orthonormal only
     to rounding: with G = Q^T Q = I + E, the nonzero eigenvalues of
     Q T Q^T are those of G^(1/2) T G^(1/2) (the nonzero spectra of XY and
     YX agree).  F = G^(1/2) - I shares the eigenvectors of E, and
@@ -273,9 +274,10 @@ def _lowrank_eigvalsh(A: np.ndarray) -> Optional[Tuple[np.ndarray, float]]:
         resid_sq = 0.0
         for r0 in range(0, n, ROW_BLOCK):
             r1 = min(r0 + ROW_BLOCK, n)
-            strip = A[r0:r1, r0:] * (0.5 * scale)
-            strip += A[r0:, r0:r1].T * (0.5 * scale)
-            strip -= Q[r0:r1] @ W[:, r0:]
+            strip = Q[r0:r1] @ W[:, r0:]
+            for c0 in range(r0, n, ROW_BLOCK):
+                c = slice(c0, c0 + ROW_BLOCK)
+                strip[:, c0 - r0 : c.stop - r0] -= (A[r0:r1, c] + A[c, r0:r1].T) * (0.5 * scale)
             diag, upper = strip[:, : r1 - r0].ravel(), strip[:, r1 - r0 :].ravel()
             resid_sq += float(diag @ diag) + 2.0 * float(upper @ upper)
         top = float(np.abs(theta).max(initial=0.0))

@@ -11,10 +11,7 @@ import numpy as np
 
 from .errors import GridError, KernelEvaluationError, QuadratureError
 
-__all__ = [
-    "Grid", "OperatorMatrix", "check_step", "make_grid", "nystrom", "nystrom_rect",
-    "quad_integral",
-]
+__all__ = ["Grid", "OperatorMatrix", "check_step", "make_grid", "nystrom", "quad_integral"]
 
 # Rows per strip of the Nystrom assemblies and of the symmetry test in
 # linalg: temporaries stay at ROW_BLOCK rows of the output.
@@ -100,7 +97,7 @@ class OperatorMatrix:
 
     def __post_init__(self):
         e = np.asarray(self.entries, dtype=float)
-        if not np.isfinite(e).all():
+        if e.size and not (np.isfinite(e.min()) and np.isfinite(e.max())):  # NaN propagates
             raise KernelEvaluationError(f"non-finite entries in {self.provenance!r}")
         e.flags.writeable = False
         object.__setattr__(self, "entries", e)
@@ -169,29 +166,6 @@ def nystrom(K: Callable, grid: Grid, provenance: str = "kernel") -> OperatorMatr
     plain quadrature discretisation.
     """
     return _nystrom_strips(lambda s, t: (K,), grid, (provenance,))[0]
-
-
-def nystrom_rect(K: Callable, row_grid: Grid, col_grid: Grid, provenance: str = "kernel") -> OperatorMatrix:
-    """Rectangular Nystrom matrix sqrt(w_i om_j) K(t_i, tau_j) across two grids.
-
-    The kernel is called on strips of ``ROW_BLOCK`` row nodes against every
-    column node, each scaled and written into the output, so no temporary is
-    larger than ``ROW_BLOCK`` x M and the result equals one evaluation on
-    all N x M node pairs.  Entries below the smallest normal number are
-    stored as 0 (each moves by less than 2.3e-308): the far corners of a
-    widened grid hold thousands of subnormals, and products with them run
-    at a fraction of the normal speed.
-    """
-    t, w, n = row_grid.nodes, row_grid.weights, row_grid.N
-    tau_row, om = col_grid.nodes[np.newaxis, :], col_grid.weights
-    out = np.empty((n, col_grid.N))
-    for r0 in range(0, n, ROW_BLOCK):
-        rows = slice(r0, r0 + ROW_BLOCK)
-        vals = _evaluate_kernel(K, t[rows, np.newaxis], tau_row)
-        vals *= np.sqrt(np.outer(w[rows], om))
-        vals[np.abs(vals) < np.finfo(float).tiny] = 0.0
-        out[rows] = vals
-    return OperatorMatrix(grid=row_grid, entries=out, provenance=provenance, col_grid=col_grid)
 
 
 def quad_integral(f: Callable, grid: Grid) -> float:

@@ -35,9 +35,6 @@ class SpectralInterval:
     hi: float
     multiplicity: int
 
-    def distance(self, x: float) -> float:
-        return max(self.lo - x, x - self.hi, 0.0)
-
 
 @dataclass(frozen=True)
 class PredictedSpectrum:
@@ -50,10 +47,14 @@ class PredictedSpectrum:
     def max_endpoint(self) -> float:
         return max((max(abs(i.lo), abs(i.hi)) for i in self.intervals), default=0.0)
 
-    def distance(self, x: float) -> float:
+    def distance(self, x) -> np.ndarray:
+        """Distance of each x to the union: min over intervals of max(lo - x, x - hi, 0)."""
+        x = np.asarray(x, dtype=float)
         if not self.intervals:
-            return abs(x)
-        return min(i.distance(x) for i in self.intervals)
+            return np.abs(x)
+        lo, hi = np.array([(i.lo, i.hi) for i in self.intervals]).T
+        x = x[..., np.newaxis]
+        return np.maximum(np.maximum(lo - x, x - hi), 0.0).min(axis=-1)
 
     def interiors(self, margin: float) -> List[Tuple[float, float]]:
         """The intervals shrunk by ``margin`` at both ends, those it empties
@@ -165,7 +166,7 @@ def analyze(
         raise DomainError("analyze requires a non-empty eigenvalue list")
     delta, interior_margin = predicted.tolerances(delta, interior_margin)
 
-    outliers = tuple(float(e) for e in eigs if predicted.distance(float(e)) > delta)
+    outliers = tuple(float(e) for e in eigs[predicted.distance(eigs) > delta])
 
     max_gap = 0.0
     hausdorff = 0.0

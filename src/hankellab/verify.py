@@ -207,11 +207,10 @@ _HS_GRIDS = ((8.0, 600), (4.0, 600), (8.0, 1200))
 
 def _check_c4(alpha: float):
     grids = [make_grid(R, N) for R, N in _HS_GRIDS]
-    # |u L|_HS^2 = sum_i u(t_i)^2 r_i, with r_i the squared norm of row i of
-    # the widened factor; each factor is reduced to r as soon as it is built,
-    # with no temporary of its size
-    row_norms_sq = lambda L: np.einsum("ij,ij->i", L, L)
-    row_sq = [row_norms_sq(dz.assemble_L_rect(alpha, g).entries) for g in grids]
+    # |u L|_HS^2 = sum_i u(t_i)^2 r_i, r_i the squared norm of row i of the widened
+    # factor, reduced over a view of its 3N - 1 values: no N x 2N array is built
+    factors = [dz._widened_factor_rows(alpha, g) for g in grids]
+    row_sq = [np.einsum("ij,ij->i", L, L) for L in factors]
     g_id = grids[0]
     scale = 2.0 ** (-1.0 - 2.0 * alpha)
     rows, ok = [], True

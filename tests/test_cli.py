@@ -105,6 +105,16 @@ class TestSymbolCommand:
         sg = read_csv_column(tmp_path / "symbol.csv", "sigma_gamma")
         assert np.isfinite(sg).all() and sg.max() <= 4.86e-122
 
+    @pytest.mark.parametrize("alpha", ["20", "200"])
+    def test_routes_agree_relatively_at_large_alpha(self, tmp_path, alpha):
+        # abs_diff cannot see an error where sigma is below ~1e-9 (every xi
+        # from alpha ~ 20 on): the two routes' ratio can
+        assert main(["symbol", "--alpha", alpha, "--out", str(tmp_path)]) == 0
+        sg = read_csv_column(tmp_path / "symbol.csv", "sigma_gamma")
+        sq = read_csv_column(tmp_path / "symbol.csv", "sigma_quadrature")
+        assert len(sg) == 101 and (sg > 0.0).all()
+        assert np.abs(sq / sg - 1.0).max() <= 1e-12
+
     def test_alpha_near_minus_half_without_a_numpy_warning(self, tmp_path):
         # the quadrature window passes x ~ 709, where e^x overflows
         with warnings.catch_warnings():

@@ -12,12 +12,12 @@ from hankellab import (
     QuadratureError,
     make_grid,
     nystrom,
-    nystrom_rect,
     quad_integral,
     sym_eigen,
 )
+from hankellab.discretize import assemble_L_rect
 from hankellab.kernels import kernel_A, kernel_L, rational_test_family, weighted_hankel_kernel
-from hankellab.quadrature import ROW_BLOCK, check_step
+from hankellab.quadrature import ROW_BLOCK, OperatorMatrix, check_step
 
 
 def full_square(K, grid):
@@ -132,6 +132,15 @@ class TestNystrom:
         assert isinstance(exc_info.value.__cause__, TypeError)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_matrix_rejects_non_finite_entries(self, bad):
+        g = make_grid(1.0, 4)
+        entries = np.ones((4, 4))
+        entries[2, 1] = bad
+        with pytest.raises(KernelEvaluationError, match="non-finite entries"):
+            OperatorMatrix(grid=g, entries=entries, provenance="m")
+        assert OperatorMatrix(grid=g, entries=np.empty((0, 4)), provenance="empty").entries.size == 0
+
     def test_matrices_compare_by_identity(self):
         g = make_grid(3.0, 40)
         M, again = nystrom(kernel_A(0.0), g), nystrom(kernel_A(0.0), g)
@@ -161,22 +170,14 @@ class TestNystrom:
         strip = ROW_BLOCK * g.N * 8
         assert peak <= M.entries.nbytes + 6 * strip
 
+    # the rectangular Nystrom matrix of the suite is the widened factor,
+    # gathered from its antidiagonals (tests/test_discretize.py checks the
+    # gather against an entrywise evaluation)
     def test_rectangular_assembly(self):
         g = make_grid(2.0, 10)
-        wide = make_grid(4.0, 20)
-        M = nystrom_rect(lambda s, t: 1.0 / (s + t), g, wide)
+        M = assemble_L_rect(0.0, g)
         assert M.entries.shape == (10, 20)
-        assert M.col_grid is wide
-
-    @pytest.mark.parametrize("alpha", [0.0, 0.5])
-    def test_rect_strips_match_one_piece(self, alpha):
-        # N = 344 is not a multiple of ROW_BLOCK, so the last strip is partial
-        g, wide = make_grid(6.0, 344), make_grid(12.0, 688)
-        K = kernel_L(alpha)
-        s, t = g.nodes[:, np.newaxis], wide.nodes[np.newaxis, :]
-        ref = K(s, t) * np.sqrt(np.outer(g.weights, wide.weights))
-        ref[np.abs(ref) < np.finfo(float).tiny] = 0.0  # subnormals are stored as 0
-        assert np.array_equal(nystrom_rect(K, g, wide).entries, ref)
+        assert (M.col_grid.R, M.col_grid.N) == (4.0, 20)
 
     @pytest.mark.parametrize("alpha", [0.0, 2.0])
     def test_rect_stores_no_subnormals(self, alpha):
@@ -187,22 +188,23 @@ class TestNystrom:
         tiny = np.finfo(float).tiny
         raw = K(g.nodes[:, np.newaxis], wide.nodes[np.newaxis, :]) * np.sqrt(np.outer(g.weights, wide.weights))
         assert np.count_nonzero((raw != 0.0) & (np.abs(raw) < tiny)) >= 800
-        M = nystrom_rect(K, g, wide).entries
+        M = assemble_L_rect(alpha, g).entries
         assert not ((M != 0.0) & (np.abs(M) < tiny)).any()
-        assert np.abs(M - raw).max() < tiny
+        assert np.abs(raw[(M == 0.0) & (raw != 0.0)]).max() < tiny
+        # the gather's rounding, as in tests/test_discretize.py
+        assert np.abs(M - raw).max() <= 3 * g.R * np.finfo(float).eps * np.abs(raw).max()
 
     def test_rect_memory_stays_at_strip_size(self):
-        # the output plus a few ROW_BLOCK x M temporaries, never N x M ones
-        g, wide = make_grid(12.0, 2000), make_grid(24.0, 4000)
-        K = kernel_L(0.5)
+        # the output plus O(N): the kernel runs on 3N - 1 node pairs, and the
+        # gather copies a view of their values, so no temporary has N rows
+        g = make_grid(12.0, 2000)
         tracemalloc.start()
         try:
-            M = nystrom_rect(K, g, wide)
+            M = assemble_L_rect(0.5, g)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        strip = ROW_BLOCK * wide.N * 8
-        assert peak <= M.entries.nbytes + 6 * strip
+        assert peak <= M.entries.nbytes + 8 * (3 * g.N) * 8
 
     def test_refinement_consistency(self):
         # Cauchy proxy: doubling N at fixed R changes the top eigenvalues of

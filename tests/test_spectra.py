@@ -78,6 +78,19 @@ class TestAnalyze:
         rep = analyze([5.0], pred, delta=0.1, interior_margin=0.1)
         assert rep.outliers == (5.0,)
 
+    @pytest.mark.parametrize("family", [(1.0, 1.0, 1.0, 1.0), (1.0, -1.0, 1.0, 1.0), (0.0, 0.0, 1.0, 1.0)])
+    def test_distance_matches_the_scalar_rule(self, family):
+        # oracle: max(lo - x, x - hi, 0) minimised over the intervals, one
+        # Python float at a time (|x| with no interval)
+        pred = predict(0.0, *family)
+        x = np.linspace(-5.0, 5.0, 1001)
+        expected = [
+            min((max(i.lo - e, e - i.hi, 0.0) for i in pred.intervals), default=abs(e))
+            for e in x.tolist()
+        ]
+        assert pred.distance(x).tolist() == expected
+        assert float(pred.distance(x[900])) == expected[900]  # a scalar too
+
     def test_monotone_in_delta(self):
         pred = predict(0.0, 1.0, 1.0, 1.0, 1.0)
         eigs = np.concatenate([np.linspace(0, math.pi, 40), [3.3, 3.5, 4.0]])

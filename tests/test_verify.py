@@ -14,6 +14,7 @@ import scipy.linalg
 from hankellab import DomainError, GridError, make_grid, op_norm, run_suite
 from hankellab import discretize as dz
 from hankellab import specfun, verify
+from hankellab.kernels import kernel_L
 from hankellab.linalg import _is_symmetric
 from hankellab.quadrature import OperatorMatrix
 from hankellab.verify import _GridPieces, _residual_matrix
@@ -105,8 +106,9 @@ class TestRunSuite:
             "assemble_L": steps,
             "assemble_wHa": steps,
             "assemble_model_split": steps,
-            # one widened factor per step for both blocks; C4's three grids
-            "assemble_L_rect": steps + 3,
+            # one widened factor per step for both blocks; C4 reads row norms
+            # from the factor's antidiagonal values
+            "assemble_L_rect": steps,
             "composed_block": 2 * steps,  # one per inner side
         }
 
@@ -128,9 +130,18 @@ class TestRunSuite:
 
     @pytest.mark.parametrize("alpha", [-0.25, 0.0, 0.5, 2.0])
     def test_c4_row_norms_match_the_uL_product(self, alpha):
-        # oracle: the HS norms from the full N x 2N products u L
+        # oracle: the HS norms from the full N x 2N products u L, of a factor
+        # evaluated entry by entry here
         rows, ok = verify._check_c4(alpha)
-        factors = [dz.assemble_L_rect(alpha, make_grid(R, N)) for R, N in verify._HS_GRIDS]
+
+        def factor(R, N):
+            grid = make_grid(R, N)
+            wide = dz.widened_grid(grid)
+            K = kernel_L(alpha)(grid.nodes[:, np.newaxis], wide.nodes[np.newaxis, :])
+            entries = K * np.sqrt(np.outer(grid.weights, wide.weights))
+            return OperatorMatrix(grid=grid, entries=entries, provenance="L", col_grid=wide)
+
+        factors = [factor(R, N) for R, N in verify._HS_GRIDS]
         hs_sq = lambda u, Lr: float((dz.assemble_uL(u, Lr).entries ** 2).sum())
         for row, (label, u) in zip(rows, verify._HS_BATTERY):
             assert row["u"] == label
@@ -138,6 +149,18 @@ class TestRunSuite:
         witness = [math.sqrt(hs_sq(np.ones_like, Lr)) for Lr in factors[1:]]
         assert [rows[-1]["hs_R4"], rows[-1]["hs_R8"]] == pytest.approx(witness, rel=1e-14)
         assert ok
+
+    def test_c4_builds_no_factor(self):
+        # the row norms come from a view of each factor's 3N - 1 antidiagonal
+        # values: O(N) memory, where one 1200 x 2400 factor takes 23 MB
+        tracemalloc.start()
+        try:
+            verify._check_c4(0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        N = max(N for _, N in verify._HS_GRIDS)
+        assert peak <= 16 * (3 * N) * 8
 
     def test_c6_sigma_ratio_reads_zero_below_the_rank_floor(self):
         # L_00 has numerical rank 8: its tenth singular value is rounding noise
