@@ -19,8 +19,8 @@ rounding-level departure E = Q^T Q - I of the basis from orthonormality,
 plus the Ritz values set to 0.  By Hoffman & Wielandt the returned list then
 lies within the certificate of the exact sorted eigenvalues in 2-norm, so
 every value is within it.  When the numerical rank needs more than
-LOWRANK_CAP * n columns (always below order 1024, where not even the first
-LOWRANK_BLOCK = 128 fit), the dense route runs: an even-order matrix that
+LOWRANK_CAP * n columns (always below order 256, where not even the first
+LOWRANK_BLOCK = 64 fit), the dense route runs: an even-order matrix that
 is centrosymmetric to rounding as two half-size solves, any other as one
 ``eigvalsh``, accurate to about n * eps * max|lambda| as well.
 
@@ -66,23 +66,26 @@ LANCZOS_START_PHASE = 0.3
 # alpha = 5, 7.4 eps at alpha = 10) on the midpoint log grid.
 CENTRO_TOL = 16.0 * np.finfo(float).eps
 
-# A symmetric matrix first tries the low-rank route.  On the four benchmark
-# families (best of 3, 2 OpenBLAS threads) it took 0.52-0.64x the dense time
-# on the centrosymmetric ones and 0.28-0.36x on the others at n = 1024, 1100
-# and 1198 (R = 11), 0.48-0.51x and 0.17-0.20x at 1600, 0.31-0.35x and
-# 0.11-0.14x at 2400, 0.27-0.28x and 0.10x at 3200.  Its basis starts at
+# A symmetric matrix first tries the low-rank route.  Its basis starts at
 # LOWRANK_BLOCK columns and doubles; a basis is only certified when
 # LOWRANK_SPARE of its columns lie at the rounding level, and the route gives
-# up once more than LOWRANK_CAP * n columns would be needed.  With a
-# Householder QR a certified 256-column solve took 0.84x the centrosymmetric
-# dense solve at n = 2400, so near n / 8 columns the two cost the same; the
-# Gram orthonormalisation brought it to 0.55x at 2400 (R = 20) and
-# 0.47-0.54x at 3200 (R = 24), so the cap now leaves some speed unused.
-# Below order 1024 not even the first LOWRANK_BLOCK columns fit.  A rank-530
-# matrix of order 1600 (the R = 80 ladder) gives up after 0.024-0.032 s,
-# 7-22% of its dense solve.
-LOWRANK_CAP = 0.125
-LOWRANK_BLOCK = 128
+# up once more than LOWRANK_CAP * n columns would be needed, so below order
+# 256 it never runs.  On the four benchmark families (best of 5, 2 OpenBLAS
+# threads) it took, against the dense time on the centrosymmetric ones and
+# on the others: 1.60x and 0.96x at n = 256 (R = 6.4; a give-up at rank > 48
+# cost 1.15x and 0.64x on top of the dense solve), give-ups at 0.60-0.62x and
+# 0.37x at 400 (rank 52-60), 0.90-0.97x and 0.51-0.56x at 800, 0.66-0.71x and
+# 0.33-0.36x at 1100, 0.50-0.53x and 0.20-0.21x at 1600, 0.32-0.35x and
+# 0.10-0.12x at 2400, 0.24-0.28x and 0.09x at 3200.  Near the cap a
+# 512-column solve took 1.59x the centrosymmetric dense time at n = 2400
+# (R = 36, rank 241) and 0.82-0.88x at 3200 (R = 48, rank 283-317), against
+# 0.25-0.57x and 0.34-0.36x on the others: at n / 4 columns the two routes
+# cost about the same.  A matrix of rank 287-531 at order 1600 (the R = 80
+# ladder step) gives up after its first 64-column sketch, in 0.013-0.018 s,
+# 4-12% of its dense solve; trying 64, 128 and 256 columns before giving up
+# took 0.048-0.108 s (15-56%).
+LOWRANK_CAP = 0.25
+LOWRANK_BLOCK = 64
 LOWRANK_SPARE = 16
 
 
@@ -189,7 +192,14 @@ def _svqb(X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 def _range_basis(Y: np.ndarray, tol: float, limit: int) -> Tuple[Optional[np.ndarray], int]:
     """(Q, count): an orthonormal basis Q of the numerical range of Y, and
     the number of singular values of Y above tol * |Y|_2 that it finds; or
-    (None, count) as soon as level 1 alone counts more than ``limit``.
+    (None, estimate) as soon as level 1 alone counts more than ``limit``.
+    The estimate is level 1's count, or, when level 1 keeps all k columns
+    of Y, the index at which the decay of its singular values from sigma_1
+    to sigma_(k/2), continued geometrically, reaches tol * sigma_1.  The
+    first k/2 values of a k-column sketch follow those of the matrix (k/2
+    columns of oversampling); the last few fall below them, so a decay
+    read up to sigma_k puts the rank too low (359 for 480 at k = 64 on the
+    R = 80 ladder step, against 504 read up to sigma_(k/2)).
 
     Two levels of ``_svqb``.  Level 1 keeps the directions of Y above
     sqrt(eps) * |Y|_2.  Level 2 takes the remainder Z = (I - Q1 Q1^T) Y,
@@ -204,7 +214,13 @@ def _range_basis(Y: np.ndarray, tol: float, limit: int) -> Tuple[Optional[np.nda
     """
     Q1, lam = _svqb(Y)
     if Q1.shape[1] > limit:
-        return None, Q1.shape[1]
+        n, k = Y.shape
+        if Q1.shape[1] < k:
+            return None, Q1.shape[1]
+        # log(sigma_j / sigma_1) at j = k / 2, where the sketch still follows A
+        j = k // 2
+        decay = 0.5 * math.log(lam[-j] / lam[-1])
+        return None, n if decay == 0.0 else math.ceil(1 + (j - 1) * math.log(tol) / decay)
     for _ in range(2):
         Q1 = _svqb(Q1)[0]
     Z = Y - Q1 @ (Q1.T @ Y)
@@ -231,12 +247,16 @@ def _lowrank_eigvalsh(A: np.ndarray) -> Optional[Tuple[np.ndarray, float]]:
     its numerical range with m <= k columns.  Unless at most
     k - LOWRANK_SPARE singular values of Y lie above tol * |Y|_2
     (tol = n * eps), the basis cannot hold the numerical range with room to
-    spare and k doubles.
+    spare and k doubles.  When that count, or level 1's estimate of it (see
+    ``_range_basis``), is past what the widest k within LOWRANK_CAP * n can
+    hold, the route gives up at once.
 
     Otherwise T = Q^T S Q with Ritz values theta.  The residual
-    r = |S - Q T Q^T|_F is formed over the upper triangle in
-    ``ROW_BLOCK``-row strips, S in square tiles (no N x N temporary, and
-    no transposed strip is read, as in ``_asymmetry``).  Q is orthonormal only
+    r = |A - Q T Q^T|_F is formed in whole ``ROW_BLOCK``-row strips of A,
+    each in place (no N x N temporary, and A is read by rows only).  For
+    the symmetric X = Q T Q^T, |A - X|_F^2 = |S - X|_F^2 + |1/2 (A - A^T)|_F^2,
+    so r is |S - X|_F on an exactly symmetric A and at most the
+    rounding-level skew part above it otherwise.  Q is orthonormal only
     to rounding: with G = Q^T Q = I + E, the nonzero eigenvalues of
     Q T Q^T are those of G^(1/2) T G^(1/2) (the nonzero spectra of XY and
     YX agree).  F = G^(1/2) - I shares the eigenvectors of E, and
@@ -245,41 +265,49 @@ def _lowrank_eigvalsh(A: np.ndarray) -> Optional[Tuple[np.ndarray, float]]:
     o = |T|_2 |E|_F (2 + |E|_F).  By Hoffman & Wielandt (Duke Math. J. 20,
     1953), applied to S against Q T Q^T and to diag(G^(1/2) T G^(1/2), 0)
     against diag(T, 0), the list theta padded with n - m zeros differs from
-    the sorted eigenvalues of S by at most r + o in 2-norm.  The Ritz values
-    at or below r are set to 0, which adds their 2-norm: that sum is the
-    certificate.  It is accepted at tol * max|theta|, the absolute accuracy
-    of a dense solve; if not, k doubles.
+    the sorted eigenvalues of S by at most |S - X|_F + o <= r + o in
+    2-norm.  The Ritz values at or below r are set to 0, which adds their
+    2-norm: that sum is the certificate.  It is accepted at
+    tol * max|theta|, the absolute accuracy of a dense solve; if not, k
+    doubles.
 
     Every product with A takes its thin factor scaled by ``_unit_scale(A)``
-    (a power of two, so exactly), so the work is on S / max|A| and the
-    certificate cannot overflow.  No random state is read: two calls give
-    the same bits.
+    (a power of two, so exactly), so the work is on S / max|A|, and each
+    residual strip is scaled the same way before its squares are summed:
+    the certificate cannot overflow.  No random state is read: two calls
+    give the same bits.
     """
     n = A.shape[0]
     if LOWRANK_BLOCK > LOWRANK_CAP * n:
         return None
     scale = _unit_scale(A)
     tol = n * np.finfo(float).eps
+    # the widest basis the doubling reaches within the cap
+    k_max = LOWRANK_BLOCK << int(math.log2(LOWRANK_CAP * n / LOWRANK_BLOCK))
     Y, k = np.empty((n, 0)), 0
-    while (k_new := max(LOWRANK_BLOCK, 2 * k)) <= LOWRANK_CAP * n:
+    while k < k_max:
+        k_new = max(LOWRANK_BLOCK, 2 * k)
         Y = np.hstack([Y, A @ (_start_block(n, k, k_new) * scale)])
         k = k_new
         Q, count = _range_basis(Y, tol, k - LOWRANK_SPARE)
+        if count > k_max - LOWRANK_SPARE:
+            return None
         if count > k - LOWRANK_SPARE:
             continue
         T = Q.T @ (A @ (Q * scale))
         T = 0.5 * (T + T.T)
         theta = np.linalg.eigvalsh(T)
+        # each strip of Q T Q^T is formed in A's units, so that A is
+        # subtracted in place, and scaled back before its squares are summed
         W = T @ Q.T
+        W /= scale
         resid_sq = 0.0
         for r0 in range(0, n, ROW_BLOCK):
-            r1 = min(r0 + ROW_BLOCK, n)
-            strip = Q[r0:r1] @ W[:, r0:]
-            for c0 in range(r0, n, ROW_BLOCK):
-                c = slice(c0, c0 + ROW_BLOCK)
-                strip[:, c0 - r0 : c.stop - r0] -= (A[r0:r1, c] + A[c, r0:r1].T) * (0.5 * scale)
-            diag, upper = strip[:, : r1 - r0].ravel(), strip[:, r1 - r0 :].ravel()
-            resid_sq += float(diag @ diag) + 2.0 * float(upper @ upper)
+            strip = Q[r0 : r0 + ROW_BLOCK] @ W
+            strip -= A[r0 : r0 + ROW_BLOCK]
+            strip *= scale
+            strip = strip.ravel()
+            resid_sq += float(strip @ strip)
         top = float(np.abs(theta).max(initial=0.0))
         resid = math.sqrt(resid_sq)
         orth = float(np.linalg.norm(Q.T @ Q - np.eye(Q.shape[1])))
@@ -323,7 +351,7 @@ def sym_eigen(M) -> np.ndarray:
 
     The input must be symmetric to 1e-12 relative; the eigenvalues are those
     of its exact symmetric part S = 1/2 (M + M^T), so they are real by
-    construction.  From order 1024 on they may come from the certified
+    construction.  From order 256 on they may come from the certified
     low-rank route (see the module docstring and ``_lowrank_eigvalsh``):
     every value lies within n * eps * max|lambda| of the exact one, and the
     values outside the numerical range are exactly 0.  Otherwise an

@@ -190,9 +190,9 @@ def _reg_lower_series(s: float, t: np.ndarray, tol: float, itmax: int) -> np.nda
     return total
 
 
-def _reg_upper_cf(s: float, t: np.ndarray, tol: float, itmax: int) -> np.ndarray:
-    """Q(s,t) by the Lentz continued fraction, valid for t >= s+1.  Each step
-    works on the points still short of convergence only."""
+def _lentz_fraction(s: float, t: np.ndarray, tol: float, itmax: int) -> np.ndarray:
+    """The continued fraction of Q(s,t) / (e^(-t) t^s / Gamma(s)) by Lentz's
+    method.  Each step works on the points still short of convergence only."""
     tiny = 1e-300
     h = np.empty_like(t)
     idx = np.arange(t.size)
@@ -217,7 +217,18 @@ def _reg_upper_cf(s: float, t: np.ndarray, tol: float, itmax: int) -> np.ndarray
             h[idx[~going]] = h_a[~going]
             idx, b, c, d, h_a = idx[going], b[going], c[going], d[going], h_a[going]
     h[idx] = h_a
-    return np.exp(-t + s * np.log(t) - ln_gamma(s)) * h
+    return h
+
+
+def _reg_upper_cf(s: float, t: np.ndarray, tol: float, itmax: int) -> np.ndarray:
+    """Q(s,t) by the continued fraction, valid for t >= s+1.  The prefactor
+    e^(-t) t^s / Gamma(s) comes first: where it underflows to 0, Q is 0
+    whatever the fraction (a finite positive number), so the fraction is
+    evaluated on the other points only."""
+    q = np.exp(-t + s * np.log(t) - ln_gamma(s))
+    live = np.flatnonzero(q)
+    q[live] *= _lentz_fraction(s, t[live], tol, itmax)
+    return q
 
 
 def _reg_gamma_pair(s, t, tol: float = 1e-14, itmax: int = 500):

@@ -36,6 +36,7 @@ from hankellab.kernels import rational_test_family
 from hankellab.linalg import (
     CENTRO_TOL,
     LOWRANK_BLOCK,
+    LOWRANK_CAP,
     LOWRANK_SPARE,
     _centro_halves,
     _dense_eigvalsh,
@@ -159,11 +160,27 @@ _FAMILIES = {
 
 
 @pytest.fixture(scope="class")
-def verify_large_matrices():
-    """A, the weighted Hankel matrix and the C7 residual at (14, 2400),
-    alpha = 0.5, rational(2,1,1,2): the largest matrices verify solves."""
-    p = _GridPieces(0.5, make_grid(14.0, 2400), (2.0, 1.0, 1.0, 2.0))
-    return {"A": p.A.entries, "weighted": p.weighted[0].entries, "C7": _residual_matrix(p)}
+def verify_matrices():
+    """(R, N) -> the matrices verify solves at that step at alpha = 0.5
+    with rational(2,1,1,2): A, the weighted Hankel matrix, the C7 residual
+    and C6's three blocks (the cross block with its columns reversed).
+    Each step is built once, on first use."""
+    steps = {}
+
+    def at(R, N):
+        if (R, N) not in steps:
+            p = _GridPieces(0.5, make_grid(R, N), (2.0, 1.0, 1.0, 2.0))
+            steps[R, N] = {
+                "A": p.A.entries,
+                "weighted": p.weighted[0].entries,
+                "C7": _residual_matrix(p),
+                "L_00": p.L.entries[p.m0, p.m0],
+                "L_ii": p.L.entries[p.mi, p.mi],
+                "A_0iJ": p.A.entries[p.m0, p.mi][:, ::-1],
+            }
+        return steps[R, N]
+
+    return at
 
 
 def _jacobi_svdvals(M):
@@ -177,33 +194,44 @@ def _jacobi_svdvals(M):
     return np.sort(sva * (work[0] / work[1]))[::-1]
 
 
-# C6's cross block of A at (R, N) -> alpha; it does not depend on the family
-_CROSS_BLOCKS = {(14.0, 2400): 0.5, (16.0, 3200): 0.0}
+# C6's cross block of A at (R, N) -> alpha, built alone; it does not depend
+# on the family
+_CROSS_BLOCKS = {(16.0, 3200): 0.0}
 
-# (11, 1100) lies in 1024 <= n < 1200, the lowest orders the route can take;
-# (24, 3200) has numerical rank 159, so it needs the second basis size
+# (name, R, N, basis width the route certifies at).  The families at
+# (10, 800) and (11, 1100) sit just past the first width (numerical rank
+# 65-79); (24, 3200) has numerical rank 159, so it needs the third.  C6's
+# blocks at (10, 800) have order 400 and rank 8-24.
 _SUITE_CASES = (
-    [(name, R, N) for R, N in ((11.0, 1100), (12.0, 1600), (16.0, 3200)) for name in _FAMILIES]
-    + [("rational(2,1,1,2)", 24.0, 3200)]
-    + [(name, 14.0, 2400) for name in ("A", "weighted", "C7")]
-    + [("A_0iJ", R, N) for R, N in _CROSS_BLOCKS]
+    [
+        (name, R, N, 128)
+        for R, N in ((10.0, 800), (11.0, 1100), (12.0, 1600), (16.0, 3200))
+        for name in _FAMILIES
+    ]
+    + [("rational(2,1,1,2)", 24.0, 3200, 256)]
+    + [
+        (name, R, N, 128)
+        for R, N in ((10.0, 800), (14.0, 2400))
+        for name in ("A", "weighted", "C7")
+    ]
+    + [(name, 10.0, 800, 64) for name in ("L_00", "L_ii", "A_0iJ")]
+    + [("A_0iJ", 14.0, 2400, 64), ("A_0iJ", 16.0, 3200, 64)]
 )
 
 
 class TestLowRankRoute:
     @pytest.mark.parametrize("case", _SUITE_CASES, ids=lambda c: f"{c[0]}-{c[1]:g}-{c[2]}")
     def test_suite_matrices_within_certificate(self, case, request, monkeypatch):
-        name, R, N = case
+        name, R, N, width = case
         if name in _FAMILIES:
             _, (spec_a, spec_w) = _FAMILIES[name]
             M = assemble_wHa(spec_a, spec_w, make_grid(R, N)).entries
-        elif name == "A_0iJ":
+        elif (R, N) in _CROSS_BLOCKS:
             grid = make_grid(R, N)
             A = assemble_A(_CROSS_BLOCKS[R, N], grid).entries
-            cross = A[grid.side("zero"), grid.side("infinity")]
-            M = cross[:, ::-1]  # C6's Hankel form, with the columns reversed
+            M = A[grid.side("zero"), grid.side("infinity")][:, ::-1]
         else:
-            M = request.getfixturevalue("verify_large_matrices")[name]
+            M = request.getfixturevalue("verify_matrices")(R, N)[name]
         n = M.shape[0]
         widths = []
 
@@ -215,13 +243,15 @@ class TestLowRankRoute:
         found = _lowrank_eigvalsh(M)
         assert found is not None
         values, certificate = found
-        # certified at the first basis size, at the second for (24, 3200)
+        # certified at the width the case names, the doubling from
+        # LOWRANK_BLOCK columns within LOWRANK_CAP * n
         k = widths[-1]
-        assert k == (2 if R == 24.0 else 1) * LOWRANK_BLOCK
+        assert k == width and widths == [LOWRANK_BLOCK << i for i in range(len(widths))]
+        assert k <= LOWRANK_CAP * n
         if name == "A_0iJ":
             # Mirsky: the sorted |values| and the singular values of the
             # unreversed block differ by the certificate in 2-norm
-            got, ref = np.sort(np.abs(values))[::-1], _jacobi_svdvals(cross)
+            got, ref = np.sort(np.abs(values))[::-1], _jacobi_svdvals(M[:, ::-1])
         else:
             # Hoffman-Wielandt: the sorted lists differ by the certificate
             # in 2-norm
@@ -240,20 +270,83 @@ class TestLowRankRoute:
         assert np.array_equal(again[0], values) and again[1] == certificate
         eigs = sym_eigen(M)
         assert np.array_equal(eigs, values)
-        # the values past the numerical range are exact zeros
-        assert np.count_nonzero(eigs) <= n // 8
+        # the values past the basis are exact zeros
+        assert np.count_nonzero(eigs) <= k
         assert np.array_equal(singular_values(M), np.sort(np.abs(values))[::-1])
 
-    def test_gives_up_unread_below_order_1024(self, monkeypatch):
-        # the first 128 columns exceed n / 8 below order 1024, so the route
-        # gives up before it scales or multiplies A
+    def test_gives_up_unread_below_order_256(self, verify_matrices, monkeypatch):
+        # the first 64 columns exceed n / 4 below order 256, so the route
+        # gives up before it scales or multiplies A: C6's blocks at (8, 400)
+        # (order 200) take the dense route
         def unread(A):
             raise AssertionError("A was read")
 
         monkeypatch.setattr(hankellab.linalg, "_unit_scale", unread)
-        assert _lowrank_eigvalsh(np.zeros((1023, 1023))) is None
+        blocks = verify_matrices(8.0, 400)
+        for name in ("L_00", "L_ii", "A_0iJ"):
+            assert _lowrank_eigvalsh(blocks[name]) is None
+        assert _lowrank_eigvalsh(np.zeros((255, 255))) is None
         with pytest.raises(AssertionError, match="A was read"):
-            _lowrank_eigvalsh(np.zeros((1024, 1024)))
+            _lowrank_eigvalsh(np.zeros((256, 256)))
+
+    def test_high_rank_gives_up_at_the_first_width(self, monkeypatch):
+        # the R = 80 ladder step has numerical rank 287-531 at order 1600,
+        # past the 256 - LOWRANK_SPARE a basis of at most n / 4 can hold; the
+        # decay of the first 64-column sketch shows it, so no wider basis
+        # is tried and the dense route runs
+        widths = []
+
+        def spy(rows, j0, j1):
+            widths.append(j1)
+            return _start_block(rows, j0, j1)
+
+        monkeypatch.setattr(hankellab.linalg, "_start_block", spy)
+        for alpha, family in ((0.0, (1.0, 0.0, 1.0, 1.0)), (0.5, (2.0, 1.0, 1.0, 2.0))):
+            M = assemble_wHa(*rational_test_family(alpha, *family), make_grid(80.0, 1600)).entries
+            widths.clear()
+            assert _lowrank_eigvalsh(M) is None
+            assert widths == [LOWRANK_BLOCK]
+            # the widest basis the doubling reaches within n / 4 = 400 is 256
+            n = M.shape[0]
+            k_max = max(w for w in (LOWRANK_BLOCK << i for i in range(8)) if w <= LOWRANK_CAP * n)
+            ref = scipy.linalg.eigh(M, eigvals_only=True)
+            rank = np.count_nonzero(np.abs(ref) > n * np.finfo(float).eps * np.abs(ref).max())
+            assert rank > k_max - LOWRANK_SPARE
+
+    def test_certificate_bounds_the_symmetric_part(self, monkeypatch):
+        # M = S + K with K skew at the rounding level: the route solves S,
+        # and its residual, formed against M in row strips, is
+        # |M - X|_F = (|S - X|_F^2 + |K|_F^2)^(1/2) >= |S - X|_F for the
+        # symmetric X = Q T Q^T
+        _, (spec_a, spec_w) = _FAMILIES["rational(2,1,1,2)"]
+        S = assemble_wHa(spec_a, spec_w, make_grid(12.0, 1200)).entries
+        S = 0.5 * (S + S.T)
+        B = np.random.default_rng(5).standard_normal(S.shape)
+        K = B - B.T
+        K *= 1e-14 * np.linalg.norm(S) / np.linalg.norm(K)
+        M = S + K
+        bases, ritz = [], []
+        range_basis, eigvalsh = hankellab.linalg._range_basis, np.linalg.eigvalsh
+
+        def basis_spy(*args):
+            found = range_basis(*args)
+            bases.append(found[0])
+            return found
+
+        def ritz_spy(T):
+            ritz.append(T)
+            return eigvalsh(T)
+
+        monkeypatch.setattr(hankellab.linalg, "_range_basis", basis_spy)
+        monkeypatch.setattr(np.linalg, "eigvalsh", ritz_spy)
+        values, certificate = _lowrank_eigvalsh(M)
+        monkeypatch.undo()
+        ref = scipy.linalg.eigh(S, eigvals_only=True)
+        tol = S.shape[0] * np.finfo(float).eps
+        assert np.linalg.norm(values - ref) <= certificate <= tol * np.abs(ref).max()
+        # T was formed on M scaled by a power of two
+        Q, T = bases[-1], ritz[-1] / _unit_scale(M)
+        assert certificate >= np.linalg.norm(S - Q @ T @ Q.T)
 
     def test_no_householder_qr(self, monkeypatch):
         # the basis comes from Gram eigendecompositions alone

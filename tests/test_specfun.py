@@ -9,12 +9,14 @@ import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
-from scipy.special import gammainc, gammaincc
+from scipy.special import gammainc, gammaincc, gammaln
 
+import hankellab.specfun
 from hankellab import (
     DomainError,
     QuadratureError,
     ln_gamma,
+    make_grid,
     mellin_symbol,
     pi_alpha,
     psi_minus,
@@ -248,6 +250,34 @@ class TestRegularisedGamma:
             ts = np.geomspace(1e-6, 1e3, 60)
             total = sum(_reg_gamma_pair(s, ts))
             assert np.abs(total - 1.0).max() <= 1e-12
+
+    @pytest.mark.parametrize("alpha", [-0.25, 0.0, 0.5, 2.0, 5.0])
+    def test_fraction_skipped_where_the_prefactor_underflows(self, alpha, monkeypatch):
+        # node sums of every 8th node of the (14, 2400) grid: where
+        # e^(-t) t^s / Gamma(s) < e^(-746) it is 0 in floating point, so Q is
+        # exactly 0 and P exactly 1, and the fraction never sees the point
+        nodes = make_grid(14.0, 2400).nodes[::8]
+        t = (nodes[:, np.newaxis] + nodes[np.newaxis, :]).ravel()
+        s = 1.0 + 2.0 * alpha
+        seen = []
+        fraction = hankellab.specfun._lentz_fraction
+
+        def spy(s_, t_, tol, itmax):
+            seen.append(t_.copy())
+            return fraction(s_, t_, tol, itmax)
+
+        monkeypatch.setattr(hankellab.specfun, "_lentz_fraction", spy)
+        p, q = _reg_gamma_pair(s, t)
+        dead = -t + s * np.log(t) - gammaln(s) < -746.0
+        # most of the continued-fraction points (t >= s + 1) are skipped
+        assert dead.sum() >= 0.6 * np.count_nonzero(t >= s + 1.0)
+        assert (p[dead] == 1.0).all() and (q[dead] == 0.0).all()
+        assert (gammaincc(s, t[dead]) == 0.0).all()
+        assert not np.isin(np.concatenate(seen), t[dead]).any()
+        # the other points are those of one scalar loop each
+        live = np.flatnonzero((t >= s + 1.0) & ~dead)[::50]
+        h = np.array([_continued_fraction_loop(s, x, 1e-14, 500) for x in t[live]])
+        assert np.array_equal(q[live], np.exp(-t[live] + s * np.log(t[live]) - ln_gamma(s)) * h)
 
     def test_domain(self):
         with pytest.raises(DomainError):
