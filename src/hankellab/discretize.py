@@ -17,6 +17,15 @@ The widened factor's entries depend on i + j alone (t_i tau_j = e^(x_i + y_j)
 on one step h), so it is gathered from 3N - 1 values.  A and L stay
 entrywise: C2 and C5 test structure (inversion symmetry, the log-variable
 Hankel form) that a gather would impose by construction.
+
+The verification suite builds no N x 2N factor and no H(phi_inf) matrix:
+:func:`gathered_block` gathers each side's columns of the factor as one
+N x N Hankel matrix, and :func:`phi0_and_split_defect` gives H(phi0) with
+the split defect from one strip walk.  A verify step holds about 4.5 N^2
+doubles at its peak besides ``ROW_BLOCK`` x N strips (see ``verify``).
+``assemble_L_rect``, ``composed_block``, ``operator_square`` and
+``assemble_model_split`` are not called by the program; they stay because
+the acceptance tests (tests/test_acceptance.py) import them.
 """
 
 from __future__ import annotations
@@ -26,7 +35,16 @@ from typing import Callable, Tuple
 import numpy as np
 
 from .kernels import KernelSpec, WeightSpec, kernel_A, kernel_L, weighted_hankel_kernel
-from .quadrature import Grid, OperatorMatrix, _evaluate_kernel, _nystrom_strips, make_grid, nystrom
+from .quadrature import (
+    Grid,
+    OperatorMatrix,
+    _evaluate_kernel,
+    _nystrom_strips,
+    _store_strip,
+    _upper_strips,
+    make_grid,
+    nystrom,
+)
 from .specfun import check_alpha, ln_gamma, phi_split, psi_minus, psi_plus
 
 __all__ = [
@@ -37,8 +55,10 @@ __all__ = [
     "assemble_L_rect",
     "operator_square",
     "composed_block",
+    "gathered_block",
     "assemble_uL",
     "assemble_model_split",
+    "phi0_and_split_defect",
     "log_pushforward_hankel",
     "change_of_variables_diagonal",
 ]
@@ -115,6 +135,16 @@ def composed_block(Lr: OperatorMatrix, inner_side: str) -> OperatorMatrix:
     return OperatorMatrix(grid=Lr.grid, entries=C @ C.T, provenance=provenance)
 
 
+def gathered_block(alpha, grid: Grid, inner_side: str) -> OperatorMatrix:
+    """``composed_block(assemble_L_rect(alpha, grid), inner_side)`` with no
+    N x 2N factor: the factor's columns on that side of 1 are gathered into
+    one contiguous N x N Hankel matrix C from the 3N - 1 antidiagonal
+    values, and C C^T is the same product, bit for bit."""
+    a = check_alpha(alpha)
+    C = _widened_factor_rows(a, grid)[:, widened_grid(grid).side(inner_side)].copy()
+    return OperatorMatrix(grid=grid, entries=C @ C.T, provenance=f"L(alpha={a})*1_{inner_side}*L")
+
+
 def assemble_uL(u: Callable, Lr: OperatorMatrix) -> OperatorMatrix:
     """Rectangular discretisation of the operator u L (u a multiplication
     operator given as a function of t) from the widened factor ``Lr``; used
@@ -126,25 +156,50 @@ def assemble_uL(u: Callable, Lr: OperatorMatrix) -> OperatorMatrix:
     )
 
 
+def _split_kernels(a: float) -> Callable:
+    """The strip kernels (phi0, phi_inf) of the model split for the strip
+    walk of :func:`quadrature._upper_strips`: both from one incomplete-Gamma
+    evaluation on the node sums of each strip."""
+
+    def strip_kernels(s, t):
+        st = s**a * t**a
+        phis = phi_split(a, s + t)
+        # the walk calls each kernel on exactly this node column and row
+        return tuple(lambda s, t, phi=phi: st * phi for phi in phis)
+
+    return strip_kernels
+
+
 def assemble_model_split(alpha, grid: Grid) -> Tuple[OperatorMatrix, OperatorMatrix]:
     """Nystrom matrices (H(phi0), H(phi_inf)) of t^a phi(t+s) s^a.
 
     The two sum to the model matrix entrywise (the kernels split t^(-1-2a)
     exactly), and H(phi0) is the widened composition L * 1_infinity * L in
-    the continuum limit.  Both come from one incomplete-Gamma evaluation on
-    the node sums of each strip of the shared upper-triangle walk.
+    the continuum limit.  Both come from the walk of
+    :func:`phi0_and_split_defect`.
     """
     a = check_alpha(alpha)
-
-    def strip_kernels(s, t):
-        st = s**a * t**a
-        phis = phi_split(a, s + t)
-        # _nystrom_strips calls each kernel on exactly this node column and row
-        return tuple(lambda s, t, phi=phi: st * phi for phi in phis)
-
     return _nystrom_strips(
-        strip_kernels, grid, (f"H(phi0,alpha={a})", f"H(phi_inf,alpha={a})")
+        _split_kernels(a), grid, (f"H(phi0,alpha={a})", f"H(phi_inf,alpha={a})")
     )
+
+
+def phi0_and_split_defect(alpha, grid: Grid, A: np.ndarray) -> Tuple[np.ndarray, float]:
+    """(H(phi0), max|H(phi0) + H(phi_inf) - A|) for an exactly symmetric
+    ``A``, with no H(phi_inf) matrix: the entries of H(phi0), as a writable
+    array, and the split defect, both from one walk of the upper triangle in
+    the strips of :func:`assemble_model_split`.  Each strip of the defect is
+    formed as (h0 + h_inf) - a, so it has the bits of the whole-matrix
+    difference of ``assemble_model_split``'s pair; all three matrices are
+    symmetric, so its largest entry is in the upper triangle."""
+    a = check_alpha(alpha)
+    H0, defect = np.empty((grid.N, grid.N)), 0.0
+    for r0, r1, (h0, h_inf) in _upper_strips(_split_kernels(a), grid):
+        _store_strip(H0, r0, r1, h0)
+        h_inf += h0
+        h_inf -= A[r0:r1, r0:]
+        defect = max(defect, float(np.abs(h_inf).max()))
+    return H0, defect
 
 
 def log_pushforward_hankel(side: str, alpha, grid: Grid) -> OperatorMatrix:

@@ -95,33 +95,55 @@ def _as_array(M) -> np.ndarray:
     return np.asarray(M, dtype=float)
 
 
-def _asymmetry(A: np.ndarray) -> float:
-    """max|A - A^T| / max|A| of a square matrix, compared over the upper
-    triangle in square ``ROW_BLOCK`` tiles, A[I, J] against A[J, I]^T, into
-    one tile-sized buffer.  Each transposed tile is read from ``ROW_BLOCK``
-    rows at a time; whole transposed strips A[r0:, r0:r1]^T took 83 ms
-    against 49 ms for the tiles at n = 3200."""
+def _asymmetry(A: np.ndarray) -> Tuple[float, float]:
+    """(max|A - A^T| / max|A|, max|A|) of a square matrix.  The upper
+    triangle is compared in square ``ROW_BLOCK`` tiles, A[I, J] against
+    A[J, I]^T, into one tile-sized buffer, and max|A| is read from the
+    same tiles, which cover every entry.  Each transposed tile is read from
+    ``ROW_BLOCK`` rows at a time; whole transposed strips A[r0:, r0:r1]^T
+    took 83 ms against 49 ms for the tiles at n = 3200."""
     n, asym = A.shape[0], 0.0
+    tops, bottoms = [0.0], [0.0]
     buf = np.empty((ROW_BLOCK, ROW_BLOCK))
     for r0 in range(0, n, ROW_BLOCK):
         r1 = min(r0 + ROW_BLOCK, n)
         for c0 in range(r0, n, ROW_BLOCK):
             c1 = min(c0 + ROW_BLOCK, n)
-            tile = np.subtract(A[r0:r1, c0:c1], A[c0:c1, r0:r1].T, out=buf[: r1 - r0, : c1 - c0])
+            upper, lower = A[r0:r1, c0:c1], A[c0:c1, r0:r1]
+            tile = np.subtract(upper, lower.T, out=buf[: r1 - r0, : c1 - c0])
             asym = max(asym, float(np.abs(tile, out=tile).max()))
-    return asym / max(float(A.max(initial=0.0)), -float(A.min(initial=0.0)), 1e-300)
+            for part in (upper, lower) if c0 > r0 else (upper,):
+                tops.append(part.max())
+                bottoms.append(part.min())
+    # reduced by numpy, so that a NaN entry gives a NaN scale
+    amax = max(float(np.max(tops)), -float(np.min(bottoms)))
+    return asym / max(amax, 1e-300), amax
+
+
+def _symmetric_max(A: np.ndarray) -> Optional[float]:
+    """max|A| of a square matrix symmetric to 1e-12 relative to it; None
+    for any other matrix."""
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        return None
+    asym, amax = _asymmetry(A)
+    return amax if asym <= 1e-12 else None
 
 
 def _is_symmetric(A: np.ndarray) -> bool:
     """Square and symmetric to 1e-12 relative to max|A|."""
-    return A.ndim == 2 and A.shape[0] == A.shape[1] and _asymmetry(A) <= 1e-12
+    return _symmetric_max(A) is not None
+
+
+def _scale_for(amax: float) -> float:
+    """A power of two s with s * amax in [1/2, 1) (1 for amax = 0): scaling
+    a matrix with max|A| = amax by it is exact, and sums of squares of s * A
+    cannot overflow."""
+    return math.ldexp(1.0, -max(math.frexp(amax)[1], -1000))
 
 
 def _unit_scale(A: np.ndarray) -> float:
-    """A power of two s with s * max|A| in [1/2, 1) (1 for a zero matrix):
-    scaling by it is exact, and sums of squares of s * A cannot overflow."""
-    amax = max(float(A.max(initial=0.0)), -float(A.min(initial=0.0)))
-    return math.ldexp(1.0, -max(math.frexp(amax)[1], -1000))
+    """``_scale_for(max|A|)``."""
+    return _scale_for(max(float(A.max(initial=0.0)), -float(A.min(initial=0.0))))
 
 
 def _centro_halves(S: np.ndarray):
@@ -192,7 +214,10 @@ def _svqb(X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 def _range_basis(Y: np.ndarray, tol: float, limit: int) -> Tuple[Optional[np.ndarray], int]:
     """(Q, count): an orthonormal basis Q of the numerical range of Y, and
     the number of singular values of Y above tol * |Y|_2 that it finds; or
-    (None, estimate) as soon as level 1 alone counts more than ``limit``.
+    (None, count) when the count is past ``limit``, as soon as level 2's
+    singular values give it, before its basis is made orthonormal (the
+    caller has no use for a basis too narrow to certify); or (None,
+    estimate) as soon as level 1 alone counts more than ``limit``.
     The estimate is level 1's count, or, when level 1 keeps all k columns
     of Y, the index at which the decay of its singular values from sigma_1
     to sigma_(k/2), continued geometrically, reaches tol * sigma_1.  The
@@ -226,16 +251,20 @@ def _range_basis(Y: np.ndarray, tol: float, limit: int) -> Tuple[Optional[np.nda
     Z = Y - Q1 @ (Q1.T @ Y)
     Z -= Q1 @ (Q1.T @ Z)
     Q2, lam_z = _svqb(Z)
+    count = Q1.shape[1] + int(np.count_nonzero(lam_z > tol * tol * np.max(lam, initial=0.0)))
+    if count > limit:
+        return None, count
     # Z has rank k - m1 at most: the columns past that are rounding noise
     Q2 = Q2[:, max(0, Q2.shape[1] - (Y.shape[1] - Q1.shape[1])) :]
     for _ in range(2):
         Q2 -= Q1 @ (Q1.T @ Q2)
         Q2 = _svqb(Q2)[0]
-    count = Q1.shape[1] + int(np.count_nonzero(lam_z > tol * tol * np.max(lam, initial=0.0)))
     return np.hstack([Q1, Q2]), count
 
 
-def _lowrank_eigvalsh(A: np.ndarray) -> Optional[Tuple[np.ndarray, float]]:
+def _lowrank_eigvalsh(
+    A: np.ndarray, scale: Optional[float] = None
+) -> Optional[Tuple[np.ndarray, float]]:
     """(ascending eigenvalues, certificate) of S = 1/2 (A + A^T) from a
     certified low-rank factorisation, or None when a basis of more than
     LOWRANK_CAP * n columns would be needed.
@@ -271,8 +300,9 @@ def _lowrank_eigvalsh(A: np.ndarray) -> Optional[Tuple[np.ndarray, float]]:
     tol * max|theta|, the absolute accuracy of a dense solve; if not, k
     doubles.
 
-    Every product with A takes its thin factor scaled by ``_unit_scale(A)``
-    (a power of two, so exactly), so the work is on S / max|A|, and each
+    Every product with A takes its thin factor scaled by ``scale``, which
+    is ``_unit_scale(A)`` (read from A unless the caller has it; a power of
+    two, so exactly), so the work is on S / max|A|, and each
     residual strip is scaled the same way before its squares are summed:
     the certificate cannot overflow.  No random state is read: two calls
     give the same bits.
@@ -280,7 +310,8 @@ def _lowrank_eigvalsh(A: np.ndarray) -> Optional[Tuple[np.ndarray, float]]:
     n = A.shape[0]
     if LOWRANK_BLOCK > LOWRANK_CAP * n:
         return None
-    scale = _unit_scale(A)
+    if scale is None:
+        scale = _unit_scale(A)
     tol = n * np.finfo(float).eps
     # the widest basis the doubling reaches within the cap
     k_max = LOWRANK_BLOCK << int(math.log2(LOWRANK_CAP * n / LOWRANK_BLOCK))
@@ -336,11 +367,11 @@ def _dense_eigvalsh(A: np.ndarray) -> np.ndarray:
     return np.sort(np.concatenate([np.linalg.eigvalsh(plus), np.linalg.eigvalsh(minus)]))
 
 
-def _sym_eigvalsh(A: np.ndarray) -> np.ndarray:
+def _sym_eigvalsh(A: np.ndarray, amax: float) -> np.ndarray:
     """Ascending eigenvalues of the symmetric part of a square matrix known
-    to be symmetric: the certified low-rank route, or the dense route when
-    that gives up."""
-    found = _lowrank_eigvalsh(A)
+    to be symmetric, with max|A| = ``amax``: the certified low-rank route,
+    or the dense route when that gives up."""
+    found = _lowrank_eigvalsh(A, _scale_for(amax))
     if found is not None:
         return found[0]
     return _dense_eigvalsh(A)
@@ -367,11 +398,11 @@ def sym_eigen(M) -> np.ndarray:
     A = _as_array(M)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise EigenSolverError(f"expected a square matrix, got shape {A.shape}")
-    asym = _asymmetry(A)
+    asym, amax = _asymmetry(A)
     if not asym <= 1e-12:
         raise EigenSolverError(f"matrix not symmetric: max|M - M^T| = {asym:.3e} max|M|")
     try:
-        return _sym_eigvalsh(A)
+        return _sym_eigvalsh(A, amax)
     except np.linalg.LinAlgError as exc:
         raise EigenSolverError(f"eigensolver failed to converge: {exc}") from exc
 
@@ -383,8 +414,9 @@ def singular_values(M) -> np.ndarray:
     if A.ndim != 2:
         raise EigenSolverError(f"expected a matrix, got ndim={A.ndim}")
     try:
-        if _is_symmetric(A):
-            return np.sort(np.abs(_sym_eigvalsh(A)))[::-1]
+        amax = _symmetric_max(A)
+        if amax is not None:
+            return np.sort(np.abs(_sym_eigvalsh(A, amax)))[::-1]
         return np.linalg.svd(A, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise EigenSolverError(f"singular-value solver failed to converge: {exc}") from exc

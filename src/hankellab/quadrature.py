@@ -124,32 +124,49 @@ def _evaluate_kernel(K, s, t):
     return vals
 
 
-def _nystrom_strips(strip_kernels: Callable, grid: Grid, provenances: Tuple[str, ...]):
-    """Symmetric Nystrom matrices sqrt(w_i w_j) K(t_i, t_j), one per provenance,
-    of the kernels that ``strip_kernels(s, t)`` returns for a strip of node
-    column ``s`` and row ``t`` (closures over values computed once per strip
-    can share work between the matrices).
+def _upper_strips(strip_kernels: Callable, grid: Grid):
+    """Walk the upper triangle of the symmetric Nystrom matrices
+    sqrt(w_i w_j) K(t_i, t_j) of the kernels that ``strip_kernels(s, t)``
+    returns for a strip of node column ``s`` and row ``t`` (closures over
+    values computed once per strip can share work between the matrices).
 
-    The upper triangle is walked in strips of ``ROW_BLOCK`` rows: the strip
-    [r0, r1) x [r0, N) is evaluated once, scaled, written, and mirrored onto
-    the lower triangle (inside the strip's diagonal block from the entries
-    i <= j), so every unordered pair is evaluated once, the result is
-    symmetric exactly, and no temporary is larger than ``ROW_BLOCK`` x N.
+    Yields (r0, r1, strips) for each strip of ``ROW_BLOCK`` rows: the
+    entries [r0, r1) x [r0, N) of each matrix, evaluated once and scaled,
+    with the lower triangle of the strip's diagonal block mirrored from the
+    entries i <= j.  So every unordered pair is evaluated once, and no
+    temporary is larger than ``ROW_BLOCK`` x N.
     """
     t, w, n = grid.nodes, grid.weights, grid.N
-    outs = tuple(np.empty((n, n)) for _ in provenances)
     for r0 in range(0, n, ROW_BLOCK):
         r1 = min(r0 + ROW_BLOCK, n)
         s_col, t_row = t[r0:r1, np.newaxis], t[np.newaxis, r0:]
         scale = np.sqrt(np.outer(w[r0:r1], w[r0:]))
         lower = np.tril_indices(r1 - r0, -1)
-        for out, K in zip(outs, strip_kernels(s_col, t_row)):
+        strips = []
+        for K in strip_kernels(s_col, t_row):
             vals = _evaluate_kernel(K, s_col, t_row)
             vals *= scale
-            out[r0:r1, r0:] = vals
-            out[r1:, r0:r1] = vals[:, r1 - r0 :].T
-            diag = out[r0:r1, r0:r1]
+            diag = vals[:, : r1 - r0]
             diag[lower] = diag.T[lower]
+            strips.append(vals)
+        yield r0, r1, strips
+
+
+def _store_strip(out: np.ndarray, r0: int, r1: int, vals: np.ndarray) -> None:
+    """Write an upper strip of :func:`_upper_strips` into ``out`` and mirror
+    it onto the lower triangle, so that ``out`` is symmetric exactly."""
+    out[r0:r1, r0:] = vals
+    out[r1:, r0:r1] = vals[:, r1 - r0 :].T
+
+
+def _nystrom_strips(strip_kernels: Callable, grid: Grid, provenances: Tuple[str, ...]):
+    """Symmetric Nystrom matrices, one per provenance, of the kernels of
+    ``strip_kernels``, stored strip by strip from :func:`_upper_strips`."""
+    n = grid.N
+    outs = tuple(np.empty((n, n)) for _ in provenances)
+    for r0, r1, strips in _upper_strips(strip_kernels, grid):
+        for out, vals in zip(outs, strips):
+            _store_strip(out, r0, r1, vals)
     return tuple(
         OperatorMatrix(grid=grid, entries=e, provenance=p) for e, p in zip(outs, provenances)
     )

@@ -32,10 +32,31 @@ checks (C1, C3 composition, C4, C6, C7) are held to decreasing/bounded
 ladder rules with calibrated caps.
 
 :func:`run_suite` walks the ladder once.  On each step (R, N) it builds the
-operators the checks share (:class:`_GridPieces`), lets every selected check
-measure one metric row and a per-step verdict on them, and drops them before
-the next step.  C4 runs once on its own fixed grids.  Each check's anchor,
-rule text and ladder rule over its metric rows live in one table.
+operators the checks share (:class:`_GridPieces`) on first use and lets every
+selected check measure one metric row and a per-step verdict on them.  C4
+runs once on its own fixed grids.  Each check's anchor, rule text and ladder
+rule over its metric rows live in one table, ``_CHECKS``; the report keeps
+its order.
+
+The step checks run in the order of a second table, ``_STEP_PIECES``, which
+names the pieces each reads, and each piece is freed after the last
+selected check of the step that reads it, also when that check aborts:
+
+  C3      builds A and B_inf = L 1_inf L; takes H(phi0) and its split
+          defect from one strip walk, with no H(phi_inf) matrix
+  C1      builds B_0 = L 1_0 L and L
+  C5, C6  read L, which is freed after C6
+  C2      reads A
+  C8      builds the weighted Hankel matrix; A is freed after it
+  C7      B_0, B_inf and the weighted Hankel matrix are freed after it
+
+Each block is C C^T with C the widened factor's columns on one side of 1,
+gathered as an N x N Hankel matrix from the factor's 3N - 1 values, so no
+N x 2N factor is built.  A step then holds at most four N x N matrices at
+once (C1: A, both blocks and their sum; C5 and C6: A, both blocks and L;
+C8: A, both blocks and the weighted matrix) besides ``ROW_BLOCK`` x N
+strips and quarter-size buffers: a traced peak of about 4.5 N^2 doubles,
+198 MiB at N = 2400 (0.19 GiB), which sizes a ladder.
 """
 
 from __future__ import annotations
@@ -109,11 +130,15 @@ def _growth_ok(xs: Sequence[float], cap: float = NUCLEAR_GROWTH_CAP) -> bool:
 
 class _GridPieces:
     """The operators that several checks share on one ladder step, each
-    assembled on first use and then kept for the rest of its step."""
+    assembled on first use and kept until :meth:`free` drops it."""
 
     def __init__(self, alpha: float, grid: Grid, family):
         self.alpha, self.grid, self.family = alpha, grid, family
         self.m0, self.mi = grid.side("zero"), grid.side("infinity")
+
+    def free(self, piece: str) -> None:
+        """Drop a piece, so that its memory goes once the checks hold no view of it."""
+        self.__dict__.pop(piece, None)
 
     @cached_property
     def A(self):
@@ -123,15 +148,17 @@ class _GridPieces:
     def L(self):
         return dz.assemble_L(self.alpha, self.grid)
 
+    # L 1_inf L and L 1_0 L on the whole grid, each gathered on its own: C1
+    # compares their sum with A, C3 compares the first with H(phi0), and the
+    # two-block decomposition (C7, C8) reads the first on its (0, 0) quarter
+    # and the second on its (inf, inf) quarter, as views
     @cached_property
-    def blocks(self):
-        """(L 1_inf L, L 1_0 L) on the whole grid, both composed from one
-        widened factor: C1 compares their sum with A, C3 compares the first
-        with H(phi0), and the two-block decomposition (C7, C8) reads the
-        first on its (0, 0) quarter and the second on its (inf, inf)
-        quarter, as views."""
-        Lr = dz.assemble_L_rect(self.alpha, self.grid)
-        return dz.composed_block(Lr, "infinity").entries, dz.composed_block(Lr, "zero").entries
+    def block_inf(self):
+        return dz.gathered_block(self.alpha, self.grid, "infinity").entries
+
+    @cached_property
+    def block_0(self):
+        return dz.gathered_block(self.alpha, self.grid, "zero").entries
 
     @cached_property
     def weighted(self):
@@ -147,8 +174,7 @@ def _check_c1(alpha: float, p: _GridPieces):
     # L 1_inf L + L 1_0 L is the widened square Lr Lr^T.  The wide
     # residual is formed explicitly: at large R it sits at the rounding
     # floor eps * |A|, below the rounding of the map x -> Lr(Lr^T x) - Ax
-    block_inf, block_0 = p.blocks
-    wide = np.add(block_inf, block_0)
+    wide = np.add(p.block_inf, p.block_0)
     wide -= A
     wide = op_norm(wide) / a_norm
     L = p.L.entries
@@ -179,19 +205,11 @@ def _check_c2(alpha: float, p: _GridPieces):
 
 
 def _check_c3(alpha: float, p: _GridPieces):
-    A = p.A.entries
-    # the blocks first: their widened factor is gone before the split pair is built
-    block_inf, _ = p.blocks
-    H0, Hi = (H.entries for H in dz.assemble_model_split(alpha, p.grid))
-    # max|H0 + Hi - A| strip by strip, with no N x N temporary
-    defect = 0.0
-    for r0 in range(0, len(A), ROW_BLOCK):
-        strip = H0[r0 : r0 + ROW_BLOCK] + Hi[r0 : r0 + ROW_BLOCK]
-        strip -= A[r0 : r0 + ROW_BLOCK]
-        defect = max(defect, float(np.abs(strip).max()))
-    del Hi
-    split = defect / float(np.abs(A).max())
-    comp = op_norm(H0 - block_inf)
+    A, block_inf = p.A.entries, p.block_inf  # the block's gather buffer goes before H(phi0) comes
+    H0, defect = dz.phi0_and_split_defect(alpha, p.grid, A)
+    split = defect / max(float(A.max()), -float(A.min()))
+    H0 -= block_inf  # H(phi0) - L 1_inf L, in place
+    comp = op_norm(H0)
     return {"split_error": split, "composition_residual": comp}, split <= EXACT_TOL
 
 
@@ -270,16 +288,16 @@ def _check_c6(alpha: float, p: _GridPieces):
     return row, ok
 
 
-def _weighted_blocks(p: _GridPieces) -> Tuple[np.ndarray, np.ndarray]:
-    """The two diagonal blocks of the two-block decomposition of the weighted
-    operator, without their coefficients a0 and a_inf: v (L 1_inf L) v on
-    the zero side and v (L 1_0 L) v on the infinity side, v = w(t) t^(-alpha)."""
-    block_inf, block_0 = p.blocks
-    _, v = p.weighted
-    v0, vi = v[p.m0], v[p.mi]
-    wb_zero = v0[:, np.newaxis] * block_inf[p.m0, p.m0] * v0[np.newaxis, :]
-    wb_inf = vi[:, np.newaxis] * block_0[p.mi, p.mi] * vi[np.newaxis, :]
-    return wb_zero, wb_inf
+def _weighted_block(p: _GridPieces, side: str) -> np.ndarray:
+    """One diagonal block of the two-block decomposition of the weighted
+    operator, without its coefficient: v (L 1_inf L) v on the zero side or
+    v (L 1_0 L) v on the infinity side, v = w(t) t^(-alpha), scaled in one
+    quarter-size buffer."""
+    block, half = (p.block_inf, p.m0) if side == "zero" else (p.block_0, p.mi)
+    vs = p.weighted[1][half]
+    wb = vs[:, np.newaxis] * block[half, half]
+    wb *= vs[np.newaxis, :]
+    return wb
 
 
 def _residual_matrix(p: _GridPieces) -> np.ndarray:
@@ -288,10 +306,9 @@ def _residual_matrix(p: _GridPieces) -> np.ndarray:
     a0 v (L 1_inf L) v on the zero quarter and a_inf v (L 1_0 L) v on the
     infinity quarter, subtracted in ``ROW_BLOCK``-row strips."""
     a0, a_inf, _, _ = p.family
-    block_inf, block_0 = p.blocks
     WHA, v = p.weighted
     T = WHA.entries.copy()
-    for coeff, block, side in ((a0, block_inf, p.m0), (a_inf, block_0, p.mi)):
+    for coeff, block, side in ((a0, p.block_inf, p.m0), (a_inf, p.block_0, p.mi)):
         quarter, inner, vs = T[side, side], block[side, side], v[side]
         for r0 in range(0, len(vs), ROW_BLOCK):
             rows = slice(r0, r0 + ROW_BLOCK)
@@ -306,28 +323,30 @@ def _check_c7(alpha: float, p: _GridPieces):
     return {"nuclear": float(sv.sum()), "op": float(sv[0])}, True
 
 
-def _c8_items(alpha: float, p: _GridPieces):
+def _c8_clouds(alpha: float, p: _GridPieces):
+    """(label, eigenvalues, predicted union) of each cloud with a predicted
+    interval, solved one at a time: a weighted block is scaled when its turn
+    comes and dropped after its solve."""
     a0, a_inf, b0, b_inf = p.family
     pa = pi_alpha(alpha)
-    block_inf, block_0 = p.blocks
-    wb_zero, wb_inf = _weighted_blocks(p)
     single = lambda c: predict(alpha, c / pa, 0.0, 1.0, 1.0)
-    return (
-        ("model", p.A.entries, predict(alpha, 1.0, 1.0, 1.0, 1.0)),
-        ("block_zero", block_inf[p.m0, p.m0], single(pa)),
-        ("block_infinity", block_0[p.mi, p.mi], single(pa)),
-        ("weighted_block_zero", wb_zero, single(pa * b0**2)),
-        ("weighted_block_infinity", wb_inf, single(pa * b_inf**2)),
-        ("weighted_hankel", p.weighted[0].entries, predict(alpha, a0, a_inf, b0, b_inf)),
+    items = (
+        ("model", lambda: p.A.entries, predict(alpha, 1.0, 1.0, 1.0, 1.0)),
+        ("block_zero", lambda: p.block_inf[p.m0, p.m0], single(pa)),
+        ("block_infinity", lambda: p.block_0[p.mi, p.mi], single(pa)),
+        ("weighted_block_zero", lambda: _weighted_block(p, "zero"), single(pa * b0**2)),
+        ("weighted_block_infinity", lambda: _weighted_block(p, "infinity"), single(pa * b_inf**2)),
+        ("weighted_hankel", lambda: p.weighted[0].entries, predict(alpha, a0, a_inf, b0, b_inf)),
     )
+    for label, matrix, predicted in items:
+        if predicted.intervals:
+            yield label, sym_eigen(matrix()), predicted
 
 
 def _check_c8(alpha: float, p: _GridPieces):
     row, ok = {}, True
-    for label, entries, predicted in _c8_items(alpha, p):
-        if not predicted.intervals:
-            continue
-        rep = analyze(sym_eigen(entries), predicted)
+    for label, eigenvalues, predicted in _c8_clouds(alpha, p):
+        rep = analyze(eigenvalues, predicted)
         row[label] = {
             "outliers": len(rep.outliers),
             "max_gap": rep.fill_max_gap,
@@ -403,6 +422,24 @@ _CHECKS: Dict[str, Tuple[str, str, Callable[[Sequence[dict]], bool]]] = {
 }
 
 
+# The step checks in the order they run on each ladder step, with the
+# _GridPieces pieces each reads.  Each piece is freed after the last
+# selected check of the step that reads it, also when that check aborts.
+# The order keeps at most four N x N matrices alive at once: C3 takes
+# H(phi0) before L 1_0 L exists, C1 forms the sum of the two blocks before
+# L exists, L goes after C6 and A after C8, and C7 copies the weighted
+# Hankel matrix once only the blocks and that matrix are left.
+_STEP_PIECES: Dict[str, Tuple[str, ...]] = {
+    "C3": ("A", "block_inf"),
+    "C1": ("A", "L", "block_inf", "block_0"),
+    "C5": ("L",),
+    "C6": ("A", "L"),
+    "C2": ("A",),
+    "C8": ("A", "block_inf", "block_0", "weighted"),
+    "C7": ("block_inf", "block_0", "weighted"),
+}
+
+
 def check_ladder(ladder: Sequence[Tuple[float, int]]) -> List[Tuple[float, int]]:
     """The ladder as (R, N) pairs of :func:`check_step`, which raises
     GridError on a bad step; raises DomainError unless the ladder is
@@ -463,11 +500,14 @@ def run_suite(
                    "C6": _check_c6, "C7": _check_c7, "C8": _check_c8}
     for grid in grids:
         p = _GridPieces(a, grid, family)
-        for name, check in step_checks.items():
-            if name in selected and name not in errors:
-                row, ok = attempt(name, check, a, p)
-                rows[name].append(row)
-                passed[name] = passed[name] and ok
+        todo = [name for name in _STEP_PIECES if name in selected and name not in errors]
+        for i, name in enumerate(todo):
+            row, ok = attempt(name, step_checks[name], a, p)
+            rows[name].append(row)
+            passed[name] = passed[name] and ok
+            later = {piece for n in todo[i + 1 :] for piece in _STEP_PIECES[n]}
+            for piece in set(_STEP_PIECES[name]) - later:
+                p.free(piece)
         del p  # the step's operators go before the next step's are built
 
     results = []

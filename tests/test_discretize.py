@@ -23,8 +23,10 @@ from hankellab.discretize import (
     assemble_wHa,
     change_of_variables_diagonal,
     composed_block,
+    gathered_block,
     log_pushforward_hankel,
     operator_square,
+    phi0_and_split_defect,
     widened_grid,
 )
 from hankellab.kernels import kernel_L, rational_test_family
@@ -156,6 +158,23 @@ class TestOperatorSquare:
                 assert quarter.shape == (N // 2, N // 2)
                 assert np.array_equal(quarter, quarter.T)
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 2.0])
+    @pytest.mark.parametrize("R,N", [(6.0, 200), (10.0, 800)])
+    def test_gathered_block_is_the_composed_block(self, R, N, alpha):
+        # the columns of one side as their own contiguous Hankel matrix give
+        # the product of the N x 2N factor's columns, bit for bit
+        grid = make_grid(R, N)
+        Lr = assemble_L_rect(alpha, grid)
+        for inner in ("zero", "infinity"):
+            block = gathered_block(alpha, grid, inner).entries
+            assert np.array_equal(block, composed_block(Lr, inner).entries)
+
+    def test_gathered_block_builds_no_factor(self, traced_peak):
+        # the block and one N x N gather, never the 2 N^2 entries of the factor
+        grid = make_grid(12.0, 1600)
+        block, peak = traced_peak(lambda: gathered_block(0.5, grid, "zero"))
+        assert peak <= 2 * block.entries.nbytes + 8 * (3 * grid.N) * 8
+
     def test_widened_grid_step_matches(self):
         grid = make_grid(6.0, 200)
         wide = widened_grid(grid)
@@ -221,6 +240,24 @@ class TestModelHankel:
             vals = st * phi * scale
             ref = np.triu(vals) + np.triu(vals, 1).T
             np.testing.assert_array_max_ulp(H.entries, ref, maxulp=2)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 2.0])
+    def test_one_walk_gives_phi0_and_the_split_defect(self, alpha):
+        # against the pair: H(phi0) and the whole-matrix defect bit for bit
+        grid = make_grid(9.0, 2 * ROW_BLOCK + 88)
+        A = assemble_A(alpha, grid).entries
+        H0, Hi = (H.entries for H in assemble_model_split(alpha, grid))
+        got, defect = phi0_and_split_defect(alpha, grid, A)
+        assert np.array_equal(got, H0)
+        assert defect == np.abs(H0 + Hi - A).max()
+
+    def test_split_defect_stores_no_phi_inf(self, traced_peak):
+        # H(phi0) plus the temporaries of one strip's incomplete-Gamma
+        # evaluation (13 ROW_BLOCK x N strips measured): no second N x N matrix
+        grid = make_grid(14.0, 2400)
+        A = assemble_A(0.5, grid).entries
+        (H0, _), peak = traced_peak(lambda: phi0_and_split_defect(0.5, grid, A))
+        assert peak <= H0.nbytes + 16 * ROW_BLOCK * grid.N * 8 < 2 * H0.nbytes
 
     def test_phi0_matrix_positive_entries(self):
         grid = make_grid(6.0, 100)

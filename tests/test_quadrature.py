@@ -1,7 +1,6 @@
 """Grid construction, Nystrom assembly, and integral quadrature tests."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -157,16 +156,11 @@ class TestNystrom:
         K = weighted_hankel_kernel(*rational_test_family(alpha, 1.0, 1.0, 1.0, 1.0))
         np.testing.assert_array_max_ulp(nystrom(K, g).entries, full_square(K, g), maxulp=2)
 
-    def test_memory_stays_at_strip_size(self):
+    def test_memory_stays_at_strip_size(self, traced_peak):
         # the output plus a few ROW_BLOCK x N temporaries, never N x N ones
         g = make_grid(12.0, 2000)
         K = kernel_A(0.5)
-        tracemalloc.start()
-        try:
-            M = nystrom(K, g)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        M, peak = traced_peak(lambda: nystrom(K, g))
         strip = ROW_BLOCK * g.N * 8
         assert peak <= M.entries.nbytes + 6 * strip
 
@@ -194,16 +188,11 @@ class TestNystrom:
         # the gather's rounding, as in tests/test_discretize.py
         assert np.abs(M - raw).max() <= 3 * g.R * np.finfo(float).eps * np.abs(raw).max()
 
-    def test_rect_memory_stays_at_strip_size(self):
+    def test_rect_memory_stays_at_strip_size(self, traced_peak):
         # the output plus O(N): the kernel runs on 3N - 1 node pairs, and the
         # gather copies a view of their values, so no temporary has N rows
         g = make_grid(12.0, 2000)
-        tracemalloc.start()
-        try:
-            M = assemble_L_rect(0.5, g)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        M, peak = traced_peak(lambda: assemble_L_rect(0.5, g))
         assert peak <= M.entries.nbytes + 8 * (3 * g.N) * 8
 
     def test_refinement_consistency(self):

@@ -3,7 +3,6 @@
 import dataclasses
 import json
 import math
-import tracemalloc
 import weakref
 from collections import Counter
 
@@ -22,6 +21,8 @@ from hankellab.verify import _GridPieces, _residual_matrix
 SHORT_LADDER = [(6.0, 200), (8.0, 400)]
 DEFAULT_LADDER = [(6.0, 200), (8.0, 400), (10.0, 800)]
 LARGE_LADDER = [(12.0, 1600), (14.0, 2400)]
+# the shared operators of a ladder step (verify._GridPieces)
+PIECES = {"A", "L", "block_inf", "block_0", "weighted"}
 
 
 @pytest.fixture(scope="module")
@@ -84,14 +85,17 @@ class TestRunSuite:
 
     def test_each_operator_assembled_once_per_step(self, monkeypatch):
         counts = Counter()
-        for name in (
+        names = (
             "assemble_A",
             "assemble_L",
             "assemble_wHa",
-            "assemble_model_split",
+            "gathered_block",
+            "phi0_and_split_defect",
             "assemble_L_rect",
             "composed_block",
-        ):
+            "assemble_model_split",
+        )
+        for name in names:
 
             def counted(*args, _fn=getattr(dz, name), _name=name, **kwargs):
                 counts[_name] += 1
@@ -101,16 +105,82 @@ class TestRunSuite:
         rep = run_suite(0.0, SHORT_LADDER, family=(1.0, -1.0, 1.0, 1.0))
         assert [c.anchor for c in rep.checks].count("(check aborted)") == 0
         steps = len(SHORT_LADDER)
-        assert counts == {
+        assert {name: counts[name] for name in names} == {
             "assemble_A": steps,
             "assemble_L": steps,
             "assemble_wHa": steps,
-            "assemble_model_split": steps,
-            # one widened factor per step for both blocks; C4 reads row norms
+            "gathered_block": 2 * steps,  # one per inner side
+            "phi0_and_split_defect": steps,
+            # no N x 2N factor and no H(phi_inf) matrix: C4 reads row norms
             # from the factor's antidiagonal values
-            "assemble_L_rect": steps,
-            "composed_block": 2 * steps,  # one per inner side
+            "assemble_L_rect": 0,
+            "composed_block": 0,
+            "assemble_model_split": 0,
         }
+
+    def test_step_pieces_table_names_what_each_check_reads(self, monkeypatch):
+        reads, running = {}, []
+
+        class Recorded(_GridPieces):
+            def __getattribute__(self, name):
+                if name in PIECES and running:
+                    reads.setdefault(running[-1], set()).add(name)
+                return super().__getattribute__(name)
+
+        monkeypatch.setattr(verify, "_GridPieces", Recorded)
+        for name in verify._STEP_PIECES:
+
+            def check(alpha, p, _fn=getattr(verify, f"_check_{name.lower()}"), _name=name):
+                running.append(_name)
+                try:
+                    return _fn(alpha, p)
+                finally:
+                    running.pop()
+
+            monkeypatch.setattr(verify, f"_check_{name.lower()}", check)
+        rep = run_suite(0.5, SHORT_LADDER, family=(2.0, 1.0, 1.0, 2.0))
+        assert [c.anchor for c in rep.checks].count("(check aborted)") == 0
+        assert [c.name for c in rep.checks] == list(verify.CHECK_NAMES)
+        assert reads == {name: set(pieces) for name, pieces in verify._STEP_PIECES.items()}
+
+    @pytest.mark.parametrize("abort", [None, "C6"])
+    def test_each_piece_freed_after_its_last_check(self, monkeypatch, abort):
+        # the pieces alive as each check starts; an aborted check frees its
+        # pieces too, and on the next step it no longer runs, so L goes after C5
+        alive, seen = [], []
+        for name in verify._STEP_PIECES:
+
+            def check(alpha, p, _fn=getattr(verify, f"_check_{name.lower()}"), _name=name):
+                alive.append((_name, set(p.__dict__) & PIECES))
+                seen.append(p)
+                row = _fn(alpha, p)
+                if _name == abort:
+                    raise RuntimeError("injected")
+                return row
+
+            monkeypatch.setattr(verify, f"_check_{name.lower()}", check)
+        rep = run_suite(0.5, SHORT_LADDER, family=(2.0, 1.0, 1.0, 2.0))
+        step = [
+            ("C3", set()),
+            ("C1", {"A", "block_inf"}),
+            ("C5", {"A", "L", "block_inf", "block_0"}),
+            ("C6", {"A", "L", "block_inf", "block_0"}),
+            ("C2", {"A", "block_inf", "block_0"}),
+            ("C8", {"A", "block_inf", "block_0"}),
+            ("C7", {"block_inf", "block_0", "weighted"}),
+        ]
+        again = [item for item in step if item[0] != abort]
+        assert alive == step + again
+        assert all(not set(p.__dict__) & PIECES for p in seen)
+        aborted = [c.name for c in rep.checks if c.anchor == "(check aborted)"]
+        assert aborted == ([abort] if abort else [])
+
+    def test_step_memory(self, traced_peak):
+        # at most four N x N matrices at once (C1: A, both blocks and their
+        # sum), plus strips and quarter-size buffers
+        N = 1600
+        _, peak = traced_peak(lambda: run_suite(0.5, [(12.0, N)], family=(2.0, 1.0, 1.0, 2.0)))
+        assert peak <= 5.5 * 8 * N**2
 
     @pytest.mark.parametrize("name", ["C1", "C3", "C7", "C8"])
     def test_shared_blocks_give_the_same_rows_alone(self, name, full_suite_half):
@@ -150,15 +220,10 @@ class TestRunSuite:
         assert [rows[-1]["hs_R4"], rows[-1]["hs_R8"]] == pytest.approx(witness, rel=1e-14)
         assert ok
 
-    def test_c4_builds_no_factor(self):
+    def test_c4_builds_no_factor(self, traced_peak):
         # the row norms come from a view of each factor's 3N - 1 antidiagonal
         # values: O(N) memory, where one 1200 x 2400 factor takes 23 MB
-        tracemalloc.start()
-        try:
-            verify._check_c4(0.5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: verify._check_c4(0.5))
         N = max(N for _, N in verify._HS_GRIDS)
         assert peak <= 16 * (3 * N) * 8
 
@@ -394,7 +459,7 @@ class TestTwoBlockDecomposition:
         p = _GridPieces(alpha, make_grid(R, N), family)
         a0, a_inf, _, _ = family
         WHA, v = p.weighted
-        block_inf, block_0 = p.blocks
+        block_inf, block_0 = p.block_inf, p.block_0
         v0, vi = np.zeros_like(v), np.zeros_like(v)
         v0[p.m0] = v[p.m0]
         vi[p.mi] = v[p.mi]
@@ -403,14 +468,9 @@ class TestTwoBlockDecomposition:
         expected = WHA.entries - a0 * term0 - a_inf * term_inf
         assert np.array_equal(_residual_matrix(p), expected)
 
-    def test_residual_memory_stays_at_quarter_size(self):
+    def test_residual_memory_stays_at_quarter_size(self, traced_peak):
         p = _GridPieces(0.5, make_grid(10.0, 800), (2.0, 1.0, 1.0, 2.0))
-        p.blocks, p.weighted  # the bound is on the residual's own temporaries
-        tracemalloc.start()
-        try:
-            T = _residual_matrix(p)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        p.block_inf, p.block_0, p.weighted  # the bound is on the residual's own temporaries
+        T, peak = traced_peak(lambda: _residual_matrix(p))
         quarter = T.nbytes // 4
         assert peak <= T.nbytes + 4 * quarter
