@@ -37,7 +37,6 @@ from .spectra import (
     PredictedSpectrum,
     SpectralReport,
     analyze,
-    counting_compare,
     predict,
     schatten_diagnostic,
 )

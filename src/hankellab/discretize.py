@@ -208,7 +208,8 @@ def log_pushforward_hankel(side: str, alpha, grid: Grid) -> OperatorMatrix:
     The nodes t_i on the chosen side of 1 map to a uniform midpoint grid
     x in (0, R); the kernel is psi_+(x+y) (side 'infinity') or psi_-(x+y)
     (side 'zero'), scaled by 1/sqrt(Gamma(1+2 alpha)) to match the factor
-    operator's normalisation, with uniform weights h.
+    operator's normalisation, with uniform weights h.  The entries are a
+    read-only sliding-window view of the 2n - 1 antidiagonal values.
     """
     a = check_alpha(alpha)
     xs = grid.log_nodes[grid.side(side)]
@@ -222,7 +223,7 @@ def log_pushforward_hankel(side: str, alpha, grid: Grid) -> OperatorMatrix:
     # the Hankel matrix is values[i : i + n]
     sums = np.concatenate([xs[0] + xs, xs[1:] + xs[-1]])
     values = grid.step * c * psi(sums)
-    entries = np.lib.stride_tricks.sliding_window_view(values, len(xs)).copy()
+    entries = np.lib.stride_tricks.sliding_window_view(values, len(xs))
     return OperatorMatrix(grid=grid, entries=entries, provenance=f"H(psi,{side},alpha={a})")
 
 

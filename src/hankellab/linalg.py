@@ -129,11 +129,6 @@ def _symmetric_max(A: np.ndarray) -> Optional[float]:
     return amax if asym <= 1e-12 else None
 
 
-def _is_symmetric(A: np.ndarray) -> bool:
-    """Square and symmetric to 1e-12 relative to max|A|."""
-    return _symmetric_max(A) is not None
-
-
 def _scale_for(amax: float) -> float:
     """A power of two s with s * amax in [1/2, 1) (1 for amax = 0): scaling
     a matrix with max|A| = amax by it is exact, and sums of squares of s * A
@@ -141,12 +136,7 @@ def _scale_for(amax: float) -> float:
     return math.ldexp(1.0, -max(math.frexp(amax)[1], -1000))
 
 
-def _unit_scale(A: np.ndarray) -> float:
-    """``_scale_for(max|A|)``."""
-    return _scale_for(max(float(A.max(initial=0.0)), -float(A.min(initial=0.0))))
-
-
-def _centro_halves(S: np.ndarray):
+def _centro_halves(S: np.ndarray, scale: float):
     """(B' + C'J, B' - C'J) for an even-order symmetric S = [[B, C], [C^T, D]]
     (m x m blocks, J the index reversal), or None when its centrosymmetry
     defect |S - JSJ|_F exceeds CENTRO_TOL * |S|_F.
@@ -154,7 +144,8 @@ def _centro_halves(S: np.ndarray):
     B' = 1/2 (B + JDJ) and C' = 1/2 (C + JC^TJ) are the blocks of the
     centrosymmetric part 1/2 (S + JSJ), which maps the even vectors [u; Ju]
     through the first matrix and the odd vectors [u; -Ju] through the second.
-    Both norms are taken of S / max|S|, so neither overflows.
+    Both norms are taken of ``scale`` * S, ``scale`` = ``_scale_for(max|A|)``
+    for the A whose symmetric part S is, so neither overflows.
     """
     n = S.shape[0]
     if n % 2 or n == 0:
@@ -162,7 +153,6 @@ def _centro_halves(S: np.ndarray):
     m = n // 2
     B, JDJ = S[:m, :m], S[m:, m:][::-1, ::-1]
     CJ, JCt = S[:m, m:][:, ::-1], S[m:, :m][::-1, :]
-    scale = _unit_scale(S)
     buf = np.empty((m, m))
 
     def scaled_sq(X) -> float:
@@ -262,9 +252,7 @@ def _range_basis(Y: np.ndarray, tol: float, limit: int) -> Tuple[Optional[np.nda
     return np.hstack([Q1, Q2]), count
 
 
-def _lowrank_eigvalsh(
-    A: np.ndarray, scale: Optional[float] = None
-) -> Optional[Tuple[np.ndarray, float]]:
+def _lowrank_eigvalsh(A: np.ndarray, scale: float) -> Optional[Tuple[np.ndarray, float]]:
     """(ascending eigenvalues, certificate) of S = 1/2 (A + A^T) from a
     certified low-rank factorisation, or None when a basis of more than
     LOWRANK_CAP * n columns would be needed.
@@ -301,17 +289,14 @@ def _lowrank_eigvalsh(
     doubles.
 
     Every product with A takes its thin factor scaled by ``scale``, which
-    is ``_unit_scale(A)`` (read from A unless the caller has it; a power of
-    two, so exactly), so the work is on S / max|A|, and each
-    residual strip is scaled the same way before its squares are summed:
-    the certificate cannot overflow.  No random state is read: two calls
-    give the same bits.
+    is ``_scale_for(max|A|)`` (a power of two, so exactly), so the work is
+    on S / max|A|, and each residual strip is scaled the same way before
+    its squares are summed: the certificate cannot overflow.  No random
+    state is read: two calls give the same bits.
     """
     n = A.shape[0]
     if LOWRANK_BLOCK > LOWRANK_CAP * n:
         return None
-    if scale is None:
-        scale = _unit_scale(A)
     tol = n * np.finfo(float).eps
     # the widest basis the doubling reaches within the cap
     k_max = LOWRANK_BLOCK << int(math.log2(LOWRANK_CAP * n / LOWRANK_BLOCK))
@@ -352,14 +337,14 @@ def _lowrank_eigvalsh(
     return None
 
 
-def _dense_eigvalsh(A: np.ndarray) -> np.ndarray:
+def _dense_eigvalsh(A: np.ndarray, scale: float) -> np.ndarray:
     """Ascending eigenvalues of the symmetric part of a square matrix known
-    to be symmetric: two half-size solves when it is centrosymmetric to
-    rounding, one ``eigvalsh`` otherwise."""
+    to be symmetric, with ``scale`` = ``_scale_for(max|A|)``: two half-size
+    solves when it is centrosymmetric to rounding, one ``eigvalsh`` else."""
     # bound to a name: handing the temporary straight to eigvalsh measured a
     # 10 MB higher peak RSS on the benchmark's spectrum workload (N up to 3200)
     S = 0.5 * (A + A.T)
-    halves = _centro_halves(S)
+    halves = _centro_halves(S, scale)
     if halves is None:
         return np.linalg.eigvalsh(S)
     del S  # only the two halves stay alive through their solves
@@ -370,11 +355,12 @@ def _dense_eigvalsh(A: np.ndarray) -> np.ndarray:
 def _sym_eigvalsh(A: np.ndarray, amax: float) -> np.ndarray:
     """Ascending eigenvalues of the symmetric part of a square matrix known
     to be symmetric, with max|A| = ``amax``: the certified low-rank route,
-    or the dense route when that gives up."""
-    found = _lowrank_eigvalsh(A, _scale_for(amax))
+    or the dense route when that gives up, both on one power-of-two scale."""
+    scale = _scale_for(amax)
+    found = _lowrank_eigvalsh(A, scale)
     if found is not None:
         return found[0]
-    return _dense_eigvalsh(A)
+    return _dense_eigvalsh(A, scale)
 
 
 def sym_eigen(M) -> np.ndarray:
@@ -469,7 +455,7 @@ def op_norm(M, n: Optional[int] = None) -> float:
     if callable(M):
         return _lanczos_top(M, n)
     A = _as_array(M)
-    if _is_symmetric(A):
+    if _symmetric_max(A) is not None:
         return _lanczos_top(lambda x: A @ x, A.shape[0])
     sv = singular_values(A)
     return float(sv[0]) if sv.size else 0.0

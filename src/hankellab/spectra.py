@@ -1,6 +1,6 @@
 """Spectral predictions and desk-scale diagnostics: predicted interval
-unions, eigenvalue fill metrics, outlier counts, counting-function
-comparisons, and Schatten-decay verdicts."""
+unions, eigenvalue fill metrics, outlier counts and Schatten-decay
+verdicts."""
 
 from __future__ import annotations
 
@@ -19,8 +19,6 @@ __all__ = [
     "SpectralReport",
     "predict",
     "analyze",
-    "CountRow",
-    "counting_compare",
     "SchattenDiagnostic",
     "schatten_diagnostic",
 ]
@@ -182,39 +180,6 @@ def analyze(
         delta=float(delta),
         interior_margin=float(interior_margin),
     )
-
-
-@dataclass(frozen=True)
-class CountRow:
-    lam: float
-    n_full: int
-    n_zero: int
-    n_infinity: int
-
-    @property
-    def discrepancy(self) -> int:
-        return abs(self.n_full - self.n_zero - self.n_infinity)
-
-
-def counting_compare(full, block0, block_inf, lam_grid) -> List[CountRow]:
-    """Counting functions N(lam) = #{eigenvalues > lam} of the full operator
-    and its two diagonal blocks; the discrepancy exhibits the two-block split
-    of the spectrum (a trace-class coupling moves O(1) eigenvalues per
-    window)."""
-    full = np.asarray(full, dtype=float)
-    b0 = np.asarray(block0, dtype=float)
-    bi = np.asarray(block_inf, dtype=float)
-    rows = []
-    for lam in np.asarray(lam_grid, dtype=float):
-        rows.append(
-            CountRow(
-                lam=float(lam),
-                n_full=int((full > lam).sum()),
-                n_zero=int((b0 > lam).sum()),
-                n_infinity=int((bi > lam).sum()),
-            )
-        )
-    return rows
 
 
 @dataclass(frozen=True)

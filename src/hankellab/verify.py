@@ -124,8 +124,8 @@ def _strictly_decreasing(xs: Sequence[float]) -> bool:
     return all(b < a for a, b in zip(xs, xs[1:]))
 
 
-def _growth_ok(xs: Sequence[float], cap: float = NUCLEAR_GROWTH_CAP) -> bool:
-    return all(b <= cap * a + 1e-300 for a, b in zip(xs, xs[1:]))
+def _growth_ok(xs: Sequence[float]) -> bool:
+    return all(b <= NUCLEAR_GROWTH_CAP * a + 1e-300 for a, b in zip(xs, xs[1:]))
 
 
 class _GridPieces:
@@ -248,13 +248,15 @@ def _check_c5(alpha: float, p: _GridPieces):
     # |d B d - H|_F bounds the difference of the sorted eigenvalues of the
     # block B and of the Hankel matrix H (Hoffman-Wielandt)
     row, ok = {}, True
+    # one quarter-size buffer for both sides: scaled, then differenced in
+    # place against the Hankel matrix, a view of its 2n - 1 values
+    pushed = np.empty((p.grid.half, p.grid.half))
     for side, mask in (("zero", p.m0), ("infinity", p.mi)):
         block = p.L.entries[mask, mask]
         if side == "zero":
             block = block[::-1, ::-1]  # ascending in x = -ln t
         d = dz.change_of_variables_diagonal(p.grid, side)
-        # one quarter-size buffer per side: scaled, then differenced in place
-        pushed = d[:, np.newaxis] * block
+        np.multiply(d[:, np.newaxis], block, out=pushed)
         pushed *= d[np.newaxis, :]
         pushed -= dz.log_pushforward_hankel(side, alpha, p.grid).entries
         diff = float(np.linalg.norm(pushed))
@@ -302,19 +304,18 @@ def _weighted_block(p: _GridPieces, side: str) -> np.ndarray:
 
 def _residual_matrix(p: _GridPieces) -> np.ndarray:
     """Residual of the two-block decomposition of the weighted operator,
-    assembled from already-verified pieces: the weighted Hankel matrix less
-    a0 v (L 1_inf L) v on the zero quarter and a_inf v (L 1_0 L) v on the
-    infinity quarter, subtracted in ``ROW_BLOCK``-row strips."""
+    assembled from already-verified pieces: a copy of the weighted Hankel
+    matrix less a0 times ``_weighted_block`` on the zero quarter and a_inf
+    times it on the infinity quarter, one side at a time, each block
+    dropped before the next is made."""
     a0, a_inf, _, _ = p.family
-    WHA, v = p.weighted
-    T = WHA.entries.copy()
-    for coeff, block, side in ((a0, p.block_inf, p.m0), (a_inf, p.block_0, p.mi)):
-        quarter, inner, vs = T[side, side], block[side, side], v[side]
-        for r0 in range(0, len(vs), ROW_BLOCK):
-            rows = slice(r0, r0 + ROW_BLOCK)
-            strip = vs[rows, np.newaxis] * inner[rows] * vs[np.newaxis, :]
-            strip *= coeff
-            quarter[rows] -= strip
+    T = p.weighted[0].entries.copy()
+    for coeff, side, half in ((a0, "zero", p.m0), (a_inf, "infinity", p.mi)):
+        wb = _weighted_block(p, side)
+        wb *= coeff
+        quarter = T[half, half]
+        quarter -= wb
+        del wb
     return T
 
 
@@ -323,10 +324,9 @@ def _check_c7(alpha: float, p: _GridPieces):
     return {"nuclear": float(sv.sum()), "op": float(sv[0])}, True
 
 
-def _c8_clouds(alpha: float, p: _GridPieces):
-    """(label, eigenvalues, predicted union) of each cloud with a predicted
-    interval, solved one at a time: a weighted block is scaled when its turn
-    comes and dropped after its solve."""
+def _check_c8(alpha: float, p: _GridPieces):
+    # each cloud with a predicted interval is solved one at a time: a
+    # weighted block is scaled when its turn comes and dropped after its solve
     a0, a_inf, b0, b_inf = p.family
     pa = pi_alpha(alpha)
     single = lambda c: predict(alpha, c / pa, 0.0, 1.0, 1.0)
@@ -338,15 +338,11 @@ def _c8_clouds(alpha: float, p: _GridPieces):
         ("weighted_block_infinity", lambda: _weighted_block(p, "infinity"), single(pa * b_inf**2)),
         ("weighted_hankel", lambda: p.weighted[0].entries, predict(alpha, a0, a_inf, b0, b_inf)),
     )
-    for label, matrix, predicted in items:
-        if predicted.intervals:
-            yield label, sym_eigen(matrix()), predicted
-
-
-def _check_c8(alpha: float, p: _GridPieces):
     row, ok = {}, True
-    for label, eigenvalues, predicted in _c8_clouds(alpha, p):
-        rep = analyze(eigenvalues, predicted)
+    for label, matrix, predicted in items:
+        if not predicted.intervals:
+            continue
+        rep = analyze(sym_eigen(matrix()), predicted)
         row[label] = {
             "outliers": len(rep.outliers),
             "max_gap": rep.fill_max_gap,

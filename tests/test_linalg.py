@@ -42,8 +42,8 @@ from hankellab.linalg import (
     _dense_eigvalsh,
     _lowrank_eigvalsh,
     _range_basis,
+    _scale_for,
     _start_block,
-    _unit_scale,
 )
 from hankellab.quadrature import ROW_BLOCK
 from hankellab.spectra import analyze, predict
@@ -68,6 +68,11 @@ def lu_determinant(M):
             A[k + 1 :, k] /= pivot
             A[k + 1 :, k + 1 :] -= np.outer(A[k + 1 :, k], A[k, k + 1 :])
     return det
+
+
+def scale_of(M):
+    """The power of two ``_scale_for(max|M|)`` the symmetric route takes for M."""
+    return _scale_for(np.abs(M).max(initial=0.0))
 
 
 class TestSymEigen:
@@ -144,7 +149,7 @@ class TestSymEigen:
         assert np.abs(M).max() > 1e297
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert _centro_halves(0.5 * (M + M.T)) is None
+            assert _centro_halves(0.5 * (M + M.T), scale_of(M)) is None
             eigs = sym_eigen(M)
         ref = scipy.linalg.eigvalsh(M * 1e-290) / 1e-290
         assert np.abs(eigs - ref).max() <= 1e-14 * np.abs(ref).max()
@@ -240,7 +245,7 @@ class TestLowRankRoute:
             return _start_block(rows, j0, j1)
 
         monkeypatch.setattr(hankellab.linalg, "_start_block", spy)
-        found = _lowrank_eigvalsh(M)
+        found = _lowrank_eigvalsh(M, scale_of(M))
         assert found is not None
         values, certificate = found
         # certified at the width the case names, the doubling from
@@ -262,11 +267,11 @@ class TestLowRankRoute:
         assert np.linalg.norm(got - ref) <= certificate <= tol * top
         # the basis of the certified range is orthonormal to rounding, and
         # it counts the numerical rank to within the spare columns
-        Q, count = _range_basis(M @ (_start_block(n, 0, k) * _unit_scale(M)), tol, k)
+        Q, count = _range_basis(M @ (_start_block(n, 0, k) * scale_of(M)), tol, k)
         assert np.linalg.norm(Q.T @ Q - np.eye(Q.shape[1])) <= 10 * k * np.finfo(float).eps
         assert abs(count - np.count_nonzero(np.abs(ref) > tol * top)) <= LOWRANK_SPARE
         assert abs(values.sum() - np.trace(M)) <= 1e-12 * np.abs(values).sum()
-        again = _lowrank_eigvalsh(M)
+        again = _lowrank_eigvalsh(M, scale_of(M))
         assert np.array_equal(again[0], values) and again[1] == certificate
         eigs = sym_eigen(M)
         assert np.array_equal(eigs, values)
@@ -276,18 +281,18 @@ class TestLowRankRoute:
 
     def test_gives_up_unread_below_order_256(self, verify_matrices, monkeypatch):
         # the first 64 columns exceed n / 4 below order 256, so the route
-        # gives up before it scales or multiplies A: C6's blocks at (8, 400)
-        # (order 200) take the dense route
-        def unread(A):
-            raise AssertionError("A was read")
+        # gives up before it multiplies A: C6's blocks at (8, 400) (order
+        # 200) take the dense route
+        def no_product(*args):
+            raise AssertionError("A was multiplied")
 
-        monkeypatch.setattr(hankellab.linalg, "_unit_scale", unread)
+        monkeypatch.setattr(hankellab.linalg, "_start_block", no_product)
         blocks = verify_matrices(8.0, 400)
         for name in ("L_00", "L_ii", "A_0iJ"):
-            assert _lowrank_eigvalsh(blocks[name]) is None
-        assert _lowrank_eigvalsh(np.zeros((255, 255))) is None
-        with pytest.raises(AssertionError, match="A was read"):
-            _lowrank_eigvalsh(np.zeros((256, 256)))
+            assert _lowrank_eigvalsh(blocks[name], scale_of(blocks[name])) is None
+        assert _lowrank_eigvalsh(np.zeros((255, 255)), _scale_for(0.0)) is None
+        with pytest.raises(AssertionError, match="A was multiplied"):
+            _lowrank_eigvalsh(np.zeros((256, 256)), _scale_for(0.0))
 
     def test_high_rank_gives_up_at_the_first_width(self, monkeypatch):
         # the R = 80 ladder step has numerical rank 287-531 at order 1600,
@@ -304,7 +309,7 @@ class TestLowRankRoute:
         for alpha, family in ((0.0, (1.0, 0.0, 1.0, 1.0)), (0.5, (2.0, 1.0, 1.0, 2.0))):
             M = assemble_wHa(*rational_test_family(alpha, *family), make_grid(80.0, 1600)).entries
             widths.clear()
-            assert _lowrank_eigvalsh(M) is None
+            assert _lowrank_eigvalsh(M, scale_of(M)) is None
             assert widths == [LOWRANK_BLOCK]
             # the widest basis the doubling reaches within n / 4 = 400 is 256
             n = M.shape[0]
@@ -339,13 +344,13 @@ class TestLowRankRoute:
 
         monkeypatch.setattr(hankellab.linalg, "_range_basis", basis_spy)
         monkeypatch.setattr(np.linalg, "eigvalsh", ritz_spy)
-        values, certificate = _lowrank_eigvalsh(M)
+        values, certificate = _lowrank_eigvalsh(M, scale_of(M))
         monkeypatch.undo()
         ref = scipy.linalg.eigh(S, eigvals_only=True)
         tol = S.shape[0] * np.finfo(float).eps
         assert np.linalg.norm(values - ref) <= certificate <= tol * np.abs(ref).max()
         # T was formed on M scaled by a power of two
-        Q, T = bases[-1], ritz[-1] / _unit_scale(M)
+        Q, T = bases[-1], ritz[-1] / scale_of(M)
         assert certificate >= np.linalg.norm(S - Q @ T @ Q.T)
 
     def test_no_householder_qr(self, monkeypatch):
@@ -356,7 +361,7 @@ class TestLowRankRoute:
         monkeypatch.setattr(np.linalg, "qr", no_qr)
         _, (spec_a, spec_w) = _FAMILIES["rational(2,1,1,2)"]
         M = assemble_wHa(spec_a, spec_w, make_grid(12.0, 1600)).entries
-        values, certificate = _lowrank_eigvalsh(M)
+        values, certificate = _lowrank_eigvalsh(M, scale_of(M))
         assert certificate <= M.shape[0] * np.finfo(float).eps * np.abs(values).max()
         assert np.array_equal(sym_eigen(M), values)
 
@@ -365,7 +370,7 @@ class TestLowRankRoute:
         B = rng.standard_normal((1200, 1200))
         M = B @ B.T / 1200
         M = 0.5 * (M + M.T)
-        assert _lowrank_eigvalsh(M) is None
+        assert _lowrank_eigvalsh(M, scale_of(M)) is None
         assert np.array_equal(sym_eigen(M), np.linalg.eigvalsh(M))
 
     def test_exact_rank_k_matrix_gives_k_nonzero_values(self):
@@ -374,12 +379,12 @@ class TestLowRankRoute:
         U = np.linalg.qr(rng.standard_normal((1200, d.size)))[0]
         M = (U * d) @ U.T
         M = 0.5 * (M + M.T)
-        values, certificate = _lowrank_eigvalsh(M)
+        values, certificate = _lowrank_eigvalsh(M, scale_of(M))
         assert np.count_nonzero(values) == d.size
         assert np.linalg.norm(values[values != 0.0] - np.sort(d)) <= certificate
 
     def test_zero_matrix(self):
-        values, certificate = _lowrank_eigvalsh(np.zeros((1200, 1200)))
+        values, certificate = _lowrank_eigvalsh(np.zeros((1200, 1200)), _scale_for(0.0))
         assert certificate == 0.0 and not values.any()
 
     def test_huge_entries(self):
@@ -388,7 +393,7 @@ class TestLowRankRoute:
         M = assemble_wHa(*rational_test_family(0.0, 1.0, 1.0, 1e150, 1.0), make_grid(12.0, 1600)).entries
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            values, certificate = _lowrank_eigvalsh(M)
+            values, certificate = _lowrank_eigvalsh(M, scale_of(M))
         ref = scipy.linalg.eigh(M * 1e-290, eigvals_only=True)
         assert np.linalg.norm(values * 1e-290 - ref) <= certificate * 1e-290
 
@@ -397,7 +402,8 @@ class TestLowRankRoute:
         alpha, (spec_a, spec_w) = _FAMILIES[kernel]
         M = assemble_wHa(spec_a, spec_w, make_grid(12.0, 1600)).entries
         predicted = predict(alpha, spec_a.a0, spec_a.a_inf, spec_w.b0, spec_w.b_inf)
-        low, dense = analyze(sym_eigen(M), predicted), analyze(_dense_eigvalsh(M), predicted)
+        low = analyze(sym_eigen(M), predicted)
+        dense = analyze(_dense_eigvalsh(M, scale_of(M)), predicted)
         tol = 1e-12 * np.abs(dense.eigenvalues).max()
         assert len(low.outliers) == len(dense.outliers)
         assert abs(low.fill_max_gap - dense.fill_max_gap) <= tol

@@ -14,7 +14,7 @@ from hankellab import DomainError, GridError, make_grid, op_norm, run_suite
 from hankellab import discretize as dz
 from hankellab import specfun, verify
 from hankellab.kernels import kernel_L
-from hankellab.linalg import _is_symmetric
+from hankellab.linalg import _symmetric_max
 from hankellab.quadrature import OperatorMatrix
 from hankellab.verify import _GridPieces, _residual_matrix
 
@@ -182,6 +182,16 @@ class TestRunSuite:
         _, peak = traced_peak(lambda: run_suite(0.5, [(12.0, N)], family=(2.0, 1.0, 1.0, 2.0)))
         assert peak <= 5.5 * 8 * N**2
 
+    def test_c5_memory_stays_at_quarter_size(self, traced_peak):
+        # with the step's other operators alive, C5 holds one quarter-size
+        # buffer for both sides and subtracts a view of the Hankel values
+        N = 1600
+        p = _GridPieces(0.5, make_grid(12.0, N), (2.0, 1.0, 1.0, 2.0))
+        p.A, p.L, p.block_inf, p.block_0  # the bound is on C5's own temporaries
+        (_, ok), peak = traced_peak(lambda: verify._check_c5(0.5, p))
+        assert ok
+        assert peak <= 0.3 * 8 * N**2
+
     @pytest.mark.parametrize("name", ["C1", "C3", "C7", "C8"])
     def test_shared_blocks_give_the_same_rows_alone(self, name, full_suite_half):
         # the blocks are built by whichever of these checks runs first
@@ -249,7 +259,7 @@ class TestRunSuite:
         # symmetric Hankel matrix; were it not, it would take one dense SVD
         grid = make_grid(R, N)
         A = dz.assemble_A(alpha, grid).entries
-        assert _is_symmetric(A[grid.side("zero"), grid.side("infinity")][:, ::-1])
+        assert _symmetric_max(A[grid.side("zero"), grid.side("infinity")][:, ::-1]) is not None
 
     def test_every_matrix_solved_is_symmetric(self, monkeypatch):
         # one singular-value route: each matrix handed to singular_values or
@@ -259,7 +269,7 @@ class TestRunSuite:
 
             def recorded(M, *args, _fn=getattr(verify, name)):
                 if not callable(M):
-                    seen.append(_is_symmetric(np.asarray(M)))
+                    seen.append(_symmetric_max(np.asarray(M)) is not None)
                 return _fn(M, *args)
 
             monkeypatch.setattr(verify, name, recorded)
