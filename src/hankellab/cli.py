@@ -34,7 +34,7 @@ from .linalg import sym_eigen
 from .quadrature import make_grid
 from .spectra import PredictedSpectrum, analyze, predict
 from .specfun import check_alpha, mellin_symbol, symbol_by_quadrature
-from .verify import check_ladder, run_suite, select_checks
+from .verify import CHECK_NAMES, check_ladder, run_suite, select_checks
 
 DEFAULT_LADDER: Tuple[Tuple[float, int], ...] = ((6.0, 200), (8.0, 400), (10.0, 800))
 
@@ -229,7 +229,7 @@ _FLAGS = {
     "margin": dict(type=float, dest="interior_margin"),
     "checks": dict(
         type=lambda text: tuple(c.strip() for c in text.split(",") if c.strip()),
-        help="comma-separated C1..C8",
+        help=f"comma-separated, from {','.join(CHECK_NAMES)}",
     ),
 }
 

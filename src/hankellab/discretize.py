@@ -14,18 +14,18 @@ only represents the composition restricted to the truncation window, whose
 deviation from the full-line composition does not vanish under refinement.
 
 The widened factor's entries depend on i + j alone (t_i tau_j = e^(x_i + y_j)
-on one step h), so it is gathered from 3N - 1 values.  A and L stay
+on one step h), so it is a view of 3N - 1 values.  A and L stay
 entrywise: C2 and C5 test structure (inversion symmetry, the log-variable
 Hankel form) that a gather would impose by construction.
 
 The verification suite builds no N x 2N factor and no H(phi_inf) matrix:
-:func:`gathered_block` gathers each side's columns of the factor as one
+:func:`composed_block` gathers each side's columns of the factor as one
 N x N Hankel matrix, and :func:`phi0_and_split_defect` gives H(phi0) with
 the split defect from one strip walk.  A verify step holds about 4.5 N^2
 doubles at its peak besides ``ROW_BLOCK`` x N strips (see ``verify``).
-``assemble_L_rect``, ``composed_block``, ``operator_square`` and
-``assemble_model_split`` are not called by the program; they stay because
-the acceptance tests (tests/test_acceptance.py) import them.
+``operator_square``, ``assemble_uL`` and ``assemble_model_split`` are not
+called by the program; they stay because the acceptance tests
+(tests/test_acceptance.py) import them.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ __all__ = [
     "assemble_L_rect",
     "operator_square",
     "composed_block",
-    "gathered_block",
     "assemble_uL",
     "assemble_model_split",
     "phi0_and_split_defect",
@@ -89,60 +88,46 @@ def widened_grid(grid: Grid) -> Grid:
     return make_grid(WIDE_FACTOR * grid.R, WIDE_FACTOR * grid.N)
 
 
-def _widened_factor_rows(alpha, grid: Grid) -> np.ndarray:
-    """The widened factor as a read-only N x 2N sliding-window view of its
-    3N - 1 antidiagonal values (row i is values[i : i + 2N]): the kernel on
-    the first row and the last column (the node pairs of
-    :func:`log_pushforward_hankel`) times sqrt(w_i om_j).  Values below the
+def assemble_L_rect(alpha, grid: Grid) -> OperatorMatrix:
+    """Rectangular factor matrix: rows on ``grid``, columns on the widened
+    grid, as a read-only N x 2N sliding-window view of its 3N - 1
+    antidiagonal values (row i is values[i : i + 2N]): the kernel on the
+    first row and the last column (the node pairs of
+    :func:`log_pushforward_hankel`) times sqrt(w_i om_j).  Each entry is the
+    kernel at a node pair with the same t_i tau_j, so it agrees with the
+    entrywise evaluation to the rounding of the nodes.  Values below the
     smallest normal number are stored as 0: subnormals slow every product."""
-    K, wide = kernel_L(alpha), widened_grid(grid)
+    a = check_alpha(alpha)
+    K, wide = kernel_L(a), widened_grid(grid)
     t, w, tau, om = grid.nodes, grid.weights, wide.nodes, wide.weights
     first = _evaluate_kernel(K, t[:1, np.newaxis], tau[np.newaxis, :])[0] * np.sqrt(w[0] * om)
     last = _evaluate_kernel(K, t[1:, np.newaxis], tau[np.newaxis, -1:])[:, 0]
     values = np.concatenate([first, last * np.sqrt(w[1:] * om[-1])])
     values[np.abs(values) < np.finfo(float).tiny] = 0.0
-    return np.lib.stride_tricks.sliding_window_view(values, wide.N)
-
-
-def assemble_L_rect(alpha, grid: Grid) -> OperatorMatrix:
-    """Rectangular factor matrix: rows on ``grid``, columns on the widened
-    grid, gathered from its 3N - 1 antidiagonal values into a contiguous
-    array.  Each entry is the kernel at a node pair with the same t_i tau_j,
-    so it agrees with the entrywise evaluation to the rounding of the nodes."""
-    a = check_alpha(alpha)
-    entries = _widened_factor_rows(a, grid).copy()
-    return OperatorMatrix(grid, entries, f"L_rect(alpha={a})", col_grid=widened_grid(grid))
+    entries = np.lib.stride_tricks.sliding_window_view(values, wide.N)
+    return OperatorMatrix(grid, entries, f"L_rect(alpha={a})", col_grid=wide)
 
 
 def operator_square(Lr: OperatorMatrix) -> OperatorMatrix:
     """Quadrature approximation of the operator square of the factor operator
-    from the widened factor ``Lr`` of :func:`assemble_L_rect`.
+    from the widened factor ``Lr`` of :func:`assemble_L_rect`, gathered into
+    one contiguous N x 2N array for the product.
 
     The inner integral runs over the widened grid, so the result converges to
     the model matrix under refinement.
     """
-    entries = Lr.entries @ Lr.entries.T
-    return OperatorMatrix(grid=Lr.grid, entries=entries, provenance=f"{Lr.provenance}^2")
+    E = np.ascontiguousarray(Lr.entries)
+    return OperatorMatrix(grid=Lr.grid, entries=E @ E.T, provenance=f"{Lr.provenance}^2")
 
 
 def composed_block(Lr: OperatorMatrix, inner_side: str) -> OperatorMatrix:
     """L * (indicator of one side of 1) * L on the row grid from the widened
-    factor ``Lr``: C C^T with C the columns of ``Lr`` on that side of 1, the
-    half ``Lr.col_grid.side(inner_side)`` of the widened grid.  The two
-    sides' blocks sum to :func:`operator_square` up to rounding."""
-    C = Lr.entries[:, Lr.col_grid.side(inner_side)]
+    factor ``Lr``: C C^T, C the columns of ``Lr`` on that side of 1 (the half
+    ``Lr.col_grid.side(inner_side)``) gathered as one contiguous N x N Hankel
+    matrix.  The two sides' blocks sum to :func:`operator_square` up to rounding."""
+    C = Lr.entries[:, Lr.col_grid.side(inner_side)].copy()
     provenance = f"{Lr.provenance}*1_{inner_side}*L"
     return OperatorMatrix(grid=Lr.grid, entries=C @ C.T, provenance=provenance)
-
-
-def gathered_block(alpha, grid: Grid, inner_side: str) -> OperatorMatrix:
-    """``composed_block(assemble_L_rect(alpha, grid), inner_side)`` with no
-    N x 2N factor: the factor's columns on that side of 1 are gathered into
-    one contiguous N x N Hankel matrix C from the 3N - 1 antidiagonal
-    values, and C C^T is the same product, bit for bit."""
-    a = check_alpha(alpha)
-    C = _widened_factor_rows(a, grid)[:, widened_grid(grid).side(inner_side)].copy()
-    return OperatorMatrix(grid=grid, entries=C @ C.T, provenance=f"L(alpha={a})*1_{inner_side}*L")
 
 
 def assemble_uL(u: Callable, Lr: OperatorMatrix) -> OperatorMatrix:

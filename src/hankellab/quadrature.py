@@ -87,7 +87,8 @@ class OperatorMatrix:
 
     Square matrices discretise self-adjoint operators on ``grid``; rectangular
     ones carry a distinct ``col_grid`` (used when an inner integration runs on
-    a wider grid).  Equality and hashing are by identity.
+    a wider grid).  The entries are read-only, maybe a view of fewer values (a
+    Hankel matrix of its antidiagonals).  Equality and hashing are by identity.
     """
 
     grid: Grid

@@ -50,13 +50,14 @@ selected check of the step that reads it, also when that check aborts:
   C8      builds the weighted Hankel matrix; A is freed after it
   C7      B_0, B_inf and the weighted Hankel matrix are freed after it
 
-Each block is C C^T with C the widened factor's columns on one side of 1,
-gathered as an N x N Hankel matrix from the factor's 3N - 1 values, so no
-N x 2N factor is built.  A step then holds at most four N x N matrices at
-once (C1: A, both blocks and their sum; C5 and C6: A, both blocks and L;
-C8: A, both blocks and the weighted matrix) besides ``ROW_BLOCK`` x N
-strips and quarter-size buffers: a traced peak of about 4.5 N^2 doubles,
-198 MiB at N = 2400 (0.19 GiB), which sizes a ladder.
+Each block is ``discretize.composed_block``: C C^T, C the columns of the
+step's widened factor on one side of 1, gathered as an N x N Hankel matrix.
+The factor is evaluated once per step as a view of its 3N - 1 values, so
+no N x 2N array is built.  A step holds at most four N x N matrices at once
+(C1: A, both blocks and their sum; C5 and C6: A, both blocks and L; C8: A,
+both blocks and the weighted matrix) besides ``ROW_BLOCK`` x N strips and
+quarter-size buffers: a traced peak of about 4.5 N^2 doubles, 198 MiB at
+N = 2400.
 """
 
 from __future__ import annotations
@@ -148,17 +149,21 @@ class _GridPieces:
     def L(self):
         return dz.assemble_L(self.alpha, self.grid)
 
+    @cached_property
+    def Lr(self):  # the widened factor, a view of its 3N - 1 values, kept for the step
+        return dz.assemble_L_rect(self.alpha, self.grid)
+
     # L 1_inf L and L 1_0 L on the whole grid, each gathered on its own: C1
     # compares their sum with A, C3 compares the first with H(phi0), and the
     # two-block decomposition (C7, C8) reads the first on its (0, 0) quarter
     # and the second on its (inf, inf) quarter, as views
     @cached_property
     def block_inf(self):
-        return dz.gathered_block(self.alpha, self.grid, "infinity").entries
+        return dz.composed_block(self.Lr, "infinity").entries
 
     @cached_property
     def block_0(self):
-        return dz.gathered_block(self.alpha, self.grid, "zero").entries
+        return dz.composed_block(self.Lr, "zero").entries
 
     @cached_property
     def weighted(self):
@@ -227,7 +232,7 @@ def _check_c4(alpha: float):
     grids = [make_grid(R, N) for R, N in _HS_GRIDS]
     # |u L|_HS^2 = sum_i u(t_i)^2 r_i, r_i the squared norm of row i of the widened
     # factor, reduced over a view of its 3N - 1 values: no N x 2N array is built
-    factors = [dz._widened_factor_rows(alpha, g) for g in grids]
+    factors = [dz.assemble_L_rect(alpha, g).entries for g in grids]
     row_sq = [np.einsum("ij,ij->i", L, L) for L in factors]
     g_id = grids[0]
     scale = 2.0 ** (-1.0 - 2.0 * alpha)
@@ -491,14 +496,12 @@ def run_suite(
 
     if "C4" in selected:
         rows["C4"], passed["C4"] = attempt("C4", _check_c4, a)
-    # looked up here, not at import, so that a check wrapped by name is the one that runs
-    step_checks = {"C1": _check_c1, "C2": _check_c2, "C3": _check_c3, "C5": _check_c5,
-                   "C6": _check_c6, "C7": _check_c7, "C8": _check_c8}
     for grid in grids:
         p = _GridPieces(a, grid, family)
         todo = [name for name in _STEP_PIECES if name in selected and name not in errors]
         for i, name in enumerate(todo):
-            row, ok = attempt(name, step_checks[name], a, p)
+            # looked up by name, so that a check wrapped on the module is the one that runs
+            row, ok = attempt(name, globals()[f"_check_{name.lower()}"], a, p)
             rows[name].append(row)
             passed[name] = passed[name] and ok
             later = {piece for n in todo[i + 1 :] for piece in _STEP_PIECES[n]}

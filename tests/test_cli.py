@@ -233,6 +233,14 @@ class TestVerifyCommand:
         for check in report["checks"]:
             assert set(check) == {"name", "anchor", "grids", "metrics", "verdict", "rule"}
 
+    def test_checks_help_lists_every_name(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "--help"])
+        assert info.value.code == 0
+        names = hankellab.verify.CHECK_NAMES
+        assert len(names) == 8
+        assert ",".join(names) in capsys.readouterr().out
+
     def test_subset_of_checks(self, tmp_path):
         code = main(
             [

@@ -23,7 +23,6 @@ from hankellab.discretize import (
     assemble_wHa,
     change_of_variables_diagonal,
     composed_block,
-    gathered_block,
     log_pushforward_hankel,
     operator_square,
     phi0_and_split_defect,
@@ -158,21 +157,11 @@ class TestOperatorSquare:
                 assert quarter.shape == (N // 2, N // 2)
                 assert np.array_equal(quarter, quarter.T)
 
-    @pytest.mark.parametrize("alpha", [0.0, 0.5, 2.0])
-    @pytest.mark.parametrize("R,N", [(6.0, 200), (10.0, 800)])
-    def test_gathered_block_is_the_composed_block(self, R, N, alpha):
-        # the columns of one side as their own contiguous Hankel matrix give
-        # the product of the N x 2N factor's columns, bit for bit
-        grid = make_grid(R, N)
-        Lr = assemble_L_rect(alpha, grid)
-        for inner in ("zero", "infinity"):
-            block = gathered_block(alpha, grid, inner).entries
-            assert np.array_equal(block, composed_block(Lr, inner).entries)
-
     def test_gathered_block_builds_no_factor(self, traced_peak):
-        # the block and one N x N gather, never the 2 N^2 entries of the factor
+        # the block and one N x N gather of the side's columns from the
+        # factor's 3N - 1 values, never the 2 N^2 entries of the factor
         grid = make_grid(12.0, 1600)
-        block, peak = traced_peak(lambda: gathered_block(0.5, grid, "zero"))
+        block, peak = traced_peak(lambda: composed_block(assemble_L_rect(0.5, grid), "zero"))
         assert peak <= 2 * block.entries.nbytes + 8 * (3 * grid.N) * 8
 
     def test_widened_grid_step_matches(self):
@@ -199,7 +188,9 @@ class TestWidenedFactor:
         s, t = grid.nodes[:, np.newaxis], wide.nodes[np.newaxis, :]
         ref = kernel_L(alpha)(s, t) * np.sqrt(np.outer(grid.weights, wide.weights))
         Lr = assemble_L_rect(alpha, grid)
-        assert Lr.entries.shape == (344, 688) and Lr.entries.flags.c_contiguous
+        # a read-only view: row i + 1 starts one value after row i
+        assert Lr.entries.shape == (344, 688) and Lr.entries.strides == (8, 8)
+        assert not Lr.entries.flags.writeable
         assert (Lr.col_grid.R, Lr.col_grid.N) == (wide.R, wide.N)
         err = np.abs(Lr.entries - ref).max()
         assert err <= 3 * grid.R * np.finfo(float).eps * np.abs(ref).max()

@@ -189,11 +189,12 @@ class TestNystrom:
         assert np.abs(M - raw).max() <= 3 * g.R * np.finfo(float).eps * np.abs(raw).max()
 
     def test_rect_memory_stays_at_strip_size(self, traced_peak):
-        # the output plus O(N): the kernel runs on 3N - 1 node pairs, and the
-        # gather copies a view of their values, so no temporary has N rows
+        # O(N): the kernel runs on 3N - 1 node pairs, and the matrix is a view
+        # of their values, so no array has N rows
         g = make_grid(12.0, 2000)
         M, peak = traced_peak(lambda: assemble_L_rect(0.5, g))
-        assert peak <= M.entries.nbytes + 8 * (3 * g.N) * 8
+        assert M.entries.shape == (g.N, 2 * g.N)
+        assert peak <= 8 * (3 * g.N) * 8
 
     def test_refinement_consistency(self):
         # Cauchy proxy: doubling N at fixed R changes the top eigenvalues of

@@ -89,7 +89,6 @@ class TestRunSuite:
             "assemble_A",
             "assemble_L",
             "assemble_wHa",
-            "gathered_block",
             "phi0_and_split_defect",
             "assemble_L_rect",
             "composed_block",
@@ -109,12 +108,12 @@ class TestRunSuite:
             "assemble_A": steps,
             "assemble_L": steps,
             "assemble_wHa": steps,
-            "gathered_block": 2 * steps,  # one per inner side
             "phi0_and_split_defect": steps,
-            # no N x 2N factor and no H(phi_inf) matrix: C4 reads row norms
-            # from the factor's antidiagonal values
-            "assemble_L_rect": 0,
-            "composed_block": 0,
+            # one widened factor per step, a view of its 3N - 1 values, and
+            # one more per C4 grid
+            "assemble_L_rect": steps + len(verify._HS_GRIDS),
+            "composed_block": 2 * steps,  # one per inner side
+            # no H(phi_inf) matrix
             "assemble_model_split": 0,
         }
 
