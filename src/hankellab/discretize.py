@@ -21,8 +21,9 @@ Hankel form) that a gather would impose by construction.
 The verification suite builds no N x 2N factor and no H(phi_inf) matrix:
 :func:`composed_block` gathers each side's columns of the factor as one
 N x N Hankel matrix, and :func:`phi0_and_split_defect` gives H(phi0) with
-the split defect from one strip walk.  A verify step holds about 4.5 N^2
-doubles at its peak besides ``ROW_BLOCK`` x N strips (see ``verify``).
+the split defect from one tile walk.  A verify step holds about 3.5 N^2
+doubles at its peak, tiles and quarter-size buffers included (see
+``verify``).
 ``operator_square``, ``assemble_uL`` and ``assemble_model_split`` are not
 called by the program; they stay because the acceptance tests
 (tests/test_acceptance.py) import them.
@@ -39,9 +40,9 @@ from .quadrature import (
     Grid,
     OperatorMatrix,
     _evaluate_kernel,
-    _nystrom_strips,
-    _store_strip,
-    _upper_strips,
+    _nystrom_tiles,
+    _store_tile,
+    _upper_tiles,
     make_grid,
     nystrom,
 )
@@ -142,17 +143,17 @@ def assemble_uL(u: Callable, Lr: OperatorMatrix) -> OperatorMatrix:
 
 
 def _split_kernels(a: float) -> Callable:
-    """The strip kernels (phi0, phi_inf) of the model split for the strip
-    walk of :func:`quadrature._upper_strips`: both from one incomplete-Gamma
-    evaluation on the node sums of each strip."""
+    """The tile kernels (phi0, phi_inf) of the model split for the tile
+    walk of :func:`quadrature._upper_tiles`: both from one incomplete-Gamma
+    evaluation on the node sums of each tile."""
 
-    def strip_kernels(s, t):
+    def tile_kernels(s, t):
         st = s**a * t**a
         phis = phi_split(a, s + t)
         # the walk calls each kernel on exactly this node column and row
         return tuple(lambda s, t, phi=phi: st * phi for phi in phis)
 
-    return strip_kernels
+    return tile_kernels
 
 
 def assemble_model_split(alpha, grid: Grid) -> Tuple[OperatorMatrix, OperatorMatrix]:
@@ -164,7 +165,7 @@ def assemble_model_split(alpha, grid: Grid) -> Tuple[OperatorMatrix, OperatorMat
     :func:`phi0_and_split_defect`.
     """
     a = check_alpha(alpha)
-    return _nystrom_strips(
+    return _nystrom_tiles(
         _split_kernels(a), grid, (f"H(phi0,alpha={a})", f"H(phi_inf,alpha={a})")
     )
 
@@ -173,16 +174,17 @@ def phi0_and_split_defect(alpha, grid: Grid, A: np.ndarray) -> Tuple[np.ndarray,
     """(H(phi0), max|H(phi0) + H(phi_inf) - A|) for an exactly symmetric
     ``A``, with no H(phi_inf) matrix: the entries of H(phi0), as a writable
     array, and the split defect, both from one walk of the upper triangle in
-    the strips of :func:`assemble_model_split`.  Each strip of the defect is
+    the tiles of :func:`assemble_model_split`.  Each tile of the defect is
     formed as (h0 + h_inf) - a, so it has the bits of the whole-matrix
     difference of ``assemble_model_split``'s pair; all three matrices are
-    symmetric, so its largest entry is in the upper triangle."""
+    symmetric, so its largest entry is in the upper triangle.  No temporary
+    is larger than a tile, whatever N."""
     a = check_alpha(alpha)
     H0, defect = np.empty((grid.N, grid.N)), 0.0
-    for r0, r1, (h0, h_inf) in _upper_strips(_split_kernels(a), grid):
-        _store_strip(H0, r0, r1, h0)
+    for rows, cols, (h0, h_inf) in _upper_tiles(_split_kernels(a), grid):
+        _store_tile(H0, rows, cols, h0)
         h_inf += h0
-        h_inf -= A[r0:r1, r0:]
+        h_inf -= A[rows, cols]
         defect = max(defect, float(np.abs(h_inf).max()))
     return H0, defect
 

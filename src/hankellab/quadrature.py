@@ -16,6 +16,9 @@ __all__ = ["Grid", "OperatorMatrix", "check_step", "make_grid", "nystrom", "quad
 # Rows per strip of the Nystrom assemblies and of the symmetry test in
 # linalg: temporaries stay at ROW_BLOCK rows of the output.
 ROW_BLOCK = 128
+# Columns per tile of the Nystrom assemblies' walk, a multiple of ROW_BLOCK:
+# their temporaries stay at ROW_BLOCK x COL_BLOCK, whatever N.
+COL_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -125,49 +128,56 @@ def _evaluate_kernel(K, s, t):
     return vals
 
 
-def _upper_strips(strip_kernels: Callable, grid: Grid):
+def _upper_tiles(tile_kernels: Callable, grid: Grid):
     """Walk the upper triangle of the symmetric Nystrom matrices
-    sqrt(w_i w_j) K(t_i, t_j) of the kernels that ``strip_kernels(s, t)``
-    returns for a strip of node column ``s`` and row ``t`` (closures over
-    values computed once per strip can share work between the matrices).
+    sqrt(w_i w_j) K(t_i, t_j) of the kernels that ``tile_kernels(s, t)``
+    returns for a tile of node column ``s`` and row ``t`` (closures over
+    values computed once per tile can share work between the matrices).
 
-    Yields (r0, r1, strips) for each strip of ``ROW_BLOCK`` rows: the
-    entries [r0, r1) x [r0, N) of each matrix, evaluated once and scaled,
-    with the lower triangle of the strip's diagonal block mirrored from the
-    entries i <= j.  So every unordered pair is evaluated once, and no
-    temporary is larger than ``ROW_BLOCK`` x N.
+    Yields (rows, cols, tiles) for each tile of ``ROW_BLOCK`` rows and at
+    most ``COL_BLOCK`` columns: the entries rows x cols of each matrix,
+    evaluated once and scaled.  The tiles of one row strip [r0, r1) cover
+    its columns [r0, N); the first holds the strip's diagonal block, whose
+    lower triangle is mirrored from the entries i <= j.  So every unordered
+    pair is evaluated once, and no temporary is larger than a tile.
     """
     t, w, n = grid.nodes, grid.weights, grid.N
     for r0 in range(0, n, ROW_BLOCK):
-        r1 = min(r0 + ROW_BLOCK, n)
-        s_col, t_row = t[r0:r1, np.newaxis], t[np.newaxis, r0:]
-        scale = np.sqrt(np.outer(w[r0:r1], w[r0:]))
-        lower = np.tril_indices(r1 - r0, -1)
-        strips = []
-        for K in strip_kernels(s_col, t_row):
-            vals = _evaluate_kernel(K, s_col, t_row)
-            vals *= scale
-            diag = vals[:, : r1 - r0]
-            diag[lower] = diag.T[lower]
-            strips.append(vals)
-        yield r0, r1, strips
+        rows = slice(r0, min(r0 + ROW_BLOCK, n))
+        lower = np.tril_indices(rows.stop - r0, -1)
+        s_col = t[rows, np.newaxis]
+        for c0 in range(r0, n, COL_BLOCK):
+            cols = slice(c0, min(c0 + COL_BLOCK, n))
+            t_row = t[np.newaxis, cols]
+            scale = np.sqrt(np.outer(w[rows], w[cols]))
+            tiles = []
+            for K in tile_kernels(s_col, t_row):
+                vals = _evaluate_kernel(K, s_col, t_row)
+                vals *= scale
+                if c0 == r0:
+                    diag = vals[:, : rows.stop - r0]
+                    diag[lower] = diag.T[lower]
+                tiles.append(vals)
+            yield rows, cols, tiles
 
 
-def _store_strip(out: np.ndarray, r0: int, r1: int, vals: np.ndarray) -> None:
-    """Write an upper strip of :func:`_upper_strips` into ``out`` and mirror
-    it onto the lower triangle, so that ``out`` is symmetric exactly."""
-    out[r0:r1, r0:] = vals
-    out[r1:, r0:r1] = vals[:, r1 - r0 :].T
+def _store_tile(out: np.ndarray, rows: slice, cols: slice, vals: np.ndarray) -> None:
+    """Write an upper tile of :func:`_upper_tiles` into ``out`` and mirror
+    its entries right of the diagonal block onto the lower triangle, so
+    that ``out`` is symmetric exactly."""
+    out[rows, cols] = vals
+    k = max(rows.stop - cols.start, 0)  # the diagonal block is mirrored in the tile
+    out[cols.start + k : cols.stop, rows] = vals[:, k:].T
 
 
-def _nystrom_strips(strip_kernels: Callable, grid: Grid, provenances: Tuple[str, ...]):
+def _nystrom_tiles(tile_kernels: Callable, grid: Grid, provenances: Tuple[str, ...]):
     """Symmetric Nystrom matrices, one per provenance, of the kernels of
-    ``strip_kernels``, stored strip by strip from :func:`_upper_strips`."""
+    ``tile_kernels``, stored tile by tile from :func:`_upper_tiles`."""
     n = grid.N
     outs = tuple(np.empty((n, n)) for _ in provenances)
-    for r0, r1, strips in _upper_strips(strip_kernels, grid):
-        for out, vals in zip(outs, strips):
-            _store_strip(out, r0, r1, vals)
+    for rows, cols, tiles in _upper_tiles(tile_kernels, grid):
+        for out, vals in zip(outs, tiles):
+            _store_tile(out, rows, cols, vals)
     return tuple(
         OperatorMatrix(grid=grid, entries=e, provenance=p) for e, p in zip(outs, provenances)
     )
@@ -176,14 +186,14 @@ def _nystrom_strips(strip_kernels: Callable, grid: Grid, provenances: Tuple[str,
 def nystrom(K: Callable, grid: Grid, provenance: str = "kernel") -> OperatorMatrix:
     """Symmetric Nystrom matrix sqrt(w_i w_j) K(t_i, t_j).
 
-    The kernel is called on the upper triangle only, on strips of
-    ``ROW_BLOCK`` node rows against the nodes from the strip's first row on;
-    each strip is mirrored onto the lower triangle, so the result is
-    symmetric exactly and equals the upper triangle of the full N x N
-    evaluation.  The sqrt-weight scaling keeps the matrix similar to the
-    plain quadrature discretisation.
+    The kernel is called on the upper triangle only, on tiles of
+    ``ROW_BLOCK`` node rows by at most ``COL_BLOCK`` node columns from the
+    diagonal on; each tile is mirrored onto the lower triangle, so the
+    result is symmetric exactly and equals the upper triangle of the full
+    N x N evaluation.  The sqrt-weight scaling keeps the matrix similar to
+    the plain quadrature discretisation.
     """
-    return _nystrom_strips(lambda s, t: (K,), grid, (provenance,))[0]
+    return _nystrom_tiles(lambda s, t: (K,), grid, (provenance,))[0]
 
 
 def quad_integral(f: Callable, grid: Grid) -> float:

@@ -42,22 +42,28 @@ The step checks run in the order of a second table, ``_STEP_PIECES``, which
 names the pieces each reads, and each piece is freed after the last
 selected check of the step that reads it, also when that check aborts:
 
-  C3      builds A and B_inf = L 1_inf L; takes H(phi0) and its split
-          defect from one strip walk, with no H(phi_inf) matrix
-  C1      builds B_0 = L 1_0 L and L
+  C1      builds B_inf = L 1_inf L and B_0 = L 1_0 L, forms their sum and
+          drops B_0, keeping a copy of its (inf, inf) quarter; then builds
+          A, drops the sum, and builds L
   C5, C6  read L, which is freed after C6
+  C3      reads A and B_inf; takes H(phi0) and its split defect from one
+          tile walk, with no H(phi_inf) matrix; B_inf is freed after it,
+          keeping a copy of its (0, 0) quarter
   C2      reads A
   C8      builds the weighted Hankel matrix; A is freed after it
-  C7      B_0, B_inf and the weighted Hankel matrix are freed after it
+  C7      the two quarters and the weighted Hankel matrix are freed after it
 
 Each block is ``discretize.composed_block``: C C^T, C the columns of the
-step's widened factor on one side of 1, gathered as an N x N Hankel matrix.
-The factor is evaluated once per step as a view of its 3N - 1 values, so
-no N x 2N array is built.  A step holds at most four N x N matrices at once
-(C1: A, both blocks and their sum; C5 and C6: A, both blocks and L; C8: A,
-both blocks and the weighted matrix) besides ``ROW_BLOCK`` x N strips and
-quarter-size buffers: a traced peak of about 4.5 N^2 doubles, 198 MiB at
-N = 2400.
+step's widened factor on one side of 1, gathered as an N x N Hankel matrix,
+composed once per step whatever the checks selected.  The factor is
+evaluated once per step as a view of its 3N - 1 values, so no N x 2N array
+is built.  Only C1 and C3 read whole blocks; the two-block decomposition
+(C7, C8) reads B_inf's (0, 0) and B_0's (inf, inf) quarter.  So a step
+holds at most three N x N matrices and one quarter at once (C1: B_inf, B_0
+and their sum, then B_inf, the sum and A; C5 and C6: A, L and B_inf; C3:
+A, B_inf and H(phi0); each with B_0's quarter) besides tiles, Lanczos
+vectors and the quarter-size buffers of a check: a traced peak of about
+3.5 N^2 doubles, 155 MiB at N = 2400.
 """
 
 from __future__ import annotations
@@ -138,7 +144,10 @@ class _GridPieces:
         self.m0, self.mi = grid.side("zero"), grid.side("infinity")
 
     def free(self, piece: str) -> None:
-        """Drop a piece, so that its memory goes once the checks hold no view of it."""
+        """Drop a piece, so that its memory goes once the checks hold no view
+        of it; the whole block L 1_inf L first leaves its (0, 0) quarter."""
+        if piece == "block_inf" and "block_inf" in self.__dict__:
+            self.quarter_inf
         self.__dict__.pop(piece, None)
 
     @cached_property
@@ -153,17 +162,33 @@ class _GridPieces:
     def Lr(self):  # the widened factor, a view of its 3N - 1 values, kept for the step
         return dz.assemble_L_rect(self.alpha, self.grid)
 
-    # L 1_inf L and L 1_0 L on the whole grid, each gathered on its own: C1
-    # compares their sum with A, C3 compares the first with H(phi0), and the
-    # two-block decomposition (C7, C8) reads the first on its (0, 0) quarter
-    # and the second on its (inf, inf) quarter, as views
+    # Each side's block L 1_side L is composed once per step.  C3 compares
+    # L 1_inf L on the whole grid with H(phi0) and C1 the sum of both with A;
+    # the two-block decomposition (C7, C8) reads only the (0, 0) quarter of
+    # L 1_inf L and the (inf, inf) quarter of L 1_0 L, each as its own copy,
+    # so that neither whole block outlives its last whole-grid reader
     @cached_property
     def block_inf(self):
         return dz.composed_block(self.Lr, "infinity").entries
 
     @cached_property
-    def block_0(self):
-        return dz.composed_block(self.Lr, "zero").entries
+    def wide(self):
+        """The widened square L 1_inf L + L 1_0 L; L 1_0 L goes once it is formed."""
+        block_inf, block_0 = self.block_inf, dz.composed_block(self.Lr, "zero").entries
+        self.quarter_0 = block_0[self.mi, self.mi].copy()
+        return np.add(block_inf, block_0)
+
+    @cached_property
+    def quarter_0(self):
+        return dz.composed_block(self.Lr, "zero").entries[self.mi, self.mi].copy()
+
+    @cached_property
+    def quarter_inf(self):
+        # from the whole block while it is kept, else from one composed for it
+        block_inf = self.__dict__.get("block_inf")
+        if block_inf is None:
+            block_inf = dz.composed_block(self.Lr, "infinity").entries
+        return block_inf[self.m0, self.m0].copy()
 
     @cached_property
     def weighted(self):
@@ -174,12 +199,14 @@ class _GridPieces:
 
 
 def _check_c1(alpha: float, p: _GridPieces):
+    # L 1_inf L + L 1_0 L is the widened square Lr Lr^T, formed before A
+    # exists and dropped before L does.  The wide residual is formed
+    # explicitly: at large R it sits at the rounding floor eps * |A|, below
+    # the rounding of the map x -> Lr(Lr^T x) - Ax
+    wide = p.wide
+    p.free("wide")
     A = p.A.entries
     a_norm = op_norm(A)
-    # L 1_inf L + L 1_0 L is the widened square Lr Lr^T.  The wide
-    # residual is formed explicitly: at large R it sits at the rounding
-    # floor eps * |A|, below the rounding of the map x -> Lr(Lr^T x) - Ax
-    wide = np.add(p.block_inf, p.block_0)
     wide -= A
     wide = op_norm(wide) / a_norm
     L = p.L.entries
@@ -300,9 +327,9 @@ def _weighted_block(p: _GridPieces, side: str) -> np.ndarray:
     operator, without its coefficient: v (L 1_inf L) v on the zero side or
     v (L 1_0 L) v on the infinity side, v = w(t) t^(-alpha), scaled in one
     quarter-size buffer."""
-    block, half = (p.block_inf, p.m0) if side == "zero" else (p.block_0, p.mi)
+    block, half = (p.quarter_inf, p.m0) if side == "zero" else (p.quarter_0, p.mi)
     vs = p.weighted[1][half]
-    wb = vs[:, np.newaxis] * block[half, half]
+    wb = vs[:, np.newaxis] * block
     wb *= vs[np.newaxis, :]
     return wb
 
@@ -337,8 +364,8 @@ def _check_c8(alpha: float, p: _GridPieces):
     single = lambda c: predict(alpha, c / pa, 0.0, 1.0, 1.0)
     items = (
         ("model", lambda: p.A.entries, predict(alpha, 1.0, 1.0, 1.0, 1.0)),
-        ("block_zero", lambda: p.block_inf[p.m0, p.m0], single(pa)),
-        ("block_infinity", lambda: p.block_0[p.mi, p.mi], single(pa)),
+        ("block_zero", lambda: p.quarter_inf, single(pa)),
+        ("block_infinity", lambda: p.quarter_0, single(pa)),
         ("weighted_block_zero", lambda: _weighted_block(p, "zero"), single(pa * b0**2)),
         ("weighted_block_infinity", lambda: _weighted_block(p, "infinity"), single(pa * b_inf**2)),
         ("weighted_hankel", lambda: p.weighted[0].entries, predict(alpha, a0, a_inf, b0, b_inf)),
@@ -426,18 +453,19 @@ _CHECKS: Dict[str, Tuple[str, str, Callable[[Sequence[dict]], bool]]] = {
 # The step checks in the order they run on each ladder step, with the
 # _GridPieces pieces each reads.  Each piece is freed after the last
 # selected check of the step that reads it, also when that check aborts.
-# The order keeps at most four N x N matrices alive at once: C3 takes
-# H(phi0) before L 1_0 L exists, C1 forms the sum of the two blocks before
-# L exists, L goes after C6 and A after C8, and C7 copies the weighted
-# Hankel matrix once only the blocks and that matrix are left.
+# The order keeps at most three N x N matrices and a quarter alive at
+# once: C1 forms the sum of the two blocks before A exists and drops it
+# before L exists, L goes after C6, before C3 makes H(phi0), L 1_inf L after
+# C3 and A after C8, and C7 copies the weighted Hankel matrix once only the
+# quarters and that matrix are left.
 _STEP_PIECES: Dict[str, Tuple[str, ...]] = {
-    "C3": ("A", "block_inf"),
-    "C1": ("A", "L", "block_inf", "block_0"),
+    "C1": ("wide", "block_inf", "A", "L"),
     "C5": ("L",),
     "C6": ("A", "L"),
+    "C3": ("A", "block_inf"),
     "C2": ("A",),
-    "C8": ("A", "block_inf", "block_0", "weighted"),
-    "C7": ("block_inf", "block_0", "weighted"),
+    "C8": ("A", "quarter_inf", "quarter_0", "weighted"),
+    "C7": ("quarter_inf", "quarter_0", "weighted"),
 }
 
 
@@ -454,10 +482,13 @@ def check_ladder(ladder: Sequence[Tuple[float, int]]) -> List[Tuple[float, int]]
 
 
 def select_checks(names: Optional[Sequence[str]] = None) -> Tuple[str, ...]:
-    """The named checks, in any case, in report order, or all eight when none
-    are named; raises DomainError on an unknown name."""
-    if not names:
+    """The named checks, in any case, in report order, or all eight when
+    ``names`` is None; raises DomainError on an unknown name or an empty
+    selection."""
+    if names is None:
         return CHECK_NAMES
+    if not names:
+        raise DomainError(f"no checks named; valid names are {CHECK_NAMES}")
     upper = {c.upper() for c in names}
     bad = [c for c in names if c.upper() not in CHECK_NAMES]
     if bad:
@@ -497,8 +528,8 @@ def run_suite(
     if "C4" in selected:
         rows["C4"], passed["C4"] = attempt("C4", _check_c4, a)
     for grid in grids:
-        p = _GridPieces(a, grid, family)
         todo = [name for name in _STEP_PIECES if name in selected and name not in errors]
+        p = _GridPieces(a, grid, family)
         for i, name in enumerate(todo):
             # looked up by name, so that a check wrapped on the module is the one that runs
             row, ok = attempt(name, globals()[f"_check_{name.lower()}"], a, p)

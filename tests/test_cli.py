@@ -325,6 +325,17 @@ class TestConfigValidation:
         assert main(["verify", "--config", str(config), "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [["--checks", ","], ["--checks", ""], "config"])
+    def test_empty_check_selection_rejected_before_output(self, tmp_path, flags):
+        # an empty selection names no check; it must not run all eight
+        if flags == "config":
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"checks": []}))
+            flags = ["--config", str(config)]
+        out = tmp_path / "out"
+        assert main(["verify", "--R", "6", "--N", "200", *flags, "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_repeated_spectrum_step_rejected_before_output(self, tmp_path):
         # the ladder rule that verify applies holds for spectrum too
         config = tmp_path / "config.json"

@@ -29,7 +29,7 @@ from hankellab.discretize import (
     widened_grid,
 )
 from hankellab.kernels import kernel_L, rational_test_family
-from hankellab.quadrature import ROW_BLOCK
+from hankellab.quadrature import COL_BLOCK, ROW_BLOCK
 from hankellab.specfun import phi_split, psi_minus, psi_plus
 
 LADDER = [(6.0, 200), (8.0, 400), (10.0, 800)]
@@ -220,35 +220,38 @@ class TestModelHankel:
     @pytest.mark.parametrize("alpha", [0.0, 0.5])
     def test_split_strips_match_full_square(self, alpha):
         # one phi_split call on all N x N node sums, N not a multiple of
-        # ROW_BLOCK, against the pair built strip by strip
-        grid = make_grid(9.0, 2 * ROW_BLOCK + 88)
-        t, w = grid.nodes, grid.weights
-        scale = np.sqrt(np.outer(w, w))
-        st = t[:, np.newaxis] ** alpha * t[np.newaxis, :] ** alpha
-        for H, phi in zip(
-            assemble_model_split(alpha, grid), phi_split(alpha, t[:, np.newaxis] + t[np.newaxis, :])
-        ):
-            vals = st * phi * scale
-            ref = np.triu(vals) + np.triu(vals, 1).T
-            np.testing.assert_array_max_ulp(H.entries, ref, maxulp=2)
+        # ROW_BLOCK, against the pair built tile by tile; at N = 1300 the
+        # first strips span three tiles, the last one partial
+        assert 1300 % COL_BLOCK and 1300 > 2 * COL_BLOCK
+        for grid in (make_grid(9.0, 2 * ROW_BLOCK + 88), make_grid(11.0, 1300)):
+            t, w = grid.nodes, grid.weights
+            scale = np.sqrt(np.outer(w, w))
+            st = t[:, np.newaxis] ** alpha * t[np.newaxis, :] ** alpha
+            sums = t[:, np.newaxis] + t[np.newaxis, :]
+            for H, phi in zip(assemble_model_split(alpha, grid), phi_split(alpha, sums)):
+                vals = st * phi * scale
+                ref = np.triu(vals) + np.triu(vals, 1).T
+                np.testing.assert_array_max_ulp(H.entries, ref, maxulp=2)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 2.0])
     def test_one_walk_gives_phi0_and_the_split_defect(self, alpha):
         # against the pair: H(phi0) and the whole-matrix defect bit for bit
-        grid = make_grid(9.0, 2 * ROW_BLOCK + 88)
-        A = assemble_A(alpha, grid).entries
-        H0, Hi = (H.entries for H in assemble_model_split(alpha, grid))
-        got, defect = phi0_and_split_defect(alpha, grid, A)
-        assert np.array_equal(got, H0)
-        assert defect == np.abs(H0 + Hi - A).max()
+        for grid in (make_grid(9.0, 2 * ROW_BLOCK + 88), make_grid(11.0, 1300)):
+            A = assemble_A(alpha, grid).entries
+            H0, Hi = (H.entries for H in assemble_model_split(alpha, grid))
+            got, defect = phi0_and_split_defect(alpha, grid, A)
+            assert np.array_equal(got, H0)
+            assert defect == np.abs(H0 + Hi - A).max()
 
     def test_split_defect_stores_no_phi_inf(self, traced_peak):
-        # H(phi0) plus the temporaries of one strip's incomplete-Gamma
-        # evaluation (13 ROW_BLOCK x N strips measured): no second N x N matrix
+        # H(phi0) plus the temporaries of one tile's incomplete-Gamma
+        # evaluation and the walk (24 ROW_BLOCK x COL_BLOCK tiles measured,
+        # five strips' worth at this N): no second N x N matrix
         grid = make_grid(14.0, 2400)
         A = assemble_A(0.5, grid).entries
         (H0, _), peak = traced_peak(lambda: phi0_and_split_defect(0.5, grid, A))
-        assert peak <= H0.nbytes + 16 * ROW_BLOCK * grid.N * 8 < 2 * H0.nbytes
+        tile = ROW_BLOCK * COL_BLOCK * 8
+        assert peak <= H0.nbytes + 28 * tile < 2 * H0.nbytes
 
     def test_phi0_matrix_positive_entries(self):
         grid = make_grid(6.0, 100)

@@ -16,7 +16,7 @@ from hankellab import (
 )
 from hankellab.discretize import assemble_L_rect
 from hankellab.kernels import kernel_A, kernel_L, rational_test_family, weighted_hankel_kernel
-from hankellab.quadrature import ROW_BLOCK, OperatorMatrix, check_step
+from hankellab.quadrature import COL_BLOCK, ROW_BLOCK, OperatorMatrix, check_step
 
 
 def full_square(K, grid):
@@ -149,20 +149,23 @@ class TestNystrom:
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5])
     def test_strips_match_full_square(self, alpha):
-        # N is not a multiple of ROW_BLOCK, so the last strip is partial
-        g = make_grid(9.0, 2 * ROW_BLOCK + 88)
-        for K in (kernel_A(alpha), kernel_L(alpha)):
-            assert np.array_equal(nystrom(K, g).entries, full_square(K, g))
-        K = weighted_hankel_kernel(*rational_test_family(alpha, 1.0, 1.0, 1.0, 1.0))
-        np.testing.assert_array_max_ulp(nystrom(K, g).entries, full_square(K, g), maxulp=2)
+        # N is not a multiple of ROW_BLOCK, so the last strip is partial; at
+        # N = 1300 the first strips span three tiles, the last one partial
+        assert 1300 % COL_BLOCK and 1300 > 2 * COL_BLOCK
+        for g in (make_grid(9.0, 2 * ROW_BLOCK + 88), make_grid(11.0, 1300)):
+            for K in (kernel_A(alpha), kernel_L(alpha)):
+                assert np.array_equal(nystrom(K, g).entries, full_square(K, g))
+            K = weighted_hankel_kernel(*rational_test_family(alpha, 1.0, 1.0, 1.0, 1.0))
+            np.testing.assert_array_max_ulp(nystrom(K, g).entries, full_square(K, g), maxulp=2)
 
     def test_memory_stays_at_strip_size(self, traced_peak):
-        # the output plus a few ROW_BLOCK x N temporaries, never N x N ones
+        # the output plus a few ROW_BLOCK x COL_BLOCK temporaries (6.3
+        # measured), never ROW_BLOCK x N or N x N ones
         g = make_grid(12.0, 2000)
         K = kernel_A(0.5)
         M, peak = traced_peak(lambda: nystrom(K, g))
-        strip = ROW_BLOCK * g.N * 8
-        assert peak <= M.entries.nbytes + 6 * strip
+        tile = ROW_BLOCK * COL_BLOCK * 8
+        assert peak <= M.entries.nbytes + 8 * tile < M.entries.nbytes + 6 * ROW_BLOCK * g.N * 8
 
     # the rectangular Nystrom matrix of the suite is the widened factor,
     # gathered from its antidiagonals (tests/test_discretize.py checks the

@@ -22,13 +22,20 @@ SHORT_LADDER = [(6.0, 200), (8.0, 400)]
 DEFAULT_LADDER = [(6.0, 200), (8.0, 400), (10.0, 800)]
 LARGE_LADDER = [(12.0, 1600), (14.0, 2400)]
 # the shared operators of a ladder step (verify._GridPieces)
-PIECES = {"A", "L", "block_inf", "block_0", "weighted"}
+PIECES = {"A", "L", "block_inf", "wide", "quarter_0", "quarter_inf", "weighted"}
+FAMILY = (2.0, 1.0, 1.0, 2.0)
 
 
 @pytest.fixture(scope="module")
 def full_suite_half():
     """Every check on the default ladder at alpha = 0.5."""
     return run_suite(0.5, DEFAULT_LADDER)
+
+
+@pytest.fixture(scope="module")
+def short_suite_family():
+    """Every check on the short ladder at alpha = 0.5 for rational(2,1,1,2)."""
+    return run_suite(0.5, SHORT_LADDER, family=FAMILY)
 
 
 class TestRunSuite:
@@ -145,7 +152,9 @@ class TestRunSuite:
     @pytest.mark.parametrize("abort", [None, "C6"])
     def test_each_piece_freed_after_its_last_check(self, monkeypatch, abort):
         # the pieces alive as each check starts; an aborted check frees its
-        # pieces too, and on the next step it no longer runs, so L goes after C5
+        # pieces too, and on the next step it no longer runs, so L goes after
+        # C5.  C1 drops the widened square itself, and L 1_inf L leaves its
+        # (0, 0) quarter when it goes after C3
         alive, seen = [], []
         for name in verify._STEP_PIECES:
 
@@ -160,13 +169,13 @@ class TestRunSuite:
             monkeypatch.setattr(verify, f"_check_{name.lower()}", check)
         rep = run_suite(0.5, SHORT_LADDER, family=(2.0, 1.0, 1.0, 2.0))
         step = [
-            ("C3", set()),
-            ("C1", {"A", "block_inf"}),
-            ("C5", {"A", "L", "block_inf", "block_0"}),
-            ("C6", {"A", "L", "block_inf", "block_0"}),
-            ("C2", {"A", "block_inf", "block_0"}),
-            ("C8", {"A", "block_inf", "block_0"}),
-            ("C7", {"block_inf", "block_0", "weighted"}),
+            ("C1", set()),
+            ("C5", {"A", "L", "block_inf", "quarter_0"}),
+            ("C6", {"A", "L", "block_inf", "quarter_0"}),
+            ("C3", {"A", "block_inf", "quarter_0"}),
+            ("C2", {"A", "quarter_0", "quarter_inf"}),
+            ("C8", {"A", "quarter_0", "quarter_inf"}),
+            ("C7", {"quarter_0", "quarter_inf", "weighted"}),
         ]
         again = [item for item in step if item[0] != abort]
         assert alive == step + again
@@ -175,18 +184,20 @@ class TestRunSuite:
         assert aborted == ([abort] if abort else [])
 
     def test_step_memory(self, traced_peak):
-        # at most four N x N matrices at once (C1: A, both blocks and their
-        # sum), plus strips and quarter-size buffers
+        # at most three N x N matrices and a quarter at once (C1: both
+        # blocks and their sum, then L 1_inf L, the sum and A; C3: A,
+        # L 1_inf L and H(phi0)), plus tiles, Lanczos vectors and the
+        # quarter-size buffers of a check: 3.8 N^2 doubles measured, in C3
         N = 1600
-        _, peak = traced_peak(lambda: run_suite(0.5, [(12.0, N)], family=(2.0, 1.0, 1.0, 2.0)))
-        assert peak <= 5.5 * 8 * N**2
+        _, peak = traced_peak(lambda: run_suite(0.5, [(12.0, N)], family=FAMILY))
+        assert peak <= 4 * 8 * N**2
 
     def test_c5_memory_stays_at_quarter_size(self, traced_peak):
         # with the step's other operators alive, C5 holds one quarter-size
         # buffer for both sides and subtracts a view of the Hankel values
         N = 1600
-        p = _GridPieces(0.5, make_grid(12.0, N), (2.0, 1.0, 1.0, 2.0))
-        p.A, p.L, p.block_inf, p.block_0  # the bound is on C5's own temporaries
+        p = _GridPieces(0.5, make_grid(12.0, N), FAMILY)
+        p.A, p.L, p.block_inf, p.quarter_0  # the bound is on C5's own temporaries
         (_, ok), peak = traced_peak(lambda: verify._check_c5(0.5, p))
         assert ok
         assert peak <= 0.3 * 8 * N**2
@@ -197,6 +208,34 @@ class TestRunSuite:
         alone = run_suite(0.5, DEFAULT_LADDER, checks=[name]).checks[0]
         (full,) = [c for c in full_suite_half.checks if c.name == name]
         assert alone.metrics == full.metrics
+
+    @pytest.mark.parametrize("name", verify.CHECK_NAMES)
+    def test_one_check_alone_matches_the_full_suite(self, name, short_suite_family):
+        # alone, C7 and C8 compose each quarter's block for it, with no
+        # widened square, and C1 and C3 build L 1_inf L without the other
+        alone = run_suite(0.5, SHORT_LADDER, checks=[name], family=FAMILY).checks[0]
+        (full,) = [c for c in short_suite_family.checks if c.name == name]
+        assert alone.verdict == full.verdict
+        assert json.dumps(alone.metrics) == json.dumps(full.metrics)
+
+    @pytest.mark.parametrize("route", ["whole", "alone"])
+    def test_pieces_have_the_bits_of_the_whole_blocks(self, route):
+        # "whole": the quarters are copied from the whole blocks as the suite
+        # takes them, the (inf, inf) one as the widened square is formed and
+        # the (0, 0) one as L 1_inf L is freed; "alone": each from a block
+        # composed for it
+        grid = make_grid(8.0, 400)
+        Lr = dz.assemble_L_rect(0.5, grid)
+        B_inf, B_0 = (dz.composed_block(Lr, side).entries for side in ("infinity", "zero"))
+        p = _GridPieces(0.5, grid, FAMILY)
+        if route == "whole":
+            assert np.array_equal(p.wide, np.add(B_inf, B_0))
+            assert "quarter_0" in p.__dict__
+            p.free("block_inf")
+            assert "quarter_inf" in p.__dict__
+        assert np.array_equal(p.quarter_0, B_0[p.mi, p.mi])
+        assert np.array_equal(p.quarter_inf, B_inf[p.m0, p.m0])
+        assert "block_inf" not in p.__dict__
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5])
     def test_c1_residual_matches_widened_square(self, alpha):
@@ -353,6 +392,12 @@ class TestRunSuite:
         assert verify.select_checks(None) == verify.CHECK_NAMES
         assert verify.select_checks(["c5", "C2", "C5"]) == ("C2", "C5")
 
+    def test_empty_selection_rejected(self):
+        with pytest.raises(DomainError):
+            verify.select_checks([])
+        with pytest.raises(DomainError):
+            run_suite(0.0, [(6.0, 200)], checks=())
+
     def test_rejects_unknown_check(self):
         with pytest.raises(DomainError):
             run_suite(0.0, [(6.0, 200)], checks=["C9"])
@@ -468,7 +513,8 @@ class TestTwoBlockDecomposition:
         p = _GridPieces(alpha, make_grid(R, N), family)
         a0, a_inf, _, _ = family
         WHA, v = p.weighted
-        block_inf, block_0 = p.block_inf, p.block_0
+        Lr = dz.assemble_L_rect(alpha, p.grid)
+        block_inf, block_0 = (dz.composed_block(Lr, side).entries for side in ("infinity", "zero"))
         v0, vi = np.zeros_like(v), np.zeros_like(v)
         v0[p.m0] = v[p.m0]
         vi[p.mi] = v[p.mi]
@@ -478,8 +524,8 @@ class TestTwoBlockDecomposition:
         assert np.array_equal(_residual_matrix(p), expected)
 
     def test_residual_memory_stays_at_quarter_size(self, traced_peak):
-        p = _GridPieces(0.5, make_grid(10.0, 800), (2.0, 1.0, 1.0, 2.0))
-        p.block_inf, p.block_0, p.weighted  # the bound is on the residual's own temporaries
+        p = _GridPieces(0.5, make_grid(10.0, 800), FAMILY)
+        p.quarter_inf, p.quarter_0, p.weighted  # the bound is on the residual's own temporaries
         T, peak = traced_peak(lambda: _residual_matrix(p))
         quarter = T.nbytes // 4
         assert peak <= T.nbytes + 4 * quarter
