@@ -24,6 +24,9 @@ N x N Hankel matrix, and :func:`phi0_and_split_defect` gives H(phi0) with
 the split defect from one tile walk.  A verify step holds about 3.5 N^2
 doubles at its peak, tiles and quarter-size buffers included (see
 ``verify``).
+``spectrum`` takes its weighted Hankel matrix from
+:func:`assemble_wHa_strips`, as the packed upper row strips of
+``quadrature.UpperStrips``, and never builds it as an N x N array.
 ``operator_square``, ``assemble_uL`` and ``assemble_model_split`` are not
 called by the program; they stay because the acceptance tests
 (tests/test_acceptance.py) import them.
@@ -39,12 +42,14 @@ from .kernels import KernelSpec, WeightSpec, kernel_A, kernel_L, weighted_hankel
 from .quadrature import (
     Grid,
     OperatorMatrix,
+    UpperStrips,
     _evaluate_kernel,
     _nystrom_tiles,
     _store_tile,
     _upper_tiles,
     make_grid,
     nystrom,
+    nystrom_strips,
 )
 from .specfun import check_alpha, ln_gamma, phi_split, psi_minus, psi_plus
 
@@ -52,6 +57,7 @@ __all__ = [
     "assemble_A",
     "assemble_L",
     "assemble_wHa",
+    "assemble_wHa_strips",
     "widened_grid",
     "assemble_L_rect",
     "operator_square",
@@ -82,6 +88,14 @@ def assemble_wHa(a: KernelSpec, w: WeightSpec, grid: Grid) -> OperatorMatrix:
     """Nystrom matrix of the weighted Hankel kernel w(t) a(t+s) w(s)."""
     K = weighted_hankel_kernel(a, w)
     return nystrom(K, grid, provenance=f"wHa(alpha={a.alpha})")
+
+
+def assemble_wHa_strips(a: KernelSpec, w: WeightSpec, grid: Grid) -> UpperStrips:
+    """The matrix of :func:`assemble_wHa` as its upper row strips, with the
+    same bits and no full N x N array (``spectrum`` needs only its
+    eigenvalues)."""
+    K = weighted_hankel_kernel(a, w)
+    return nystrom_strips(K, grid, provenance=f"wHa(alpha={a.alpha})")
 
 
 def widened_grid(grid: Grid) -> Grid:
@@ -148,8 +162,9 @@ def _split_kernels(a: float) -> Callable:
     evaluation on the node sums of each tile."""
 
     def tile_kernels(s, t):
-        st = s**a * t**a
+        # the incomplete-Gamma evaluation, the walk's largest, comes first
         phis = phi_split(a, s + t)
+        st = s**a * t**a
         # the walk calls each kernel on exactly this node column and row
         return tuple(lambda s, t, phi=phi: st * phi for phi in phis)
 
@@ -186,6 +201,7 @@ def phi0_and_split_defect(alpha, grid: Grid, A: np.ndarray) -> Tuple[np.ndarray,
         h_inf += h0
         h_inf -= A[rows, cols]
         defect = max(defect, float(np.abs(h_inf).max()))
+        del h0, h_inf  # dropped before the walk evaluates the next tile
     return H0, defect
 
 

@@ -1,28 +1,41 @@
 """Symmetric eigenvalues, singular values, and the operator /
 Hilbert-Schmidt / nuclear norms.
 
-Eigenvalues and singular values share one private route for symmetric
-matrices (every matrix the suite solves: C6 takes the cross block of A with
-its columns reversed, a symmetric Hankel matrix); the singular values are
-the sorted absolute eigenvalues.  It first tries a certified low-rank
-solve: the suite's operators have few eigenvalues above the rounding level,
-because their symbols decay like e^(-pi |xi|) (97-109 of 3200 above
-n * eps * max|lambda| for the four benchmark families at (16, 3200)).  A
-range finder from a fixed start block gives Y = A Omega with k columns.  Its
-numerical range is orthonormalised from Gram eigendecompositions alone
-(SVQB at two levels, about sqrt(eps) * |Y| each, so no Householder QR), and
-Rayleigh-Ritz on that basis of m <= k columns gives m eigenvalues; the other
-n - m are returned as 0.  The result is accepted only when the certificate
-is at most n * eps * max|lambda|, the absolute accuracy of a dense solve.
-The certificate is |S - Q T Q^T|_F, plus |T|_2 |E|_F (2 + |E|_F) for the
-rounding-level departure E = Q^T Q - I of the basis from orthonormality,
-plus the Ritz values set to 0.  By Hoffman & Wielandt the returned list then
-lies within the certificate of the exact sorted eigenvalues in 2-norm, so
-every value is within it.  When the numerical rank needs more than
-LOWRANK_CAP * n columns (always below order 256, where not even the first
-LOWRANK_BLOCK = 64 fit), the dense route runs: an even-order matrix that
-is centrosymmetric to rounding as two half-size solves, any other as one
-``eigvalsh``, accurate to about n * eps * max|lambda| as well.
+Every matrix the suite solves is symmetric: verify's blocks and residuals
+to rounding, C6's cross block with its columns reversed (a symmetric Hankel
+matrix), and ``spectrum``'s weighted Hankel matrix exactly, which comes as
+the packed :class:`~hankellab.quadrature.UpperStrips`, its upper row strips
+alone, never an N x N array.  An array is first scanned in tiles, which is
+its input validation: a non-finite entry raises EigenSolverError before any
+solve, a matrix further than 1e-12 max|A| from symmetric is not symmetric,
+and the scan gives max|A| and |K|_F for the skew part K = 1/2 (A - A^T).
+The array is then solved through views of its upper strips, so the
+symmetric matrices share one private route, held in one format; the
+singular values are the sorted absolute eigenvalues.  It first tries a
+certified low-rank solve: the suite's operators have few eigenvalues above
+the rounding level, because their symbols decay like e^(-pi |xi|) (97-109
+of 3200 above n * eps * max|lambda| for the four benchmark families at
+(16, 3200)).  A range finder from a fixed start block gives Y = U Omega
+with k columns, U the matrix the strips hold, each product with U one pass
+over the strips: Y[r0:r1] += U[r0:r1, r0:] X[r0:] for a strip's rows and
+Y[r1:] += U[r0:r1, r1:]^T X[r0:r1] for its mirror.  Its numerical range is
+orthonormalised from Gram eigendecompositions alone (SVQB at two levels,
+about sqrt(eps) * |Y| each, so no Householder QR), and Rayleigh-Ritz on that
+basis of m <= k columns gives m eigenvalues; the other n - m are returned as
+0.  The result is accepted only when the certificate is at most
+n * eps * max|lambda|, the absolute accuracy of a dense solve.  The
+certificate is |U - Q T Q^T|_F, summed over the strips at half the flops of
+whole rows, plus |T|_2 |E|_F (2 + |E|_F) for the rounding-level departure
+E = Q^T Q - I of the basis from orthonormality, plus the Ritz values set to
+0, plus |K|_F = |S - U|_F, S = 1/2 (A + A^T) (0 for every exactly symmetric
+matrix).  By Hoffman & Wielandt the returned list then lies within the
+certificate of the exact sorted eigenvalues of S in 2-norm, so every value
+is within it.  When the numerical rank needs more than LOWRANK_CAP * n
+columns (always below order 256, where not even the first LOWRANK_BLOCK =
+64 fit), the dense route runs: an even-order matrix that is
+centrosymmetric to rounding as two half-size solves, any other as one
+``eigvalsh``, accurate to about n * eps * max|lambda| as well.  It solves
+1/2 (A + A^T) of an array, and the packed form materialised as it stands.
 
 Any other matrix takes one dense SVD at every size.
 
@@ -40,7 +53,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .errors import EigenSolverError
-from .quadrature import ROW_BLOCK, OperatorMatrix
+from .quadrature import ROW_BLOCK, OperatorMatrix, UpperStrips
 
 __all__ = [
     "sym_eigen",
@@ -95,38 +108,55 @@ def _as_array(M) -> np.ndarray:
     return np.asarray(M, dtype=float)
 
 
-def _asymmetry(A: np.ndarray) -> Tuple[float, float]:
-    """(max|A - A^T| / max|A|, max|A|) of a square matrix.  The upper
-    triangle is compared in square ``ROW_BLOCK`` tiles, A[I, J] against
-    A[J, I]^T, into one tile-sized buffer, and max|A| is read from the
-    same tiles, which cover every entry.  Each transposed tile is read from
-    ``ROW_BLOCK`` rows at a time; whole transposed strips A[r0:, r0:r1]^T
-    took 83 ms against 49 ms for the tiles at n = 3200."""
-    n, asym = A.shape[0], 0.0
-    tops, bottoms = [0.0], [0.0]
+def _asymmetry(A: np.ndarray) -> Tuple[float, float, float]:
+    """(max|A - A^T| / max|A|, max|A|, |K|_F) of a square matrix, K the skew
+    part 1/2 (A - A^T); raises EigenSolverError on a non-finite entry, before
+    any arithmetic on it.  The upper triangle is compared in square
+    ``ROW_BLOCK`` tiles, A[I, J] against A[J, I]^T, into one tile-sized
+    buffer, and max|A| is read from the same tiles, which cover every entry.
+    Each transposed tile is read from ``ROW_BLOCK`` rows at a time; whole
+    transposed strips A[r0:, r0:r1]^T took 83 ms against 49 ms for the tiles
+    at n = 3200.  A tile with a nonzero difference adds its squares, scaled
+    by a power of two of its own so that they cannot overflow; an exactly
+    symmetric matrix adds none."""
+    n, asym, amax = A.shape[0], 0.0, 0.0
+    squares = []  # (tile scale, the tile's share of |scale K|_F^2)
     buf = np.empty((ROW_BLOCK, ROW_BLOCK))
     for r0 in range(0, n, ROW_BLOCK):
         r1 = min(r0 + ROW_BLOCK, n)
         for c0 in range(r0, n, ROW_BLOCK):
             c1 = min(c0 + ROW_BLOCK, n)
             upper, lower = A[r0:r1, c0:c1], A[c0:c1, r0:r1]
-            tile = np.subtract(upper, lower.T, out=buf[: r1 - r0, : c1 - c0])
-            asym = max(asym, float(np.abs(tile, out=tile).max()))
             for part in (upper, lower) if c0 > r0 else (upper,):
-                tops.append(part.max())
-                bottoms.append(part.min())
-    # reduced by numpy, so that a NaN entry gives a NaN scale
-    amax = max(float(np.max(tops)), -float(np.min(bottoms)))
-    return asym / max(amax, 1e-300), amax
+                top, bottom = float(part.max()), float(part.min())  # NaN propagates
+                if not (math.isfinite(top) and math.isfinite(bottom)):
+                    raise EigenSolverError("matrix has non-finite entries")
+                amax = max(amax, top, -bottom)
+            tile = np.subtract(upper, lower.T, out=buf[: r1 - r0, : c1 - c0])
+            big = float(np.abs(tile, out=tile).max())
+            asym = max(asym, big)
+            if big > 0.0:
+                # |K|_F^2 is half the sum over i < j of (a_ij - a_ji)^2, and a
+                # diagonal tile holds each pair i < j twice
+                scale = _scale_for(big)
+                tile *= scale
+                flat = tile.ravel()
+                squares.append((scale, float(flat @ flat) * (0.5 if c0 > r0 else 0.25)))
+    low = min((scale for scale, _ in squares), default=1.0)
+    skew_sq = sum(sq * (low / scale) ** 2 for scale, sq in squares)
+    return asym / max(amax, 1e-300), amax, math.sqrt(skew_sq) / low
 
 
-def _symmetric_max(A: np.ndarray) -> Optional[float]:
-    """max|A| of a square matrix symmetric to 1e-12 relative to it; None
-    for any other matrix."""
+def _symmetric_strips(A: np.ndarray) -> Optional[Tuple[UpperStrips, float]]:
+    """(the upper strips of A as views, |1/2 (A - A^T)|_F) for a square
+    matrix symmetric to 1e-12 relative to max|A|; None for any other.  Raises
+    EigenSolverError on a non-finite entry, of a rectangular matrix too."""
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        if A.size and not (np.isfinite(A.min()) and np.isfinite(A.max())):
+            raise EigenSolverError("matrix has non-finite entries")
         return None
-    asym, amax = _asymmetry(A)
-    return amax if asym <= 1e-12 else None
+    asym, amax, skew = _asymmetry(A)
+    return (UpperStrips.of(A, amax), skew) if asym <= 1e-12 else None
 
 
 def _scale_for(amax: float) -> float:
@@ -252,13 +282,18 @@ def _range_basis(Y: np.ndarray, tol: float, limit: int) -> Tuple[Optional[np.nda
     return np.hstack([Q1, Q2]), count
 
 
-def _lowrank_eigvalsh(A: np.ndarray, scale: float) -> Optional[Tuple[np.ndarray, float]]:
-    """(ascending eigenvalues, certificate) of S = 1/2 (A + A^T) from a
-    certified low-rank factorisation, or None when a basis of more than
-    LOWRANK_CAP * n columns would be needed.
+def _lowrank_eigvalsh(
+    P: UpperStrips, scale: float, skew: float = 0.0
+) -> Optional[Tuple[np.ndarray, float]]:
+    """(ascending eigenvalues, certificate) of a symmetric S from a certified
+    low-rank factorisation of the matrix U that the upper strips ``P`` hold
+    (S itself for the packed form, and for views of an array A whose skew
+    part is K = 1/2 (A - A^T), |S - U|_F = |K|_F with S = 1/2 (A + A^T):
+    each entry of S - U is an entry of K), given |S - U|_F <= ``skew``; or
+    None when a basis of more than LOWRANK_CAP * n columns would be needed.
 
     The range finder (Halko, Martinsson & Tropp, SIAM Review 53, 2011,
-    sections 4.4-4.5) takes Y = A Omega for the first k = LOWRANK_BLOCK,
+    sections 4.4-4.5) takes Y = U Omega for the first k = LOWRANK_BLOCK,
     2 LOWRANK_BLOCK, ... columns Omega of the fixed test matrix
     ``_start_block``, and ``_range_basis`` gives an orthonormal basis Q of
     its numerical range with m <= k columns.  Unless at most
@@ -266,35 +301,34 @@ def _lowrank_eigvalsh(A: np.ndarray, scale: float) -> Optional[Tuple[np.ndarray,
     (tol = n * eps), the basis cannot hold the numerical range with room to
     spare and k doubles.  When that count, or level 1's estimate of it (see
     ``_range_basis``), is past what the widest k within LOWRANK_CAP * n can
-    hold, the route gives up at once.
+    hold, the route gives up at once.  Every product with U is the strip
+    product of :class:`UpperStrips`.
 
-    Otherwise T = Q^T S Q with Ritz values theta.  The residual
-    r = |A - Q T Q^T|_F is formed in whole ``ROW_BLOCK``-row strips of A,
-    each in place (no N x N temporary, and A is read by rows only).  For
-    the symmetric X = Q T Q^T, |A - X|_F^2 = |S - X|_F^2 + |1/2 (A - A^T)|_F^2,
-    so r is |S - X|_F on an exactly symmetric A and at most the
-    rounding-level skew part above it otherwise.  Q is orthonormal only
-    to rounding: with G = Q^T Q = I + E, the nonzero eigenvalues of
-    Q T Q^T are those of G^(1/2) T G^(1/2) (the nonzero spectra of XY and
-    YX agree).  F = G^(1/2) - I shares the eigenvectors of E, and
-    |sqrt(1 + e) - 1| <= |e| for e >= -1, so |F|_F <= |E|_F and
-    G^(1/2) T G^(1/2) - T = F T + T F + F T F has Frobenius norm at most
-    o = |T|_2 |E|_F (2 + |E|_F).  By Hoffman & Wielandt (Duke Math. J. 20,
-    1953), applied to S against Q T Q^T and to diag(G^(1/2) T G^(1/2), 0)
+    Otherwise T = Q^T U Q with Ritz values theta.  The residual
+    r = |U - X|_F, X = Q T Q^T, is summed over the strips, each formed in
+    place: a strip's diagonal block counts once and its part right of the
+    block twice, for its mirror image in the lower triangle, so r takes
+    half the flops of whole rows.  Q is orthonormal only to rounding: with
+    G = Q^T Q = I + E, the nonzero eigenvalues of X are those of
+    G^(1/2) T G^(1/2) (the nonzero spectra of XY and YX agree).
+    F = G^(1/2) - I shares the eigenvectors of E, and |sqrt(1 + e) - 1| <= |e|
+    for e >= -1, so |F|_F <= |E|_F and G^(1/2) T G^(1/2) - T = F T + T F + F T F
+    has Frobenius norm at most o = |T|_2 |E|_F (2 + |E|_F).  By Hoffman &
+    Wielandt (Duke Math. J. 20, 1953), applied to S against X, with
+    |S - X|_F <= |S - U|_F + r <= skew + r, and to diag(G^(1/2) T G^(1/2), 0)
     against diag(T, 0), the list theta padded with n - m zeros differs from
-    the sorted eigenvalues of S by at most |S - X|_F + o <= r + o in
-    2-norm.  The Ritz values at or below r are set to 0, which adds their
-    2-norm: that sum is the certificate.  It is accepted at
-    tol * max|theta|, the absolute accuracy of a dense solve; if not, k
-    doubles.
+    the sorted eigenvalues of S by at most skew + r + o in 2-norm.  The Ritz
+    values at or below r are set to 0, which adds their 2-norm: that sum is
+    the certificate.  It is accepted at tol * max|theta|, the absolute
+    accuracy of a dense solve; if not, k doubles.
 
-    Every product with A takes its thin factor scaled by ``scale``, which
-    is ``_scale_for(max|A|)`` (a power of two, so exactly), so the work is
-    on S / max|A|, and each residual strip is scaled the same way before
+    Every product with U takes its thin factor scaled by ``scale``, which
+    is ``_scale_for(max|U|)`` (a power of two, so exactly), so the work is
+    on U / max|U|, and each residual strip is scaled the same way before
     its squares are summed: the certificate cannot overflow.  No random
     state is read: two calls give the same bits.
     """
-    n = A.shape[0]
+    n = P.n
     if LOWRANK_BLOCK > LOWRANK_CAP * n:
         return None
     tol = n * np.finfo(float).eps
@@ -303,32 +337,35 @@ def _lowrank_eigvalsh(A: np.ndarray, scale: float) -> Optional[Tuple[np.ndarray,
     Y, k = np.empty((n, 0)), 0
     while k < k_max:
         k_new = max(LOWRANK_BLOCK, 2 * k)
-        Y = np.hstack([Y, A @ (_start_block(n, k, k_new) * scale)])
+        Y = np.hstack([Y, P @ (_start_block(n, k, k_new) * scale)])
         k = k_new
         Q, count = _range_basis(Y, tol, k - LOWRANK_SPARE)
         if count > k_max - LOWRANK_SPARE:
             return None
         if count > k - LOWRANK_SPARE:
             continue
-        T = Q.T @ (A @ (Q * scale))
+        T = Q.T @ (P @ (Q * scale))
         T = 0.5 * (T + T.T)
         theta = np.linalg.eigvalsh(T)
-        # each strip of Q T Q^T is formed in A's units, so that A is
-        # subtracted in place, and scaled back before its squares are summed
+        # each strip of X is formed in U's units, so that the strip is
+        # subtracted in place, and scaled back before its squares are summed:
+        # |diagonal block|^2 + 2 |right part|^2 = 2 |strip|^2 - |diagonal block|^2
         W = T @ Q.T
         W /= scale
         resid_sq = 0.0
-        for r0 in range(0, n, ROW_BLOCK):
-            strip = Q[r0 : r0 + ROW_BLOCK] @ W
-            strip -= A[r0 : r0 + ROW_BLOCK]
-            strip *= scale
-            strip = strip.ravel()
-            resid_sq += float(strip @ strip)
+        for r0, r1, strip in P.row_strips():
+            diff = Q[r0:r1] @ W[:, r0:]
+            diff -= strip
+            diff *= scale
+            corner, flat = diff[:, : r1 - r0].ravel(), diff.ravel()
+            resid_sq += 2.0 * float(flat @ flat) - float(corner @ corner)
         top = float(np.abs(theta).max(initial=0.0))
         resid = math.sqrt(resid_sq)
         orth = float(np.linalg.norm(Q.T @ Q - np.eye(Q.shape[1])))
         small = np.abs(theta) <= resid
-        certificate = resid + top * orth * (2.0 + orth) + float(np.linalg.norm(theta[small]))
+        certificate = (
+            skew * scale + resid + top * orth * (2.0 + orth) + float(np.linalg.norm(theta[small]))
+        )
         theta[small] = 0.0
         if certificate <= tol * top:
             values = np.concatenate([theta, np.zeros(n - theta.size)])
@@ -337,13 +374,15 @@ def _lowrank_eigvalsh(A: np.ndarray, scale: float) -> Optional[Tuple[np.ndarray,
     return None
 
 
-def _dense_eigvalsh(A: np.ndarray, scale: float) -> np.ndarray:
-    """Ascending eigenvalues of the symmetric part of a square matrix known
-    to be symmetric, with ``scale`` = ``_scale_for(max|A|)``: two half-size
-    solves when it is centrosymmetric to rounding, one ``eigvalsh`` else."""
+def _dense_eigvalsh(M, scale: float) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric part of a square array known
+    to be symmetric, or of the matrix of an :class:`UpperStrips`, with
+    ``scale`` = ``_scale_for(max|M|)``: two half-size solves when it is
+    centrosymmetric to rounding, one ``eigvalsh`` else.  The packed form is
+    materialised as it stands, exactly symmetric, with no 1/2 (A + A^T) copy."""
     # bound to a name: handing the temporary straight to eigvalsh measured a
     # 10 MB higher peak RSS on the benchmark's spectrum workload (N up to 3200)
-    S = 0.5 * (A + A.T)
+    S = M.dense() if isinstance(M, UpperStrips) else 0.5 * (M + M.T)
     halves = _centro_halves(S, scale)
     if halves is None:
         return np.linalg.eigvalsh(S)
@@ -352,57 +391,66 @@ def _dense_eigvalsh(A: np.ndarray, scale: float) -> np.ndarray:
     return np.sort(np.concatenate([np.linalg.eigvalsh(plus), np.linalg.eigvalsh(minus)]))
 
 
-def _sym_eigvalsh(A: np.ndarray, amax: float) -> np.ndarray:
-    """Ascending eigenvalues of the symmetric part of a square matrix known
-    to be symmetric, with max|A| = ``amax``: the certified low-rank route,
-    or the dense route when that gives up, both on one power-of-two scale."""
-    scale = _scale_for(amax)
-    found = _lowrank_eigvalsh(A, scale)
+def _sym_eigvalsh(M, P: UpperStrips, skew: float) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric part of M, a square array
+    known to be symmetric whose upper strips ``P`` holds with its skew part's
+    |.|_F = ``skew``, or of M = ``P``: the certified low-rank route on
+    ``P``, or the dense route on M when that gives up, both on one
+    power-of-two scale."""
+    scale = _scale_for(P.amax)
+    found = _lowrank_eigvalsh(P, scale, skew)
     if found is not None:
         return found[0]
-    return _dense_eigvalsh(A, scale)
+    return _dense_eigvalsh(M, scale)
 
 
 def sym_eigen(M) -> np.ndarray:
-    """Ascending eigenvalues of a symmetric matrix.
+    """Ascending eigenvalues of a symmetric matrix, given as an array, an
+    :class:`OperatorMatrix` or the packed :class:`UpperStrips`.
 
-    The input must be symmetric to 1e-12 relative; the eigenvalues are those
-    of its exact symmetric part S = 1/2 (M + M^T), so they are real by
-    construction.  From order 256 on they may come from the certified
-    low-rank route (see the module docstring and ``_lowrank_eigvalsh``):
-    every value lies within n * eps * max|lambda| of the exact one, and the
-    values outside the numerical range are exactly 0.  Otherwise an
-    even-order S that is centrosymmetric to rounding (JSJ = S with J the
-    index reversal, as the suite's inversion-symmetric operators are on the
-    midpoint log grid), |S - JSJ|_F <= CENTRO_TOL * |S|_F, is solved as the
-    two half-size matrices B +- CJ of 1/2 (S + JSJ) (Cantoni & Butler,
-    Linear Algebra Appl. 13, 1976), at about a quarter of the flops.  By
-    Weyl's inequality that moves each eigenvalue by at most
-    1/2 |S - JSJ|_2 <= 1/2 CENTRO_TOL |S|_F; every other matrix takes one
-    ``eigvalsh``.
+    An array must be finite and symmetric to 1e-12 relative; the eigenvalues
+    are those of its exact symmetric part S = 1/2 (M + M^T), so they are
+    real by construction.  The packed form is exactly symmetric and finite
+    as built, and is not scanned.  From order 256 on they may come from the
+    certified low-rank route (see the module docstring and
+    ``_lowrank_eigvalsh``): every value lies within n * eps * max|lambda| of
+    the exact one, and the values outside the numerical range are exactly
+    0.  Otherwise an even-order S that is centrosymmetric to rounding
+    (JSJ = S with J the index reversal, as the suite's inversion-symmetric
+    operators are on the midpoint log grid),
+    |S - JSJ|_F <= CENTRO_TOL * |S|_F, is solved as the two half-size
+    matrices B +- CJ of 1/2 (S + JSJ) (Cantoni & Butler, Linear Algebra
+    Appl. 13, 1976), at about a quarter of the flops.  By Weyl's inequality
+    that moves each eigenvalue by at most 1/2 |S - JSJ|_2 <= 1/2 CENTRO_TOL
+    |S|_F; every other matrix takes one ``eigvalsh``.
     """
-    A = _as_array(M)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise EigenSolverError(f"expected a square matrix, got shape {A.shape}")
-    asym, amax = _asymmetry(A)
-    if not asym <= 1e-12:
-        raise EigenSolverError(f"matrix not symmetric: max|M - M^T| = {asym:.3e} max|M|")
+    if isinstance(M, UpperStrips):
+        P, skew = M, 0.0
+    else:
+        M = _as_array(M)
+        if M.ndim != 2 or M.shape[0] != M.shape[1]:
+            raise EigenSolverError(f"expected a square matrix, got shape {M.shape}")
+        asym, amax, skew = _asymmetry(M)
+        if not asym <= 1e-12:
+            raise EigenSolverError(f"matrix not symmetric: max|M - M^T| = {asym:.3e} max|M|")
+        P = UpperStrips.of(M, amax)
     try:
-        return _sym_eigvalsh(A, amax)
+        return _sym_eigvalsh(M, P, skew)
     except np.linalg.LinAlgError as exc:
         raise EigenSolverError(f"eigensolver failed to converge: {exc}") from exc
 
 
 def singular_values(M) -> np.ndarray:
     """Descending singular values: sorted |eigenvalues| of a symmetric
-    matrix, one SVD of any other."""
+    matrix, one SVD of any other; raises EigenSolverError on a non-finite
+    entry."""
     A = _as_array(M)
     if A.ndim != 2:
         raise EigenSolverError(f"expected a matrix, got ndim={A.ndim}")
     try:
-        amax = _symmetric_max(A)
-        if amax is not None:
-            return np.sort(np.abs(_sym_eigvalsh(A, amax)))[::-1]
+        found = _symmetric_strips(A)
+        if found is not None:
+            return np.sort(np.abs(_sym_eigvalsh(A, *found)))[::-1]
         return np.linalg.svd(A, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise EigenSolverError(f"singular-value solver failed to converge: {exc}") from exc
@@ -455,7 +503,7 @@ def op_norm(M, n: Optional[int] = None) -> float:
     if callable(M):
         return _lanczos_top(M, n)
     A = _as_array(M)
-    if _symmetric_max(A) is not None:
+    if _symmetric_strips(A) is not None:
         return _lanczos_top(lambda x: A @ x, A.shape[0])
     sv = singular_values(A)
     return float(sv[0]) if sv.size else 0.0

@@ -280,6 +280,17 @@ class TestVerifyCommand:
         eigs = read_csv_column(tmp_path / "s" / "eigs_R8_N400.csv", None, header=False)
         assert c8["metrics"][0]["weighted_hankel"]["top"] == eigs.max()
 
+    @pytest.mark.parametrize("kernel,alpha", [("power", "0.5"), ("rational(2,1,1,2)", "0.5")])
+    def test_spectrum_step_memory(self, tmp_path, traced_peak, kernel, alpha):
+        # the weighted matrix is assembled and solved as its upper row
+        # strips (0.54 N^2 doubles at N = 1600), never as an N x N array:
+        # 0.93-0.95 N^2 measured for the whole step, 1.40 when it was one
+        N = 1600
+        args = ["spectrum", "--alpha", alpha, "--kernel", kernel, "--R", "12", "--N", str(N)]
+        code, peak = traced_peak(lambda: main(args + ["--out", str(tmp_path)]))
+        assert code == 0
+        assert peak <= 1.05 * 8 * N**2
+
     def test_single_coarse_step_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         args = ["verify", "--alpha", "0", "--R", "4", "--N", "50", "--checks", "C1"]

@@ -245,13 +245,15 @@ class TestModelHankel:
 
     def test_split_defect_stores_no_phi_inf(self, traced_peak):
         # H(phi0) plus the temporaries of one tile's incomplete-Gamma
-        # evaluation and the walk (24 ROW_BLOCK x COL_BLOCK tiles measured,
-        # five strips' worth at this N): no second N x N matrix
+        # evaluation and the walk, none of the previous tile's: 17.1
+        # ROW_BLOCK x COL_BLOCK tiles measured, 15.8 of them phi_split's own
+        # on the worst tile, held here to 20 (3 tiles of margin): no second
+        # N x N matrix
         grid = make_grid(14.0, 2400)
         A = assemble_A(0.5, grid).entries
         (H0, _), peak = traced_peak(lambda: phi0_and_split_defect(0.5, grid, A))
         tile = ROW_BLOCK * COL_BLOCK * 8
-        assert peak <= H0.nbytes + 28 * tile < 2 * H0.nbytes
+        assert peak <= H0.nbytes + 20 * tile < 2 * H0.nbytes
 
     def test_phi0_matrix_positive_entries(self):
         grid = make_grid(6.0, 100)

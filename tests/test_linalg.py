@@ -29,6 +29,7 @@ from hankellab.discretize import (
     assemble_model_split,
     assemble_uL,
     assemble_wHa,
+    assemble_wHa_strips,
     composed_block,
     operator_square,
 )
@@ -44,6 +45,7 @@ from hankellab.linalg import (
     _range_basis,
     _scale_for,
     _start_block,
+    _symmetric_strips,
 )
 from hankellab.quadrature import ROW_BLOCK
 from hankellab.spectra import analyze, predict
@@ -73,6 +75,14 @@ def lu_determinant(M):
 def scale_of(M):
     """The power of two ``_scale_for(max|M|)`` the symmetric route takes for M."""
     return _scale_for(np.abs(M).max(initial=0.0))
+
+
+def lowrank(M):
+    """The certified low-rank route on a symmetric array M as ``sym_eigen``
+    takes it: on views of M's upper strips, with the skew part's norm from
+    the symmetry scan."""
+    P, skew = _symmetric_strips(M)
+    return _lowrank_eigvalsh(P, _scale_for(P.amax), skew)
 
 
 class TestSymEigen:
@@ -112,6 +122,46 @@ class TestSymEigen:
         with pytest.raises(EigenSolverError, match=r"max\|M - M\^T\| = 5\.000e-04 max\|M\|"):
             sym_eigen(M)
         assert singular_values(M).shape == (ROW_BLOCK + 44,)
+
+    @pytest.mark.parametrize("solve", [sym_eigen, singular_values, op_norm])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entries_named_before_any_solve(self, solve, bad):
+        # a NaN read as an asymmetry, an SVD that did not converge, or a
+        # numpy warning from the subtraction: the scan names the entry instead
+        M = np.eye(300)
+        M[5, 9] = M[9, 5] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EigenSolverError, match="^matrix has non-finite entries$"):
+                solve(M)
+        if solve is singular_values:
+            with pytest.raises(EigenSolverError, match="^matrix has non-finite entries$"):
+                solve(M[:, :250])
+
+    @pytest.mark.parametrize("R,N", [(6.0, 200), (12.0, 1600), (80.0, 1600)])
+    @pytest.mark.parametrize(
+        "kernel", ["carleman", "power", "rational(1,-1,1,1)", "rational(2,1,1,2)"]
+    )
+    def test_packed_form_gives_the_array_bits(self, kernel, R, N):
+        # the dense route (order 200, and the R = 80 give-up) and the
+        # low-rank route on an array's upper-strip views and on the packed
+        # strips of the same step: one set of bits
+        _, (spec_a, spec_w) = _FAMILIES[kernel]
+        grid = make_grid(R, N)
+        packed = assemble_wHa_strips(spec_a, spec_w, grid)
+        assert np.array_equal(sym_eigen(packed), sym_eigen(assemble_wHa(spec_a, spec_w, grid)))
+
+    @pytest.mark.parametrize("kernel", ["power", "rational(2,1,1,2)"])
+    def test_packed_give_up_peak(self, kernel, traced_peak):
+        # at R = 80 the route gives up and the packed form is materialised,
+        # exactly symmetric, with no 1/2 (A + A^T) copy: 2.29 N^2 doubles
+        # (centrosymmetric, two half-size solves) and 1.80 N^2 measured,
+        # against 2.75 and 2.26 for the parent's dense solve of the array
+        _, (spec_a, spec_w) = _FAMILIES[kernel]
+        N = 1600
+        grid = make_grid(80.0, N)
+        _, peak = traced_peak(lambda: sym_eigen(assemble_wHa_strips(spec_a, spec_w, grid)))
+        assert peak <= 2.4 * 8 * N**2
 
     @pytest.mark.parametrize("alpha", [-0.25, 0.0, 0.5, 2.0])
     def test_centrosymmetric_matches_full_solve(self, alpha):
@@ -245,7 +295,7 @@ class TestLowRankRoute:
             return _start_block(rows, j0, j1)
 
         monkeypatch.setattr(hankellab.linalg, "_start_block", spy)
-        found = _lowrank_eigvalsh(M, scale_of(M))
+        found = lowrank(M)
         assert found is not None
         values, certificate = found
         # certified at the width the case names, the doubling from
@@ -271,7 +321,7 @@ class TestLowRankRoute:
         assert np.linalg.norm(Q.T @ Q - np.eye(Q.shape[1])) <= 10 * k * np.finfo(float).eps
         assert abs(count - np.count_nonzero(np.abs(ref) > tol * top)) <= LOWRANK_SPARE
         assert abs(values.sum() - np.trace(M)) <= 1e-12 * np.abs(values).sum()
-        again = _lowrank_eigvalsh(M, scale_of(M))
+        again = lowrank(M)
         assert np.array_equal(again[0], values) and again[1] == certificate
         eigs = sym_eigen(M)
         assert np.array_equal(eigs, values)
@@ -289,10 +339,10 @@ class TestLowRankRoute:
         monkeypatch.setattr(hankellab.linalg, "_start_block", no_product)
         blocks = verify_matrices(8.0, 400)
         for name in ("L_00", "L_ii", "A_0iJ"):
-            assert _lowrank_eigvalsh(blocks[name], scale_of(blocks[name])) is None
-        assert _lowrank_eigvalsh(np.zeros((255, 255)), _scale_for(0.0)) is None
+            assert lowrank(blocks[name]) is None
+        assert lowrank(np.zeros((255, 255))) is None
         with pytest.raises(AssertionError, match="A was multiplied"):
-            _lowrank_eigvalsh(np.zeros((256, 256)), _scale_for(0.0))
+            lowrank(np.zeros((256, 256)))
 
     def test_high_rank_gives_up_at_the_first_width(self, monkeypatch):
         # the R = 80 ladder step has numerical rank 287-531 at order 1600,
@@ -309,7 +359,7 @@ class TestLowRankRoute:
         for alpha, family in ((0.0, (1.0, 0.0, 1.0, 1.0)), (0.5, (2.0, 1.0, 1.0, 2.0))):
             M = assemble_wHa(*rational_test_family(alpha, *family), make_grid(80.0, 1600)).entries
             widths.clear()
-            assert _lowrank_eigvalsh(M, scale_of(M)) is None
+            assert lowrank(M) is None
             assert widths == [LOWRANK_BLOCK]
             # the widest basis the doubling reaches within n / 4 = 400 is 256
             n = M.shape[0]
@@ -319,10 +369,10 @@ class TestLowRankRoute:
             assert rank > k_max - LOWRANK_SPARE
 
     def test_certificate_bounds_the_symmetric_part(self, monkeypatch):
-        # M = S + K with K skew at the rounding level: the route solves S,
-        # and its residual, formed against M in row strips, is
-        # |M - X|_F = (|S - X|_F^2 + |K|_F^2)^(1/2) >= |S - X|_F for the
-        # symmetric X = Q T Q^T
+        # M = S + K with K skew at the rounding level, |K|_F = 1e-14 |S|_F,
+        # which passes the 1e-12 symmetry scan: the route solves the upper
+        # symmetrisation U of M, and its certificate adds the scan's |K|_F =
+        # |S - U|_F, so it bounds the distance to the eigenvalues of S
         _, (spec_a, spec_w) = _FAMILIES["rational(2,1,1,2)"]
         S = assemble_wHa(spec_a, spec_w, make_grid(12.0, 1200)).entries
         S = 0.5 * (S + S.T)
@@ -344,11 +394,16 @@ class TestLowRankRoute:
 
         monkeypatch.setattr(hankellab.linalg, "_range_basis", basis_spy)
         monkeypatch.setattr(np.linalg, "eigvalsh", ritz_spy)
-        values, certificate = _lowrank_eigvalsh(M, scale_of(M))
+        values, certificate = lowrank(M)
         monkeypatch.undo()
         ref = scipy.linalg.eigh(S, eigvals_only=True)
         tol = S.shape[0] * np.finfo(float).eps
         assert np.linalg.norm(values - ref) <= certificate <= tol * np.abs(ref).max()
+        assert np.abs(values - scipy.linalg.eigvalsh(0.5 * (M + M.T))).max() <= certificate
+        # the scan's skew norm, and the certificate holds it
+        skew = _symmetric_strips(M)[1]
+        assert skew == pytest.approx(np.linalg.norm(0.5 * (M - M.T)), rel=1e-12)
+        assert skew > 0.0 and certificate >= skew
         # T was formed on M scaled by a power of two
         Q, T = bases[-1], ritz[-1] / scale_of(M)
         assert certificate >= np.linalg.norm(S - Q @ T @ Q.T)
@@ -361,7 +416,7 @@ class TestLowRankRoute:
         monkeypatch.setattr(np.linalg, "qr", no_qr)
         _, (spec_a, spec_w) = _FAMILIES["rational(2,1,1,2)"]
         M = assemble_wHa(spec_a, spec_w, make_grid(12.0, 1600)).entries
-        values, certificate = _lowrank_eigvalsh(M, scale_of(M))
+        values, certificate = lowrank(M)
         assert certificate <= M.shape[0] * np.finfo(float).eps * np.abs(values).max()
         assert np.array_equal(sym_eigen(M), values)
 
@@ -370,7 +425,7 @@ class TestLowRankRoute:
         B = rng.standard_normal((1200, 1200))
         M = B @ B.T / 1200
         M = 0.5 * (M + M.T)
-        assert _lowrank_eigvalsh(M, scale_of(M)) is None
+        assert lowrank(M) is None
         assert np.array_equal(sym_eigen(M), np.linalg.eigvalsh(M))
 
     def test_exact_rank_k_matrix_gives_k_nonzero_values(self):
@@ -379,12 +434,12 @@ class TestLowRankRoute:
         U = np.linalg.qr(rng.standard_normal((1200, d.size)))[0]
         M = (U * d) @ U.T
         M = 0.5 * (M + M.T)
-        values, certificate = _lowrank_eigvalsh(M, scale_of(M))
+        values, certificate = lowrank(M)
         assert np.count_nonzero(values) == d.size
         assert np.linalg.norm(values[values != 0.0] - np.sort(d)) <= certificate
 
     def test_zero_matrix(self):
-        values, certificate = _lowrank_eigvalsh(np.zeros((1200, 1200)), _scale_for(0.0))
+        values, certificate = lowrank(np.zeros((1200, 1200)))
         assert certificate == 0.0 and not values.any()
 
     def test_huge_entries(self):
@@ -393,7 +448,7 @@ class TestLowRankRoute:
         M = assemble_wHa(*rational_test_family(0.0, 1.0, 1.0, 1e150, 1.0), make_grid(12.0, 1600)).entries
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            values, certificate = _lowrank_eigvalsh(M, scale_of(M))
+            values, certificate = lowrank(M)
         ref = scipy.linalg.eigh(M * 1e-290, eigvals_only=True)
         assert np.linalg.norm(values * 1e-290 - ref) <= certificate * 1e-290
 

@@ -16,7 +16,14 @@ from hankellab import (
 )
 from hankellab.discretize import assemble_L_rect
 from hankellab.kernels import kernel_A, kernel_L, rational_test_family, weighted_hankel_kernel
-from hankellab.quadrature import COL_BLOCK, ROW_BLOCK, OperatorMatrix, check_step
+from hankellab.quadrature import (
+    COL_BLOCK,
+    ROW_BLOCK,
+    OperatorMatrix,
+    UpperStrips,
+    check_step,
+    nystrom_strips,
+)
 
 
 def full_square(K, grid):
@@ -166,6 +173,64 @@ class TestNystrom:
         M, peak = traced_peak(lambda: nystrom(K, g))
         tile = ROW_BLOCK * COL_BLOCK * 8
         assert peak <= M.entries.nbytes + 8 * tile < M.entries.nbytes + 6 * ROW_BLOCK * g.N * 8
+
+    @pytest.mark.parametrize("N", [2 * ROW_BLOCK + 88, 1300])
+    def test_packed_strips_are_the_upper_strips(self, N):
+        # the packed sink stores the tiles of the full one: the same bits,
+        # the whole matrix back from dense(), and max|entry| read on the way
+        g = make_grid(11.0, N)
+        K = weighted_hankel_kernel(*rational_test_family(0.5, 2.0, 1.0, 1.0, 2.0))
+        full, packed = nystrom(K, g).entries, nystrom_strips(K, g)
+        assert packed.shape == (N, N) and len(packed.strips) == -(-N // ROW_BLOCK)
+        for b, strip in enumerate(packed.strips):
+            r0 = b * ROW_BLOCK
+            assert strip.flags.c_contiguous
+            assert np.array_equal(strip, full[r0 : r0 + ROW_BLOCK, r0:])
+        assert packed.amax == np.abs(full).max()
+        assert np.array_equal(packed.dense(), full)
+        # 0.52 N^2 doubles at N = 3200: half the matrix and half of each
+        # diagonal block
+        assert sum(s.size for s in packed.strips) == N * (N + 1) // 2 + sum(
+            r * (r - 1) // 2 for r in (s.shape[0] for s in packed.strips)
+        )
+
+    def test_strip_product_is_the_symmetric_product(self):
+        # on a full array's upper-strip views nothing left of the diagonal
+        # blocks is read: the product is that of A's strips mirrored onto
+        # the lower triangle, the diagonal blocks A's own
+        rng = np.random.default_rng(3)
+        A = rng.standard_normal((2 * ROW_BLOCK + 40, 2 * ROW_BLOCK + 40))
+        U = np.triu(A) + np.triu(A, 1).T
+        for r0 in range(0, A.shape[0], ROW_BLOCK):
+            block = slice(r0, r0 + ROW_BLOCK)
+            U[block, block] = A[block, block]
+        X = rng.standard_normal((A.shape[0], 5))
+        P = UpperStrips.of(A, float(np.abs(U).max()))
+        assert all(np.shares_memory(s, A) for s in P.strips)
+        np.testing.assert_allclose(P @ X, U @ X, rtol=0, atol=1e-12 * np.abs(U @ X).max())
+        assert np.array_equal(P.dense(), U)
+
+    def test_packed_rejects_entries_made_non_finite_by_the_scaling(self):
+        # the kernel is finite on every node pair; sqrt(w_i w_j) > 1 at the
+        # far corner makes it overflow
+        g = make_grid(6.0, 200)
+        K = lambda s, t: np.full(np.broadcast(s, t).shape, 1e308)
+        assert g.weights.max() > 1.0
+        with np.errstate(over="ignore"):
+            with pytest.raises(KernelEvaluationError, match="non-finite entries"):
+                nystrom(K, g)
+            with pytest.raises(KernelEvaluationError, match="non-finite entries"):
+                nystrom_strips(K, g)
+
+    def test_packed_memory_stays_at_half_the_matrix(self, traced_peak):
+        # the strips (0.53 N^2 doubles at N = 2000) plus a few tiles: no
+        # N x N array and no mirror store
+        g = make_grid(12.0, 2000)
+        K = kernel_A(0.5)
+        P, peak = traced_peak(lambda: nystrom_strips(K, g))
+        stored = sum(s.nbytes for s in P.strips)
+        assert stored < 0.54 * 8 * g.N**2
+        assert peak <= stored + 8 * ROW_BLOCK * COL_BLOCK * 8
 
     # the rectangular Nystrom matrix of the suite is the widened factor,
     # gathered from its antidiagonals (tests/test_discretize.py checks the

@@ -14,7 +14,7 @@ from hankellab import DomainError, GridError, make_grid, op_norm, run_suite
 from hankellab import discretize as dz
 from hankellab import specfun, verify
 from hankellab.kernels import kernel_L
-from hankellab.linalg import _symmetric_max
+from hankellab.linalg import _symmetric_strips
 from hankellab.quadrature import OperatorMatrix
 from hankellab.verify import _GridPieces, _residual_matrix
 
@@ -187,7 +187,7 @@ class TestRunSuite:
         # at most three N x N matrices and a quarter at once (C1: both
         # blocks and their sum, then L 1_inf L, the sum and A; C3: A,
         # L 1_inf L and H(phi0)), plus tiles, Lanczos vectors and the
-        # quarter-size buffers of a check: 3.8 N^2 doubles measured, in C3
+        # quarter-size buffers of a check: 3.7 N^2 doubles measured, in C3
         N = 1600
         _, peak = traced_peak(lambda: run_suite(0.5, [(12.0, N)], family=FAMILY))
         assert peak <= 4 * 8 * N**2
@@ -297,7 +297,7 @@ class TestRunSuite:
         # symmetric Hankel matrix; were it not, it would take one dense SVD
         grid = make_grid(R, N)
         A = dz.assemble_A(alpha, grid).entries
-        assert _symmetric_max(A[grid.side("zero"), grid.side("infinity")][:, ::-1]) is not None
+        assert _symmetric_strips(A[grid.side("zero"), grid.side("infinity")][:, ::-1]) is not None
 
     def test_every_matrix_solved_is_symmetric(self, monkeypatch):
         # one singular-value route: each matrix handed to singular_values or
@@ -307,7 +307,7 @@ class TestRunSuite:
 
             def recorded(M, *args, _fn=getattr(verify, name)):
                 if not callable(M):
-                    seen.append(_symmetric_max(np.asarray(M)) is not None)
+                    seen.append(_symmetric_strips(np.asarray(M)) is not None)
                 return _fn(M, *args)
 
             monkeypatch.setattr(verify, name, recorded)
