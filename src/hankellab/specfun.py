@@ -164,35 +164,66 @@ def _check_gamma_args(s, t):
     return s, t_arr
 
 
+def _log_prefactor(s: float, t: np.ndarray) -> np.ndarray:
+    """e^(-t) t^s / Gamma(s) on positive t, formed in one array: s ln t - t -
+    ln Gamma(s) has the bits of -t + s ln t - ln Gamma(s) (x - t is x + (-t)
+    exactly)."""
+    out = np.log(t)
+    out *= s
+    out -= t
+    out -= ln_gamma(s)
+    return np.exp(out, out=out)
+
+
+def _compact(going: np.ndarray, arrays):
+    """The entries of each array where ``going`` holds, moved to its front
+    in order, as views of that prefix: no array is copied whole."""
+    k = int(np.count_nonzero(going))
+    for arr in arrays:
+        arr[:k] = arr[going]
+    return [arr[:k] for arr in arrays]
+
+
 def _reg_lower_series(s: float, t: np.ndarray, tol: float, itmax: int) -> np.ndarray:
     """P(s,t) by the ascending series, valid for t < s+1.  Each step works on
     the points still short of convergence only, so the term denominator s + i
-    is one scalar."""
-    live = np.flatnonzero(t > 0.0)
-    t_live = t[live]
+    is one scalar; its arrays are updated in place, with the points still
+    iterating kept at their front."""
+    positive = t > 0.0
     total = np.zeros_like(t)
-    idx, t_a = live, t_live
+    idx = np.flatnonzero(positive)
+    t_a = t[idx]
     delt = np.full(idx.size, 1.0 / s)
     acc = delt.copy()
+    buf, scale = np.empty_like(delt), np.empty_like(delt)
+    going = np.empty(idx.size, dtype=bool)
     ap = s
     for _ in range(itmax):
         if not idx.size:
             break
         ap += 1.0
-        delt *= t_a / ap
+        delt *= np.divide(t_a, ap, out=buf)
         acc += delt
-        going = np.abs(delt) >= np.abs(acc) * tol
+        np.abs(acc, out=scale)
+        scale *= tol
+        np.greater_equal(np.abs(delt, out=buf), scale, out=going)
         if not going.all():
             total[idx[~going]] = acc[~going]
-            idx, t_a, delt, acc = idx[going], t_a[going], delt[going], acc[going]
+            idx, t_a, delt, acc, buf, scale = _compact(going, [idx, t_a, delt, acc, buf, scale])
+            going = going[: idx.size]
     total[idx] = acc
-    total[live] *= np.exp(-t_live + s * np.log(t_live) - ln_gamma(s))
+    del idx, t_a, delt, acc, buf, scale, going  # their whole buffers go before the prefactor
+    live = np.flatnonzero(positive)
+    total[live] *= _log_prefactor(s, t[live])
     return total
 
 
 def _lentz_fraction(s: float, t: np.ndarray, tol: float, itmax: int) -> np.ndarray:
     """The continued fraction of Q(s,t) / (e^(-t) t^s / Gamma(s)) by Lentz's
-    method.  Each step works on the points still short of convergence only."""
+    method.  Each step works on the points still short of convergence only;
+    its arrays are updated in place, with the points still iterating kept at
+    their front, and with the bits of the textbook steps d = an d + b,
+    c = b + an / c, d = 1 / d."""
     tiny = 1e-300
     h = np.empty_like(t)
     idx = np.arange(t.size)
@@ -200,22 +231,28 @@ def _lentz_fraction(s: float, t: np.ndarray, tol: float, itmax: int) -> np.ndarr
     c = np.full_like(t, 1.0 / tiny)
     d = 1.0 / b
     h_a = d.copy()
+    delt = np.empty_like(t)
+    mask = np.empty(t.size, dtype=bool)
     for i in range(1, itmax + 1):
         if not idx.size:
             break
         an = -i * (i - s)
         b += 2.0
-        d = an * d + b
-        d[np.abs(d) < tiny] = tiny
-        c = b + an / c
-        c[np.abs(c) < tiny] = tiny
-        d = 1.0 / d
-        delt = d * c
+        d *= an
+        d += b
+        np.copyto(d, tiny, where=np.less(np.abs(d, out=delt), tiny, out=mask))
+        np.divide(an, c, out=c)
+        c += b
+        np.copyto(c, tiny, where=np.less(np.abs(c, out=delt), tiny, out=mask))
+        np.divide(1.0, d, out=d)
+        np.multiply(d, c, out=delt)
         h_a *= delt
-        going = np.abs(delt - 1.0) >= tol
+        delt -= 1.0
+        going = np.greater_equal(np.abs(delt, out=delt), tol, out=mask)
         if not going.all():
             h[idx[~going]] = h_a[~going]
-            idx, b, c, d, h_a = idx[going], b[going], c[going], d[going], h_a[going]
+            idx, b, c, d, h_a, delt = _compact(going, [idx, b, c, d, h_a, delt])
+            mask = mask[: idx.size]
     h[idx] = h_a
     return h
 
@@ -225,25 +262,39 @@ def _reg_upper_cf(s: float, t: np.ndarray, tol: float, itmax: int) -> np.ndarray
     e^(-t) t^s / Gamma(s) comes first: where it underflows to 0, Q is 0
     whatever the fraction (a finite positive number), so the fraction is
     evaluated on the other points only."""
-    q = np.exp(-t + s * np.log(t) - ln_gamma(s))
+    q = _log_prefactor(s, t)
     live = np.flatnonzero(q)
     q[live] *= _lentz_fraction(s, t[live], tol, itmax)
     return q
 
 
+# Points per pass of the incomplete-Gamma routes, whose iteration arrays
+# hold about eight values per point: a quarter of a ROW_BLOCK x COL_BLOCK
+# Nystrom tile, so phi_split on a tile peaks at 5.5 tiles, not 15.8
+GAMMA_CHUNK = 16384
+
+
 def _reg_gamma_pair(s, t, tol: float = 1e-14, itmax: int = 500):
-    """(P, Q) with P + Q = 1 exactly up to one rounding."""
+    """(P, Q) with P + Q = 1 exactly up to one rounding, over the points in
+    passes of ``GAMMA_CHUNK`` (each point's arithmetic is its own, so the
+    bits do not depend on the passes).  Each route fills its points of one
+    of the two, and the other is 1 minus it there, formed in place through
+    a mask with no masked copy."""
     s, t_arr = _check_gamma_args(s, t)
     t_flat = np.atleast_1d(t_arr).ravel()
     p = np.empty_like(t_flat)
     q = np.empty_like(t_flat)
-    ser = t_flat < s + 1.0
-    if ser.any():
-        p[ser] = _reg_lower_series(s, t_flat[ser], tol, itmax)
-        q[ser] = 1.0 - p[ser]
-    if (~ser).any():
-        q[~ser] = _reg_upper_cf(s, t_flat[~ser], tol, itmax)
-        p[~ser] = 1.0 - q[~ser]
+    for k0 in range(0, t_flat.size, GAMMA_CHUNK):
+        part = slice(k0, k0 + GAMMA_CHUNK)
+        t_c, p_c, q_c = t_flat[part], p[part], q[part]
+        ser = t_c < s + 1.0
+        cf = ~ser
+        if ser.any():
+            p_c[ser] = _reg_lower_series(s, t_c[ser], tol, itmax)
+            np.subtract(1.0, p_c, out=q_c, where=ser)
+        if cf.any():
+            q_c[cf] = _reg_upper_cf(s, t_c[cf], tol, itmax)
+            np.subtract(1.0, q_c, out=p_c, where=cf)
     p = p.reshape(np.shape(t_arr))
     q = q.reshape(np.shape(t_arr))
     if np.isscalar(t) or np.ndim(t) == 0:
@@ -272,7 +323,9 @@ def phi_split(alpha, t):
     power = t_arr ** (-1.0 - 2.0 * a)
     if np.ndim(t) == 0:
         return float(power * q), float(power * p)
-    return power * q, power * p
+    q *= power
+    p *= power
+    return q, p
 
 
 def psi_plus(alpha, t):

@@ -42,28 +42,34 @@ The step checks run in the order of a second table, ``_STEP_PIECES``, which
 names the pieces each reads, and each piece is freed after the last
 selected check of the step that reads it, also when that check aborts:
 
-  C1      builds B_inf = L 1_inf L and B_0 = L 1_0 L, forms their sum and
-          drops B_0, keeping a copy of its (inf, inf) quarter; then builds
-          A, drops the sum, and builds L
+  C1      composes B_inf = L 1_inf L and keeps it as copies of its upper
+          row strips (0.52 N^2) across the product of B_0 = L 1_0 L, adds it
+          into B_0 in place and drops both blocks; then builds A, drops the
+          sum, and builds L
   C5, C6  read L, which is freed after C6
-  C3      reads A and B_inf; takes H(phi0) and its split defect from one
-          tile walk, with no H(phi_inf) matrix; B_inf is freed after it,
-          keeping a copy of its (0, 0) quarter
+  C3      reads A; takes H(phi0) and its split defect from one tile walk,
+          with no H(phi_inf) matrix, and its composition residual as the
+          operator norm of the map x -> H(phi0) x - C (C x), C applied by FFT
+          from the factor's values (``discretize.composed_map``)
   C2      reads A
-  C8      builds the weighted Hankel matrix; A is freed after it
-  C7      the two quarters and the weighted Hankel matrix are freed after it
+  C8      solves the model cloud and drops A, then composes the two
+          quarters and builds the weighted Hankel matrix
+  C7      forms its residual in the weighted Hankel matrix, its last reader;
+          the quarters go after it
 
 Each block is ``discretize.composed_block``: C C^T, C the columns of the
-step's widened factor on one side of 1, gathered as an N x N Hankel matrix,
-composed once per step whatever the checks selected.  The factor is
-evaluated once per step as a view of its 3N - 1 values, so no N x 2N array
-is built.  Only C1 and C3 read whole blocks; the two-block decomposition
-(C7, C8) reads B_inf's (0, 0) and B_0's (inf, inf) quarter.  So a step
-holds at most three N x N matrices and one quarter at once (C1: B_inf, B_0
-and their sum, then B_inf, the sum and A; C5 and C6: A, L and B_inf; C3:
-A, B_inf and H(phi0); each with B_0's quarter) besides tiles, Lanczos
-vectors and the quarter-size buffers of a check: a traced peak of about
-3.5 N^2 doubles, 155 MiB at N = 2400.
+step's widened factor on one side of 1, gathered as an N x N Hankel matrix.
+The factor is evaluated once per step as a view of its 3N - 1 values, so no
+N x 2N array is built.  Only C1 reads whole blocks, both composed once per
+step.  The two-block decomposition (C7, C8) reads B_inf's (0, 0) and B_0's
+(inf, inf) quarter, each composed as its own product of the N/2 x N gather
+of C's rows on that side, at a quarter of a block's flops.  So after C1 no
+whole composed block is alive, and up to C8 no N x N matrix but A and L is
+held from one check to the next.
+At most about 2.5 N^2 doubles are alive at once (C1's second product: the
+packed B_inf, the gather and the product; then two N x N matrices and a
+check's quarter-size buffers), besides tiles and Lanczos vectors: a traced
+peak of 2.53 N^2 doubles, 111 MiB at N = 2400 (2.55 at N = 1600).
 """
 
 from __future__ import annotations
@@ -79,7 +85,7 @@ from . import discretize as dz
 from .errors import DomainError
 from .kernels import rational_test_family
 from .linalg import op_norm, singular_values, sym_eigen
-from .quadrature import ROW_BLOCK, Grid, check_step, make_grid, quad_integral
+from .quadrature import ROW_BLOCK, Grid, UpperStrips, check_step, make_grid, quad_integral
 from .spectra import analyze, predict, schatten_diagnostic
 from .specfun import check_alpha, pi_alpha
 
@@ -135,6 +141,14 @@ def _growth_ok(xs: Sequence[float]) -> bool:
     return all(b <= NUCLEAR_GROWTH_CAP * a + 1e-300 for a, b in zip(xs, xs[1:]))
 
 
+def _writable(M) -> np.ndarray:
+    """The entries of an operator that no other reader holds, made writable
+    (they own their buffer), so that its last reader works in place."""
+    entries = M.entries
+    entries.flags.writeable = True
+    return entries
+
+
 class _GridPieces:
     """The operators that several checks share on one ladder step, each
     assembled on first use and kept until :meth:`free` drops it."""
@@ -144,10 +158,7 @@ class _GridPieces:
         self.m0, self.mi = grid.side("zero"), grid.side("infinity")
 
     def free(self, piece: str) -> None:
-        """Drop a piece, so that its memory goes once the checks hold no view
-        of it; the whole block L 1_inf L first leaves its (0, 0) quarter."""
-        if piece == "block_inf" and "block_inf" in self.__dict__:
-            self.quarter_inf
+        """Drop a piece, so that its memory goes once the checks hold no view of it."""
         self.__dict__.pop(piece, None)
 
     @cached_property
@@ -159,36 +170,37 @@ class _GridPieces:
         return dz.assemble_L(self.alpha, self.grid)
 
     @cached_property
-    def Lr(self):  # the widened factor, a view of its 3N - 1 values, kept for the step
+    def Lr(self):  # the widened factor, a view of its 3N - 1 values
         return dz.assemble_L_rect(self.alpha, self.grid)
-
-    # Each side's block L 1_side L is composed once per step.  C3 compares
-    # L 1_inf L on the whole grid with H(phi0) and C1 the sum of both with A;
-    # the two-block decomposition (C7, C8) reads only the (0, 0) quarter of
-    # L 1_inf L and the (inf, inf) quarter of L 1_0 L, each as its own copy,
-    # so that neither whole block outlives its last whole-grid reader
-    @cached_property
-    def block_inf(self):
-        return dz.composed_block(self.Lr, "infinity").entries
 
     @cached_property
     def wide(self):
-        """The widened square L 1_inf L + L 1_0 L; L 1_0 L goes once it is formed."""
-        block_inf, block_0 = self.block_inf, dz.composed_block(self.Lr, "zero").entries
-        self.quarter_0 = block_0[self.mi, self.mi].copy()
-        return np.add(block_inf, block_0)
+        """The widened square L 1_inf L + L 1_0 L.  L 1_inf L is kept as
+        copies of its upper row strips across the second product, and the
+        sum is formed in place in L 1_0 L: both blocks are exactly symmetric
+        (``dz.composed_block``) and a + b == b + a, so the sum has the bits
+        of the whole-array one."""
+        block = dz.composed_block(self.Lr, "infinity").entries
+        # a Gram matrix, whose largest entry is on its diagonal
+        view = UpperStrips.of(block, float(block.diagonal().max()))
+        packed = UpperStrips(view.n, tuple(strip.copy() for strip in view.strips), view.amax)
+        del block, view
+        wide = _writable(dz.composed_block(self.Lr, "zero"))
+        for r0, r1, strip in packed.row_strips():
+            wide[r0:r1, r0:] += strip
+            wide[r1:, r0:r1] += strip[:, r1 - r0 :].T
+        return wide
+
+    # The two-block decomposition (C7, C8) reads only the (0, 0) quarter of
+    # L 1_inf L and the (inf, inf) quarter of L 1_0 L, each composed as its
+    # own product when it is first read
+    @cached_property
+    def quarter_inf(self):
+        return dz.composed_block(self.Lr, "infinity", "zero").entries
 
     @cached_property
     def quarter_0(self):
-        return dz.composed_block(self.Lr, "zero").entries[self.mi, self.mi].copy()
-
-    @cached_property
-    def quarter_inf(self):
-        # from the whole block while it is kept, else from one composed for it
-        block_inf = self.__dict__.get("block_inf")
-        if block_inf is None:
-            block_inf = dz.composed_block(self.Lr, "infinity").entries
-        return block_inf[self.m0, self.m0].copy()
+        return dz.composed_block(self.Lr, "zero", "infinity").entries
 
     @cached_property
     def weighted(self):
@@ -237,11 +249,17 @@ def _check_c2(alpha: float, p: _GridPieces):
 
 
 def _check_c3(alpha: float, p: _GridPieces):
-    A, block_inf = p.A.entries, p.block_inf  # the block's gather buffer goes before H(phi0) comes
+    A = p.A.entries
     H0, defect = dz.phi0_and_split_defect(alpha, p.grid, A)
     split = defect / max(float(A.max()), -float(A.min()))
-    H0 -= block_inf  # H(phi0) - L 1_inf L, in place
-    comp = op_norm(H0)
+    # H(phi0) - L 1_inf L as a map, with L 1_inf L = C C applied by FFT: no
+    # block is built.  Unlike C1's, this residual is a quadrature error
+    # c h^2 (2.1e-8 to 3.7e-5 on the default ladder at alpha in [-0.25, 5]),
+    # eight orders of magnitude or more above the map's rounding of about
+    # eps max|L 1_inf L|: against the whole block it moved by at most
+    # 6.3e-11 relative
+    compose = dz.composed_map(p.Lr, "infinity")
+    comp = op_norm(lambda x: H0 @ x - compose(x), len(H0))
     return {"split_error": split, "composition_residual": comp}, split <= EXACT_TOL
 
 
@@ -299,13 +317,16 @@ def _check_c5(alpha: float, p: _GridPieces):
 
 def _check_c6(alpha: float, p: _GridPieces):
     row, ok = {}, True
-    for label, block in (
-        ("L_00", p.L.entries[p.m0, p.m0]),
-        ("L_ii", p.L.entries[p.mi, p.mi]),
+    for label, matrix in (
+        ("L_00", lambda: p.L.entries[p.m0, p.m0]),
+        ("L_ii", lambda: p.L.entries[p.mi, p.mi]),
         # inversion symmetry makes the cross block with its columns reversed
-        # a symmetric Hankel matrix with the same singular values
-        ("A_0i", p.A.entries[p.m0, p.mi][:, ::-1]),
+        # a symmetric Hankel matrix with the same singular values; it is
+        # solved as one contiguous copy, made when its turn comes, since
+        # every strip product of the solve would copy a negative-stride view
+        ("A_0i", lambda: np.ascontiguousarray(p.A.entries[p.m0, p.mi][:, ::-1])),
     ):
+        block = matrix()
         sv = singular_values(block)
         # the numerical-rank tolerance of the singular values; a tenth value
         # at or below it is rounding noise, and its ratio reads 0
@@ -336,18 +357,20 @@ def _weighted_block(p: _GridPieces, side: str) -> np.ndarray:
 
 def _residual_matrix(p: _GridPieces) -> np.ndarray:
     """Residual of the two-block decomposition of the weighted operator,
-    assembled from already-verified pieces: a copy of the weighted Hankel
-    matrix less a0 times ``_weighted_block`` on the zero quarter and a_inf
-    times it on the infinity quarter, one side at a time, each block
-    dropped before the next is made."""
+    assembled from already-verified pieces: the weighted Hankel matrix less
+    a0 times ``_weighted_block`` on the zero quarter and a_inf times it on
+    the infinity quarter, one side at a time, each block dropped before the
+    next is made.  It is formed in the weighted matrix itself, which C7
+    reads last: the piece is dropped here, so no later reader sees it."""
     a0, a_inf, _, _ = p.family
-    T = p.weighted[0].entries.copy()
+    T = _writable(p.weighted[0])
     for coeff, side, half in ((a0, "zero", p.m0), (a_inf, "infinity", p.mi)):
         wb = _weighted_block(p, side)
         wb *= coeff
         quarter = T[half, half]
         quarter -= wb
         del wb
+    p.free("weighted")
     return T
 
 
@@ -372,6 +395,8 @@ def _check_c8(alpha: float, p: _GridPieces):
     )
     row, ok = {}, True
     for label, matrix, predicted in items:
+        if label != "model":
+            p.free("A")  # the model cloud reads A last: it goes before the weighted matrix comes
         if not predicted.intervals:
             continue
         rep = analyze(sym_eigen(matrix()), predicted)
@@ -453,18 +478,20 @@ _CHECKS: Dict[str, Tuple[str, str, Callable[[Sequence[dict]], bool]]] = {
 # The step checks in the order they run on each ladder step, with the
 # _GridPieces pieces each reads.  Each piece is freed after the last
 # selected check of the step that reads it, also when that check aborts.
-# The order keeps at most three N x N matrices and a quarter alive at
-# once: C1 forms the sum of the two blocks before A exists and drops it
-# before L exists, L goes after C6, before C3 makes H(phi0), L 1_inf L after
-# C3 and A after C8, and C7 copies the weighted Hankel matrix once only the
-# quarters and that matrix are left.
+# The order keeps no whole composed block past C1 and at most two other
+# N x N matrices alive at once: C1 drops the sum of the two blocks before L
+# exists, L goes after C6, before C3 makes H(phi0), C8 drops A once the
+# model cloud is solved, before the weighted Hankel matrix comes, and C7
+# forms its residual in that matrix.  The quarters are composed by C8 (by
+# C7 when it runs without C8, from a widened factor that then goes with
+# the step).
 _STEP_PIECES: Dict[str, Tuple[str, ...]] = {
-    "C1": ("wide", "block_inf", "A", "L"),
+    "C1": ("wide", "Lr", "A", "L"),
     "C5": ("L",),
     "C6": ("A", "L"),
-    "C3": ("A", "block_inf"),
+    "C3": ("A", "Lr"),
     "C2": ("A",),
-    "C8": ("A", "quarter_inf", "quarter_0", "weighted"),
+    "C8": ("A", "Lr", "quarter_inf", "quarter_0", "weighted"),
     "C7": ("quarter_inf", "quarter_0", "weighted"),
 }
 

@@ -279,6 +279,19 @@ class TestRegularisedGamma:
         h = np.array([_continued_fraction_loop(s, x, 1e-14, 500) for x in t[live]])
         assert np.array_equal(q[live], np.exp(-t[live] + s * np.log(t[live]) - ln_gamma(s)) * h)
 
+    @pytest.mark.parametrize("alpha", [-0.25, 0.5, 2.0])
+    def test_passes_keep_the_bits(self, alpha):
+        # node sums of every 4th node of the (14, 2400) grid, 22 passes of
+        # GAMMA_CHUNK points, against one call per row, each within one pass
+        nodes = make_grid(14.0, 2400).nodes[::4]
+        t = nodes[:, np.newaxis] + nodes[np.newaxis, :]
+        assert t.size > 20 * hankellab.specfun.GAMMA_CHUNK
+        s = 1.0 + 2.0 * alpha
+        p, q = _reg_gamma_pair(s, t)
+        rows = [_reg_gamma_pair(s, row) for row in t]
+        assert np.array_equal(p, np.array([r[0] for r in rows]))
+        assert np.array_equal(q, np.array([r[1] for r in rows]))
+
     def test_domain(self):
         with pytest.raises(DomainError):
             _reg_gamma_pair(0.0, 1.0)
