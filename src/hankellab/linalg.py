@@ -2,47 +2,47 @@
 Hilbert-Schmidt / nuclear norms.
 
 Every matrix the suite solves is symmetric: verify's blocks and residuals
-to rounding, C6's cross block with its columns reversed (a symmetric Hankel
-matrix), and ``spectrum``'s weighted Hankel matrix exactly, which comes as
-the packed :class:`~hankellab.quadrature.UpperStrips`, its upper row strips
-alone, never an N x N array.  An array is first scanned in tiles, which is
-its input validation: a non-finite entry raises EigenSolverError before any
-solve, a matrix further than 1e-12 max|A| from symmetric is not symmetric,
-and the scan gives max|A| and |K|_F for the skew part K = 1/2 (A - A^T).
-The array is then solved through views of its upper strips, so the
-symmetric matrices share one private route, held in one format; the
+exactly, C6's cross block with its columns reversed (a symmetric Hankel
+matrix) to rounding, and ``spectrum``'s weighted Hankel matrix exactly,
+which comes as the packed :class:`~hankellab.quadrature.UpperStrips`, its
+upper row strips alone, never an N x N array.  An array passes one gate,
+``_symmetric``, a scan in tiles that is its input validation: a non-finite
+entry raises EigenSolverError before any solve, a matrix further than 1e-12
+max|A| from symmetric is not symmetric, an exactly symmetric one is taken as
+it is, and any other is replaced by S = 1/2 (A + A^T), formed once and
+exactly symmetric.  S is then solved through views of its upper strips, so
+the symmetric matrices share one private route, held in one format; the
 singular values are the sorted absolute eigenvalues.  It first tries a
 certified low-rank solve: the suite's operators have few eigenvalues above
 the rounding level, because their symbols decay like e^(-pi |xi|) (97-109
 of 3200 above n * eps * max|lambda| for the four benchmark families at
-(16, 3200)).  A range finder from a fixed start block gives Y = U Omega
-with k columns, U the matrix the strips hold, each product with U one pass
-over the strips: Y[r0:r1] += U[r0:r1, r0:] X[r0:] for a strip's rows and
-Y[r1:] += U[r0:r1, r1:]^T X[r0:r1] for its mirror.  Its numerical range is
+(16, 3200)).  A range finder from a fixed start block gives Y = S Omega
+with k columns, each product with S one pass over the strips:
+Y[r0:r1] += S[r0:r1, r0:] X[r0:] for a strip's rows and
+Y[r1:] += S[r0:r1, r1:]^T X[r0:r1] for its mirror.  Its numerical range is
 orthonormalised from Gram eigendecompositions alone (SVQB at two levels,
 about sqrt(eps) * |Y| each, so no Householder QR), and Rayleigh-Ritz on that
 basis of m <= k columns gives m eigenvalues; the other n - m are returned as
 0.  The result is accepted only when the certificate is at most
 n * eps * max|lambda|, the absolute accuracy of a dense solve.  The
-certificate is |U - Q T Q^T|_F, summed over the strips at half the flops of
+certificate is |S - Q T Q^T|_F, summed over the strips at half the flops of
 whole rows, plus |T|_2 |E|_F (2 + |E|_F) for the rounding-level departure
 E = Q^T Q - I of the basis from orthonormality, plus the Ritz values set to
-0, plus |K|_F = |S - U|_F, S = 1/2 (A + A^T) (0 for every exactly symmetric
-matrix).  By Hoffman & Wielandt the returned list then lies within the
+0.  By Hoffman & Wielandt the returned list then lies within the
 certificate of the exact sorted eigenvalues of S in 2-norm, so every value
 is within it.  When the numerical rank needs more than LOWRANK_CAP * n
 columns (always below order 256, where not even the first LOWRANK_BLOCK =
-64 fit), the dense route runs: an even-order matrix that is
-centrosymmetric to rounding as two half-size solves, any other as one
-``eigvalsh``, accurate to about n * eps * max|lambda| as well.  It solves
-1/2 (A + A^T) of an array, and the packed form materialised as it stands.
+64 fit), the dense route runs on S materialised from its strips: an
+even-order matrix that is centrosymmetric to rounding as two half-size
+solves, any other as one ``eigvalsh``, accurate to about
+n * eps * max|lambda| as well.
 
 Any other matrix takes one dense SVD at every size.
 
 The operator norm of a symmetric matrix, or of a symmetric linear map given
 by its action, is its largest |eigenvalue| from Lanczos with full
 reorthogonalisation, so no dense solve is needed for one top value; any
-other matrix gives sigma_1 from its singular values.
+other matrix gives sigma_1 from one SVD.
 """
 
 from __future__ import annotations
@@ -108,19 +108,15 @@ def _as_array(M) -> np.ndarray:
     return np.asarray(M, dtype=float)
 
 
-def _asymmetry(A: np.ndarray) -> Tuple[float, float, float]:
-    """(max|A - A^T| / max|A|, max|A|, |K|_F) of a square matrix, K the skew
-    part 1/2 (A - A^T); raises EigenSolverError on a non-finite entry, before
-    any arithmetic on it.  The upper triangle is compared in square
-    ``ROW_BLOCK`` tiles, A[I, J] against A[J, I]^T, into one tile-sized
-    buffer, and max|A| is read from the same tiles, which cover every entry.
-    Each transposed tile is read from ``ROW_BLOCK`` rows at a time; whole
-    transposed strips A[r0:, r0:r1]^T took 83 ms against 49 ms for the tiles
-    at n = 3200.  A tile with a nonzero difference adds its squares, scaled
-    by a power of two of its own so that they cannot overflow; an exactly
-    symmetric matrix adds none."""
+def _asymmetry(A: np.ndarray) -> Tuple[float, float]:
+    """(max|A - A^T| / max|A|, max|A|) of a square matrix; raises
+    EigenSolverError on a non-finite entry, before any arithmetic on it.
+    The upper triangle is compared in square ``ROW_BLOCK`` tiles, A[I, J]
+    against A[J, I]^T, into one tile-sized buffer, and max|A| is read from
+    the same tiles, which cover every entry.  Each transposed tile is read
+    from ``ROW_BLOCK`` rows at a time; whole transposed strips
+    A[r0:, r0:r1]^T took 83 ms against 49 ms for the tiles at n = 3200."""
     n, asym, amax = A.shape[0], 0.0, 0.0
-    squares = []  # (tile scale, the tile's share of |scale K|_F^2)
     buf = np.empty((ROW_BLOCK, ROW_BLOCK))
     for r0 in range(0, n, ROW_BLOCK):
         r1 = min(r0 + ROW_BLOCK, n)
@@ -133,30 +129,29 @@ def _asymmetry(A: np.ndarray) -> Tuple[float, float, float]:
                     raise EigenSolverError("matrix has non-finite entries")
                 amax = max(amax, top, -bottom)
             tile = np.subtract(upper, lower.T, out=buf[: r1 - r0, : c1 - c0])
-            big = float(np.abs(tile, out=tile).max())
-            asym = max(asym, big)
-            if big > 0.0:
-                # |K|_F^2 is half the sum over i < j of (a_ij - a_ji)^2, and a
-                # diagonal tile holds each pair i < j twice
-                scale = _scale_for(big)
-                tile *= scale
-                flat = tile.ravel()
-                squares.append((scale, float(flat @ flat) * (0.5 if c0 > r0 else 0.25)))
-    low = min((scale for scale, _ in squares), default=1.0)
-    skew_sq = sum(sq * (low / scale) ** 2 for scale, sq in squares)
-    return asym / max(amax, 1e-300), amax, math.sqrt(skew_sq) / low
+            asym = max(asym, float(np.abs(tile, out=tile).max()))
+    return asym / max(amax, 1e-300), amax
 
 
-def _symmetric_strips(A: np.ndarray) -> Optional[Tuple[UpperStrips, float]]:
-    """(the upper strips of A as views, |1/2 (A - A^T)|_F) for a square
-    matrix symmetric to 1e-12 relative to max|A|; None for any other.  Raises
-    EigenSolverError on a non-finite entry, of a rectangular matrix too."""
+def _symmetric(A: np.ndarray) -> Tuple[Optional[np.ndarray], float, float]:
+    """(S, max|S|, d) for an array A, d = max|A - A^T| / max|A|: S is A
+    itself when A == A^T, and S = 1/2 (A + A^T), formed once and exactly
+    symmetric, when A is square and d <= 1e-12; S is None for any other A
+    (d = inf when A is not square).  The one gate of every array the
+    symmetric route takes; raises EigenSolverError on a non-finite entry,
+    of a rectangular A too."""
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         if A.size and not (np.isfinite(A.min()) and np.isfinite(A.max())):
             raise EigenSolverError("matrix has non-finite entries")
-        return None
-    asym, amax, skew = _asymmetry(A)
-    return (UpperStrips.of(A, amax), skew) if asym <= 1e-12 else None
+        return None, math.nan, math.inf
+    asym, amax = _asymmetry(A)
+    if not asym <= 1e-12:
+        return None, amax, asym
+    if asym > 0.0:
+        A = A + A.T  # a_ij + a_ji == a_ji + a_ij
+        A *= 0.5
+        amax = max(float(A.max()), -float(A.min()))
+    return A, amax, asym
 
 
 def _scale_for(amax: float) -> float:
@@ -174,8 +169,8 @@ def _centro_halves(S: np.ndarray, scale: float):
     B' = 1/2 (B + JDJ) and C' = 1/2 (C + JC^TJ) are the blocks of the
     centrosymmetric part 1/2 (S + JSJ), which maps the even vectors [u; Ju]
     through the first matrix and the odd vectors [u; -Ju] through the second.
-    Both norms are taken of ``scale`` * S, ``scale`` = ``_scale_for(max|A|)``
-    for the A whose symmetric part S is, so neither overflows.
+    Both norms are taken of ``scale`` * S, ``scale`` = ``_scale_for(max|S|)``,
+    so neither overflows.
     """
     n = S.shape[0]
     if n % 2 or n == 0:
@@ -282,18 +277,13 @@ def _range_basis(Y: np.ndarray, tol: float, limit: int) -> Tuple[Optional[np.nda
     return np.hstack([Q1, Q2]), count
 
 
-def _lowrank_eigvalsh(
-    P: UpperStrips, scale: float, skew: float = 0.0
-) -> Optional[Tuple[np.ndarray, float]]:
-    """(ascending eigenvalues, certificate) of a symmetric S from a certified
-    low-rank factorisation of the matrix U that the upper strips ``P`` hold
-    (S itself for the packed form, and for views of an array A whose skew
-    part is K = 1/2 (A - A^T), |S - U|_F = |K|_F with S = 1/2 (A + A^T):
-    each entry of S - U is an entry of K), given |S - U|_F <= ``skew``; or
+def _lowrank_eigvalsh(P: UpperStrips, scale: float) -> Optional[Tuple[np.ndarray, float]]:
+    """(ascending eigenvalues, certificate) of the symmetric matrix S that
+    the upper strips ``P`` hold, from a certified low-rank factorisation; or
     None when a basis of more than LOWRANK_CAP * n columns would be needed.
 
     The range finder (Halko, Martinsson & Tropp, SIAM Review 53, 2011,
-    sections 4.4-4.5) takes Y = U Omega for the first k = LOWRANK_BLOCK,
+    sections 4.4-4.5) takes Y = S Omega for the first k = LOWRANK_BLOCK,
     2 LOWRANK_BLOCK, ... columns Omega of the fixed test matrix
     ``_start_block``, and ``_range_basis`` gives an orthonormal basis Q of
     its numerical range with m <= k columns.  Unless at most
@@ -301,11 +291,11 @@ def _lowrank_eigvalsh(
     (tol = n * eps), the basis cannot hold the numerical range with room to
     spare and k doubles.  When that count, or level 1's estimate of it (see
     ``_range_basis``), is past what the widest k within LOWRANK_CAP * n can
-    hold, the route gives up at once.  Every product with U is the strip
+    hold, the route gives up at once.  Every product with S is the strip
     product of :class:`UpperStrips`.
 
-    Otherwise T = Q^T U Q with Ritz values theta.  The residual
-    r = |U - X|_F, X = Q T Q^T, is summed over the strips, each formed in
+    Otherwise T = Q^T S Q with Ritz values theta.  The residual
+    r = |S - X|_F, X = Q T Q^T, is summed over the strips, each formed in
     place: a strip's diagonal block counts once and its part right of the
     block twice, for its mirror image in the lower triangle, so r takes
     half the flops of whole rows.  Q is orthonormal only to rounding: with
@@ -314,17 +304,17 @@ def _lowrank_eigvalsh(
     F = G^(1/2) - I shares the eigenvectors of E, and |sqrt(1 + e) - 1| <= |e|
     for e >= -1, so |F|_F <= |E|_F and G^(1/2) T G^(1/2) - T = F T + T F + F T F
     has Frobenius norm at most o = |T|_2 |E|_F (2 + |E|_F).  By Hoffman &
-    Wielandt (Duke Math. J. 20, 1953), applied to S against X, with
-    |S - X|_F <= |S - U|_F + r <= skew + r, and to diag(G^(1/2) T G^(1/2), 0)
-    against diag(T, 0), the list theta padded with n - m zeros differs from
-    the sorted eigenvalues of S by at most skew + r + o in 2-norm.  The Ritz
-    values at or below r are set to 0, which adds their 2-norm: that sum is
-    the certificate.  It is accepted at tol * max|theta|, the absolute
-    accuracy of a dense solve; if not, k doubles.
+    Wielandt (Duke Math. J. 20, 1953), applied to S against X and to
+    diag(G^(1/2) T G^(1/2), 0) against diag(T, 0), the list theta padded
+    with n - m zeros differs from the sorted eigenvalues of S by at most
+    r + o in 2-norm.  The Ritz values at or below r are set to 0, which adds
+    their 2-norm: that sum is the certificate.  It is accepted at
+    tol * max|theta|, the absolute accuracy of a dense solve; if not, k
+    doubles.
 
-    Every product with U takes its thin factor scaled by ``scale``, which
-    is ``_scale_for(max|U|)`` (a power of two, so exactly), so the work is
-    on U / max|U|, and each residual strip is scaled the same way before
+    Every product with S takes its thin factor scaled by ``scale``, which
+    is ``_scale_for(max|S|)`` (a power of two, so exactly), so the work is
+    on S / max|S|, and each residual strip is scaled the same way before
     its squares are summed: the certificate cannot overflow.  No random
     state is read: two calls give the same bits.
     """
@@ -347,7 +337,7 @@ def _lowrank_eigvalsh(
         T = Q.T @ (P @ (Q * scale))
         T = 0.5 * (T + T.T)
         theta = np.linalg.eigvalsh(T)
-        # each strip of X is formed in U's units, so that the strip is
+        # each strip of X is formed in S's units, so that the strip is
         # subtracted in place, and scaled back before its squares are summed:
         # |diagonal block|^2 + 2 |right part|^2 = 2 |strip|^2 - |diagonal block|^2
         W = T @ Q.T
@@ -363,9 +353,7 @@ def _lowrank_eigvalsh(
         resid = math.sqrt(resid_sq)
         orth = float(np.linalg.norm(Q.T @ Q - np.eye(Q.shape[1])))
         small = np.abs(theta) <= resid
-        certificate = (
-            skew * scale + resid + top * orth * (2.0 + orth) + float(np.linalg.norm(theta[small]))
-        )
+        certificate = resid + top * orth * (2.0 + orth) + float(np.linalg.norm(theta[small]))
         theta[small] = 0.0
         if certificate <= tol * top:
             values = np.concatenate([theta, np.zeros(n - theta.size)])
@@ -374,15 +362,14 @@ def _lowrank_eigvalsh(
     return None
 
 
-def _dense_eigvalsh(M, scale: float) -> np.ndarray:
-    """Ascending eigenvalues of the symmetric part of a square array known
-    to be symmetric, or of the matrix of an :class:`UpperStrips`, with
-    ``scale`` = ``_scale_for(max|M|)``: two half-size solves when it is
-    centrosymmetric to rounding, one ``eigvalsh`` else.  The packed form is
-    materialised as it stands, exactly symmetric, with no 1/2 (A + A^T) copy."""
+def _dense_eigvalsh(P: UpperStrips, scale: float) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric matrix S that the upper strips
+    ``P`` hold, with ``scale`` = ``_scale_for(max|S|)``, materialised from
+    its strips: two half-size solves when it is centrosymmetric to
+    rounding, one ``eigvalsh`` else."""
     # bound to a name: handing the temporary straight to eigvalsh measured a
     # 10 MB higher peak RSS on the benchmark's spectrum workload (N up to 3200)
-    S = M.dense() if isinstance(M, UpperStrips) else 0.5 * (M + M.T)
+    S = P.dense()
     halves = _centro_halves(S, scale)
     if halves is None:
         return np.linalg.eigvalsh(S)
@@ -391,17 +378,26 @@ def _dense_eigvalsh(M, scale: float) -> np.ndarray:
     return np.sort(np.concatenate([np.linalg.eigvalsh(plus), np.linalg.eigvalsh(minus)]))
 
 
-def _sym_eigvalsh(M, P: UpperStrips, skew: float) -> np.ndarray:
-    """Ascending eigenvalues of the symmetric part of M, a square array
-    known to be symmetric whose upper strips ``P`` holds with its skew part's
-    |.|_F = ``skew``, or of M = ``P``: the certified low-rank route on
-    ``P``, or the dense route on M when that gives up, both on one
-    power-of-two scale."""
+def _sym_eigvalsh(P: UpperStrips) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric matrix that the upper strips
+    ``P`` hold: the certified low-rank route, or the dense route when that
+    gives up, both on one power-of-two scale."""
     scale = _scale_for(P.amax)
-    found = _lowrank_eigvalsh(P, scale, skew)
-    if found is not None:
-        return found[0]
-    return _dense_eigvalsh(M, scale)
+    try:
+        found = _lowrank_eigvalsh(P, scale)
+        return found[0] if found is not None else _dense_eigvalsh(P, scale)
+    except np.linalg.LinAlgError as exc:
+        raise EigenSolverError(f"eigensolver failed to converge: {exc}") from exc
+
+
+def _svdvals(A: np.ndarray) -> np.ndarray:
+    """Descending singular values of a matrix from one dense SVD."""
+    if A.ndim != 2:
+        raise EigenSolverError(f"expected a matrix, got ndim={A.ndim}")
+    try:
+        return np.linalg.svd(A, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise EigenSolverError(f"singular-value solver failed to converge: {exc}") from exc
 
 
 def sym_eigen(M) -> np.ndarray:
@@ -409,35 +405,30 @@ def sym_eigen(M) -> np.ndarray:
     :class:`OperatorMatrix` or the packed :class:`UpperStrips`.
 
     An array must be finite and symmetric to 1e-12 relative; the eigenvalues
-    are those of its exact symmetric part S = 1/2 (M + M^T), so they are
-    real by construction.  The packed form is exactly symmetric and finite
-    as built, and is not scanned.  From order 256 on they may come from the
-    certified low-rank route (see the module docstring and
-    ``_lowrank_eigvalsh``): every value lies within n * eps * max|lambda| of
-    the exact one, and the values outside the numerical range are exactly
-    0.  Otherwise an even-order S that is centrosymmetric to rounding
-    (JSJ = S with J the index reversal, as the suite's inversion-symmetric
-    operators are on the midpoint log grid),
+    are those of S = 1/2 (M + M^T), which is M itself when M is exactly
+    symmetric, so they are real by construction.  The packed form is
+    exactly symmetric and finite as built, and is not scanned.  From order
+    256 on they may come from the certified low-rank route (see the module
+    docstring and ``_lowrank_eigvalsh``): every value lies within
+    n * eps * max|lambda| of the exact one, and the values outside the
+    numerical range are exactly 0.  Otherwise an even-order S that is
+    centrosymmetric to rounding (JSJ = S with J the index reversal, as the
+    suite's inversion-symmetric operators are on the midpoint log grid),
     |S - JSJ|_F <= CENTRO_TOL * |S|_F, is solved as the two half-size
     matrices B +- CJ of 1/2 (S + JSJ) (Cantoni & Butler, Linear Algebra
     Appl. 13, 1976), at about a quarter of the flops.  By Weyl's inequality
     that moves each eigenvalue by at most 1/2 |S - JSJ|_2 <= 1/2 CENTRO_TOL
     |S|_F; every other matrix takes one ``eigvalsh``.
     """
-    if isinstance(M, UpperStrips):
-        P, skew = M, 0.0
-    else:
+    if not isinstance(M, UpperStrips):
         M = _as_array(M)
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise EigenSolverError(f"expected a square matrix, got shape {M.shape}")
-        asym, amax, skew = _asymmetry(M)
-        if not asym <= 1e-12:
+        S, amax, asym = _symmetric(M)
+        if S is None:
             raise EigenSolverError(f"matrix not symmetric: max|M - M^T| = {asym:.3e} max|M|")
-        P = UpperStrips.of(M, amax)
-    try:
-        return _sym_eigvalsh(M, P, skew)
-    except np.linalg.LinAlgError as exc:
-        raise EigenSolverError(f"eigensolver failed to converge: {exc}") from exc
+        M = UpperStrips.of(S, amax)
+    return _sym_eigvalsh(M)
 
 
 def singular_values(M) -> np.ndarray:
@@ -445,15 +436,10 @@ def singular_values(M) -> np.ndarray:
     matrix, one SVD of any other; raises EigenSolverError on a non-finite
     entry."""
     A = _as_array(M)
-    if A.ndim != 2:
-        raise EigenSolverError(f"expected a matrix, got ndim={A.ndim}")
-    try:
-        found = _symmetric_strips(A)
-        if found is not None:
-            return np.sort(np.abs(_sym_eigvalsh(A, *found)))[::-1]
-        return np.linalg.svd(A, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise EigenSolverError(f"singular-value solver failed to converge: {exc}") from exc
+    S, amax, _ = _symmetric(A)
+    if S is None:
+        return _svdvals(A)
+    return np.sort(np.abs(_sym_eigvalsh(UpperStrips.of(S, amax))))[::-1]
 
 
 def _lanczos_top(matvec: Callable[[np.ndarray], np.ndarray], n: int) -> float:
@@ -495,17 +481,20 @@ def _lanczos_top(matvec: Callable[[np.ndarray], np.ndarray], n: int) -> float:
 
 def op_norm(M, n: Optional[int] = None) -> float:
     """Operator norm of a matrix, or of the symmetric linear map x -> M(x)
-    on R^n when ``M`` is a callable.
+    on R^n when ``M`` is a callable, which needs ``n``.
 
     A symmetric matrix or map gives its largest |eigenvalue| by Lanczos; any
-    other matrix its largest value from ``singular_values``.
+    other matrix sigma_1 from one SVD.
     """
     if callable(M):
+        if n is None:
+            raise TypeError("op_norm of a callable needs the dimension n of its domain")
         return _lanczos_top(M, n)
     A = _as_array(M)
-    if _symmetric_strips(A) is not None:
-        return _lanczos_top(lambda x: A @ x, A.shape[0])
-    sv = singular_values(A)
+    S = _symmetric(A)[0]
+    if S is not None:
+        return _lanczos_top(lambda x: S @ x, S.shape[0])
+    sv = _svdvals(A)
     return float(sv[0]) if sv.size else 0.0
 
 

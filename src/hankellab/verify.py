@@ -321,10 +321,8 @@ def _check_c6(alpha: float, p: _GridPieces):
         ("L_00", lambda: p.L.entries[p.m0, p.m0]),
         ("L_ii", lambda: p.L.entries[p.mi, p.mi]),
         # inversion symmetry makes the cross block with its columns reversed
-        # a symmetric Hankel matrix with the same singular values; it is
-        # solved as one contiguous copy, made when its turn comes, since
-        # every strip product of the solve would copy a negative-stride view
-        ("A_0i", lambda: np.ascontiguousarray(p.A.entries[p.m0, p.mi][:, ::-1])),
+        # a symmetric Hankel matrix with the same singular values
+        ("A_0i", lambda: p.A.entries[p.m0, p.mi][:, ::-1]),
     ):
         block = matrix()
         sv = singular_values(block)
@@ -346,12 +344,13 @@ def _check_c6(alpha: float, p: _GridPieces):
 def _weighted_block(p: _GridPieces, side: str) -> np.ndarray:
     """One diagonal block of the two-block decomposition of the weighted
     operator, without its coefficient: v (L 1_inf L) v on the zero side or
-    v (L 1_0 L) v on the infinity side, v = w(t) t^(-alpha), scaled in one
-    quarter-size buffer."""
+    v (L 1_0 L) v on the infinity side, v = w(t) t^(-alpha), formed as
+    (v_i v_j) b_ij in one quarter-size buffer.  v_i v_j == v_j v_i and the
+    quarter is exactly symmetric, so the block is too."""
     block, half = (p.quarter_inf, p.m0) if side == "zero" else (p.quarter_0, p.mi)
     vs = p.weighted[1][half]
-    wb = vs[:, np.newaxis] * block
-    wb *= vs[np.newaxis, :]
+    wb = np.multiply.outer(vs, vs)
+    wb *= block
     return wb
 
 
@@ -381,7 +380,7 @@ def _check_c7(alpha: float, p: _GridPieces):
 
 def _check_c8(alpha: float, p: _GridPieces):
     # each cloud with a predicted interval is solved one at a time: a
-    # weighted block is scaled when its turn comes and dropped after its solve
+    # weighted block is made when its turn comes and dropped after its solve
     a0, a_inf, b0, b_inf = p.family
     pa = pi_alpha(alpha)
     single = lambda c: predict(alpha, c / pa, 0.0, 1.0, 1.0)

@@ -45,9 +45,9 @@ from hankellab.linalg import (
     _range_basis,
     _scale_for,
     _start_block,
-    _symmetric_strips,
+    _symmetric,
 )
-from hankellab.quadrature import ROW_BLOCK
+from hankellab.quadrature import ROW_BLOCK, UpperStrips
 from hankellab.spectra import analyze, predict
 from hankellab.verify import _GridPieces, _residual_matrix
 
@@ -79,10 +79,10 @@ def scale_of(M):
 
 def lowrank(M):
     """The certified low-rank route on a symmetric array M as ``sym_eigen``
-    takes it: on views of M's upper strips, with the skew part's norm from
-    the symmetry scan."""
-    P, skew = _symmetric_strips(M)
-    return _lowrank_eigvalsh(P, _scale_for(P.amax), skew)
+    takes it: on views of the upper strips of the gate's exactly symmetric
+    matrix."""
+    S, amax, _ = _symmetric(M)
+    return _lowrank_eigvalsh(UpperStrips.of(S, amax), _scale_for(amax))
 
 
 class TestSymEigen:
@@ -370,43 +370,61 @@ class TestLowRankRoute:
 
     def test_certificate_bounds_the_symmetric_part(self, monkeypatch):
         # M = S + K with K skew at the rounding level, |K|_F = 1e-14 |S|_F,
-        # which passes the 1e-12 symmetry scan: the route solves the upper
-        # symmetrisation U of M, and its certificate adds the scan's |K|_F =
-        # |S - U|_F, so it bounds the distance to the eigenvalues of S
+        # which passes the 1e-12 symmetry gate: both routes solve
+        # S' = 1/2 (M + M^T), which the gate forms exactly symmetric, so M
+        # gives the bits of S' on the dense route (order 200) and on the
+        # low-rank route (order 1200); the values lie within n eps max|lambda|
+        # of S''s, and on the low-rank route within the certificate
         _, (spec_a, spec_w) = _FAMILIES["rational(2,1,1,2)"]
-        S = assemble_wHa(spec_a, spec_w, make_grid(12.0, 1200)).entries
-        S = 0.5 * (S + S.T)
-        B = np.random.default_rng(5).standard_normal(S.shape)
-        K = B - B.T
-        K *= 1e-14 * np.linalg.norm(S) / np.linalg.norm(K)
-        M = S + K
-        bases, ritz = [], []
-        range_basis, eigvalsh = hankellab.linalg._range_basis, np.linalg.eigvalsh
+        rng = np.random.default_rng(5)
+        for R, N in ((6.0, 200), (12.0, 1200)):
+            S = assemble_wHa(spec_a, spec_w, make_grid(R, N)).entries
+            B = rng.standard_normal(S.shape)
+            K = B - B.T
+            K *= 1e-14 * np.linalg.norm(S) / np.linalg.norm(K)
+            M = S + K
+            sym = 0.5 * (M + M.T)
+            assert not np.array_equal(M, M.T) and np.array_equal(sym, sym.T)
+            values = sym_eigen(M)
+            assert np.array_equal(values, sym_eigen(sym))
+            ref = scipy.linalg.eigh(sym, eigvals_only=True)
+            tol = N * np.finfo(float).eps * np.abs(ref).max()
+            if N < 256:
+                assert lowrank(M) is None
+                assert np.abs(values - ref).max() <= tol
+                continue
+            bases, ritz = [], []
+            range_basis, eigvalsh = hankellab.linalg._range_basis, np.linalg.eigvalsh
 
-        def basis_spy(*args):
-            found = range_basis(*args)
-            bases.append(found[0])
-            return found
+            def basis_spy(*args):
+                found = range_basis(*args)
+                bases.append(found[0])
+                return found
 
-        def ritz_spy(T):
-            ritz.append(T)
-            return eigvalsh(T)
+            def ritz_spy(T):
+                ritz.append(T)
+                return eigvalsh(T)
 
-        monkeypatch.setattr(hankellab.linalg, "_range_basis", basis_spy)
-        monkeypatch.setattr(np.linalg, "eigvalsh", ritz_spy)
-        values, certificate = lowrank(M)
-        monkeypatch.undo()
-        ref = scipy.linalg.eigh(S, eigvals_only=True)
-        tol = S.shape[0] * np.finfo(float).eps
-        assert np.linalg.norm(values - ref) <= certificate <= tol * np.abs(ref).max()
-        assert np.abs(values - scipy.linalg.eigvalsh(0.5 * (M + M.T))).max() <= certificate
-        # the scan's skew norm, and the certificate holds it
-        skew = _symmetric_strips(M)[1]
-        assert skew == pytest.approx(np.linalg.norm(0.5 * (M - M.T)), rel=1e-12)
-        assert skew > 0.0 and certificate >= skew
-        # T was formed on M scaled by a power of two
-        Q, T = bases[-1], ritz[-1] / scale_of(M)
-        assert certificate >= np.linalg.norm(S - Q @ T @ Q.T)
+            monkeypatch.setattr(hankellab.linalg, "_range_basis", basis_spy)
+            monkeypatch.setattr(np.linalg, "eigvalsh", ritz_spy)
+            low, certificate = lowrank(M)
+            monkeypatch.undo()
+            assert np.array_equal(low, values)
+            assert np.linalg.norm(values - ref) <= certificate <= tol
+            # T was formed on S' scaled by a power of two
+            Q, T = bases[-1], ritz[-1] / scale_of(sym)
+            assert certificate >= np.linalg.norm(sym - Q @ T @ Q.T)
+
+    def test_gate_takes_an_exactly_symmetric_array_as_it_is(self, traced_peak):
+        # no copy: the gate holds its tile buffer and numpy's buffers for
+        # the transposed and strided tiles, 2.5 ROW_BLOCK^2 doubles measured
+        # whatever N (0.016 N^2 at N = 1600, where a copy is N^2)
+        N = 1600
+        M = assemble_A(0.5, make_grid(12.0, N)).entries
+        assert np.array_equal(M, M.T)
+        (S, amax, asym), peak = traced_peak(lambda: _symmetric(M))
+        assert S is M and asym == 0.0 and amax == np.abs(M).max()
+        assert peak <= 3 * 8 * ROW_BLOCK**2
 
     def test_no_householder_qr(self, monkeypatch):
         # the basis comes from Gram eigendecompositions alone
@@ -458,7 +476,7 @@ class TestLowRankRoute:
         M = assemble_wHa(spec_a, spec_w, make_grid(12.0, 1600)).entries
         predicted = predict(alpha, spec_a.a0, spec_a.a_inf, spec_w.b0, spec_w.b_inf)
         low = analyze(sym_eigen(M), predicted)
-        dense = analyze(_dense_eigvalsh(M, scale_of(M)), predicted)
+        dense = analyze(_dense_eigvalsh(UpperStrips.of(M, np.abs(M).max()), scale_of(M)), predicted)
         tol = 1e-12 * np.abs(dense.eigenvalues).max()
         assert len(low.outliers) == len(dense.outliers)
         assert abs(low.fill_max_gap - dense.fill_max_gap) <= tol
@@ -521,6 +539,23 @@ class TestNorms:
         assert op_norm(Z) == 0.0
         assert frobenius_norm(Z) == 0.0
         assert nuclear_norm(Z) == 0.0
+
+    def test_non_symmetric_matrix_scanned_once(self, monkeypatch):
+        # one symmetry scan, then sigma_1 from one SVD
+        scans, asymmetry = [], hankellab.linalg._asymmetry
+
+        def spy(A):
+            scans.append(A.shape)
+            return asymmetry(A)
+
+        monkeypatch.setattr(hankellab.linalg, "_asymmetry", spy)
+        M = np.random.default_rng(7).standard_normal((300, 300))
+        assert op_norm(M) == pytest.approx(scipy.linalg.svdvals(M)[0], rel=1e-14)
+        assert scans == [M.shape]
+
+    def test_map_needs_its_dimension(self):
+        with pytest.raises(TypeError, match="dimension n"):
+            op_norm(lambda x: x)
 
     def test_hilbert_schmidt_identity_indicator(self):
         # |u L_0|_HS^2 = 2^-1 * int_1^e dt/t = 1/2, up to edge-of-support

@@ -14,7 +14,7 @@ from hankellab import DomainError, GridError, make_grid, op_norm, run_suite
 from hankellab import discretize as dz
 from hankellab import specfun, verify
 from hankellab.kernels import kernel_L
-from hankellab.linalg import _symmetric_strips
+from hankellab.linalg import _symmetric
 from hankellab.quadrature import OperatorMatrix
 from hankellab.verify import _GridPieces, _residual_matrix
 
@@ -326,24 +326,42 @@ class TestRunSuite:
         # symmetric Hankel matrix; were it not, it would take one dense SVD
         grid = make_grid(R, N)
         A = dz.assemble_A(alpha, grid).entries
-        assert _symmetric_strips(A[grid.side("zero"), grid.side("infinity")][:, ::-1]) is not None
+        assert _symmetric(A[grid.side("zero"), grid.side("infinity")][:, ::-1])[0] is not None
 
     def test_every_matrix_solved_is_symmetric(self, monkeypatch):
-        # one singular-value route: each matrix handed to singular_values or
-        # op_norm is symmetric (sym_eigen rejects any other)
-        seen = []
-        for name in ("singular_values", "op_norm"):
+        # one singular-value route: each matrix handed to singular_values,
+        # op_norm or sym_eigen is exactly symmetric, except C6's cross block
+        # with its columns reversed, which is symmetric to rounding
+        crosses = []
+        for R, N in SHORT_LADDER:
+            grid = make_grid(R, N)
+            A = dz.assemble_A(0.5, grid).entries
+            crosses.append(A[grid.side("zero"), grid.side("infinity")][:, ::-1])
+        exact, cross = Counter(), []
+        for name in ("singular_values", "op_norm", "sym_eigen"):
 
-            def recorded(M, *args, _fn=getattr(verify, name)):
+            def recorded(M, *args, _name=name, _fn=getattr(verify, name)):
                 if not callable(M):
-                    seen.append(_symmetric_strips(np.asarray(M)) is not None)
+                    M = np.asarray(M)
+                    if any(M.shape == c.shape and np.array_equal(M, c) for c in crosses):
+                        cross.append(_symmetric(M)[0] is not None)
+                    else:
+                        exact[_name, np.array_equal(M, M.T)] += 1
                 return _fn(M, *args)
 
             monkeypatch.setattr(verify, name, recorded)
-        rep = run_suite(0.5, SHORT_LADDER, family=(2.0, 1.0, 1.0, 2.0))
+        rep = run_suite(0.5, SHORT_LADDER, family=FAMILY)
         assert [c.anchor for c in rep.checks].count("(check aborted)") == 0
-        # C3 hands op_norm a map, x -> H(phi0) x - C (C x)
-        assert len(seen) == 6 * len(SHORT_LADDER) and all(seen)
+        steps = len(SHORT_LADDER)
+        clouds = sum(len(row) for row in next(c for c in rep.checks if c.name == "C8").metrics)
+        assert cross == [True] * steps
+        # C1's model norm and wide residual, C6's two diagonal blocks, C7's
+        # residual; C3 and C1's window hand op_norm a map
+        assert exact == {
+            ("op_norm", True): 2 * steps,
+            ("singular_values", True): 3 * steps,
+            ("sym_eigen", True): clouds,
+        }
 
     def test_failed_shared_assembly_aborts_only_its_checks(self, monkeypatch):
         def broken(alpha, grid):
@@ -551,8 +569,8 @@ class TestTwoBlockDecomposition:
         v0, vi = np.zeros_like(v), np.zeros_like(v)
         v0[p.m0] = v[p.m0]
         vi[p.mi] = v[p.mi]
-        term0 = v0[:, np.newaxis] * block_inf * v0[np.newaxis, :]
-        term_inf = vi[:, np.newaxis] * block_0 * vi[np.newaxis, :]
+        term0 = np.multiply.outer(v0, v0) * block_inf
+        term_inf = np.multiply.outer(vi, vi) * block_0
         expected = WHA.entries - a0 * term0 - a_inf * term_inf
         T = _residual_matrix(p)
         assert np.array_equal(T, expected)
