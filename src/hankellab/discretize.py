@@ -18,20 +18,22 @@ on one step h), so it is a view of 3N - 1 values.  A and L stay
 entrywise: C2 and C5 test structure (inversion symmetry, the log-variable
 Hankel form) that a gather would impose by construction.
 
-The verification suite builds no N x 2N factor and no H(phi_inf) matrix:
-:func:`composed_block` gathers each side's columns of the factor as one
-N x N Hankel matrix (or its rows on one side of 1, for one diagonal
-quarter of the block), :func:`composed_map` applies the block by FFT from
-the 2N - 1 values of that Hankel matrix, and :func:`phi0_and_split_defect`
-gives H(phi0) with the split defect from one tile walk.  A verify step
-holds about 2.5 N^2 doubles at its peak, tiles and quarter-size buffers
+The verification suite builds no N x 2N factor and no H(phi_inf) matrix.
+The widened square (:func:`operator_square`), each side's block and each
+diagonal quarter of a block (:func:`composed_block`) are Gram matrices of
+Hankel matrices, so they are built in O(N^2) from the factor's values by
+the displacement recurrence of :func:`_hankel_gram`, each with no other
+N x N array and no N^3 product; :func:`composed_map` applies a block by FFT
+from the 2N - 1 values of its side, and :func:`phi0_and_split_defect` gives
+H(phi0) with the split defect from one tile walk.  A verify step holds
+about 2.25 N^2 doubles at its peak, tiles and quarter-size buffers
 included (see ``verify``).
 ``spectrum`` takes its weighted Hankel matrix from
 :func:`assemble_wHa_strips`, as the packed upper row strips of
 ``quadrature.UpperStrips``, and never builds it as an N x N array.
-``operator_square``, ``assemble_uL`` and ``assemble_model_split`` are not
-called by the program; they stay because the acceptance tests
-(tests/test_acceptance.py) import them.
+``assemble_uL`` and ``assemble_model_split`` are not called by the
+program; they stay because the acceptance tests (tests/test_acceptance.py)
+import them.
 """
 
 from __future__ import annotations
@@ -126,40 +128,83 @@ def assemble_L_rect(alpha, grid: Grid) -> OperatorMatrix:
     return OperatorMatrix(grid, entries, f"L_rect(alpha={a})", col_grid=wide)
 
 
+def _hankel_values(E: np.ndarray) -> np.ndarray:
+    """The n + m - 1 values h of an n x m Hankel matrix E (E_ij = h_(i+j)):
+    its first row and its last column."""
+    return np.concatenate([E[0], E[1:, -1]])
+
+
+def _hankel_gram(h: np.ndarray, n: int) -> np.ndarray:
+    """The Gram matrix G = H H^T of the n x m Hankel matrix H_ij = h_(i+j),
+    m = len(h) - n + 1, from its values alone: no H and no O(n^2 m) product.
+
+    G_ik = sum_j h_(i+j) h_(k+j) has displacement rank 2:
+    G_(i+1,k+1) = G_ik - h_i h_k + h_(i+m) h_(k+m) (Kailath & Sayed, SIAM
+    Rev. 37, 1995).  Row 0 is one correlation of h with its first m values;
+    each later row comes from the row above in O(n), formed in that order,
+    and column 0 is a copy of row 0.  h_i h_k == h_k h_i, so by induction
+    G is exactly symmetric.  O(n m + n^2) flops and one n x n array.
+
+    Rounding, with M = max|G| = max_i G_ii (a Gram matrix) and u = eps / 2:
+    |h_i h_k| <= sqrt(G_ii G_kk) <= M, and so are h_(i+m) h_(k+m) and the
+    partial sum G_ik - h_i h_k (Cauchy-Schwarz), so each step adds at most
+    4 u M to the error of the entry it comes from, and a chain has at most
+    n - 1 steps.  Row 0 is within m u M (a dot product of length m whose
+    terms sum in modulus to at most M).  So |G - H H^T| <= (m / 2 + 2 n) eps M
+    to first order; a GEMM of H is within (m / 2) eps M of it, so the two
+    differ by at most (m + 2 n) eps M.  Measured: at most 46 eps M at
+    orders 800-3200, alpha in [-0.25, 2]."""
+    m = len(h) - n + 1
+    G = np.empty((n, n))
+    G[0] = np.correlate(h, h[:m], "valid")
+    G[1:, 0] = G[0, 1:]
+    first, last, term = h[: n - 1], h[m : m + n - 1], np.empty(n - 1)
+    for i in range(n - 1):
+        row = G[i + 1, 1:]
+        np.multiply(first, h[i], out=term)
+        np.subtract(G[i, :-1], term, out=row)
+        np.multiply(last, h[i + m], out=term)
+        row += term
+    return G
+
+
 def operator_square(Lr: OperatorMatrix) -> OperatorMatrix:
-    """Quadrature approximation of the operator square of the factor operator
-    from the widened factor ``Lr`` of :func:`assemble_L_rect`, gathered into
-    one contiguous N x 2N array for the product.
+    """Quadrature approximation of the operator square of the factor operator:
+    Lr Lr^T for the widened factor ``Lr`` of :func:`assemble_L_rect`, an
+    N x 2N Hankel matrix, by the recurrence of :func:`_hankel_gram` from its
+    3N - 1 values.
 
     The inner integral runs over the widened grid, so the result converges to
     the model matrix under refinement.
     """
-    E = np.ascontiguousarray(Lr.entries)
-    return OperatorMatrix(grid=Lr.grid, entries=E @ E.T, provenance=f"{Lr.provenance}^2")
+    G = _hankel_gram(_hankel_values(Lr.entries), Lr.grid.N)
+    return OperatorMatrix(grid=Lr.grid, entries=G, provenance=f"{Lr.provenance}^2")
 
 
 def composed_block(
     Lr: OperatorMatrix, inner_side: str, outer_side: Optional[str] = None
 ) -> OperatorMatrix:
     """L * (indicator of one side of 1) * L on the row grid from the widened
-    factor ``Lr``: C C^T, C the columns of ``Lr`` on that side of 1 (the half
-    ``Lr.col_grid.side(inner_side)``) gathered as one contiguous N x N Hankel
-    matrix.  The two sides' blocks sum to :func:`operator_square` up to rounding.
+    factor ``Lr``: C C^T, C the N x N Hankel matrix of the columns of ``Lr``
+    on that side of 1 (the half ``Lr.col_grid.side(inner_side)``), by the
+    recurrence of :func:`_hankel_gram` from C's 2N - 1 values.  The two
+    sides' blocks sum to :func:`operator_square` up to rounding.
 
     With ``outer_side`` only the block's diagonal quarter on that side of 1
-    is composed, as its own product C_half C_half^T of the N/2 x N gather of
-    C's rows on that side, at a quarter of the whole block's flops (the
-    result keeps the row grid ``Lr.grid`` as its grid).  Both products are
-    one symmetric rank-k update (numpy takes C @ C.T to BLAS syrk), so each
-    is exactly symmetric; the quarter has the whole block's bits where the
-    BLAS blocks both updates alike, and differs by a few roundings of the
-    largest entry elsewhere."""
-    rows = slice(None) if outer_side is None else Lr.grid.side(outer_side)
-    C = Lr.entries[rows, Lr.col_grid.side(inner_side)].copy()
+    is composed: the Gram matrix of C's N/2 rows on that side, itself a
+    Hankel matrix of N/2 + N - 1 of the values, at a quarter of the whole
+    block's flops (the result keeps the row grid ``Lr.grid`` as its grid).
+    Each result is exactly symmetric.  The quarter on the zero side is the
+    same chain as the whole block's first N/2 rows, so it has their bits;
+    the other starts its chain at row N/2 and differs by rounding."""
+    c = _hankel_values(Lr.entries[:, Lr.col_grid.side(inner_side)])
+    rows = Lr.grid.side(outer_side) if outer_side is not None else slice(0, Lr.grid.N)
+    n = rows.stop - rows.start
     provenance = f"{Lr.provenance}*1_{inner_side}*L"
     if outer_side is not None:
         provenance = f"({provenance})_{outer_side}"
-    return OperatorMatrix(grid=Lr.grid, entries=C @ C.T, provenance=provenance)
+    G = _hankel_gram(c[rows.start : rows.stop + Lr.grid.N - 1], n)
+    return OperatorMatrix(grid=Lr.grid, entries=G, provenance=provenance)
 
 
 def composed_map(Lr: OperatorMatrix, inner_side: str) -> Callable[[np.ndarray], np.ndarray]:
@@ -174,11 +219,10 @@ def composed_map(Lr: OperatorMatrix, inner_side: str) -> Callable[[np.ndarray], 
     of two) leaves that slice free of wrap-around.  The map agrees with the
     product with the block to within 2.6 N eps max|C C^T| max|x| measured at
     orders 200-2400."""
-    cols = Lr.col_grid.side(inner_side)
-    first, last = Lr.entries[0, cols], Lr.entries[1:, cols.stop - 1]
-    n = len(last) + 1
+    c = _hankel_values(Lr.entries[:, Lr.col_grid.side(inner_side)])
+    n = (len(c) + 1) // 2
     size = 1 << (2 * n - 2).bit_length()
-    c_hat = np.fft.rfft(np.concatenate([first, last]), size)
+    c_hat = np.fft.rfft(c, size)
 
     def apply_C(x: np.ndarray) -> np.ndarray:
         x_hat = np.fft.rfft(x[::-1], size, axis=0)

@@ -148,9 +148,18 @@ def _symmetric(A: np.ndarray) -> Tuple[Optional[np.ndarray], float, float]:
     if not asym <= 1e-12:
         return None, amax, asym
     if asym > 0.0:
-        A = A + A.T  # a_ij + a_ji == a_ji + a_ij
-        A *= 0.5
-        amax = max(float(A.max()), -float(A.min()))
+        # 1/2 a_ij + 1/2 a_ji: no sum above max|A| (the bits of
+        # 1/2 (a_ij + a_ji) in the normal range), and a + b == b + a;
+        # A^T is read in square tiles, as in ``_asymmetry``
+        n, S = A.shape[0], np.multiply(A, 0.5)
+        buf = np.empty((ROW_BLOCK, ROW_BLOCK))
+        for r0 in range(0, n, ROW_BLOCK):
+            r1 = min(r0 + ROW_BLOCK, n)
+            for c0 in range(0, n, ROW_BLOCK):
+                c1 = min(c0 + ROW_BLOCK, n)
+                half = np.multiply(A[c0:c1, r0:r1].T, 0.5, out=buf[: r1 - r0, : c1 - c0])
+                S[r0:r1, c0:c1] += half
+        A, amax = S, max(float(S.max()), -float(S.min()))
     return A, amax, asym
 
 
@@ -339,7 +348,9 @@ def _lowrank_eigvalsh(P: UpperStrips, scale: float) -> Optional[Tuple[np.ndarray
         theta = np.linalg.eigvalsh(T)
         # each strip of X is formed in S's units, so that the strip is
         # subtracted in place, and scaled back before its squares are summed:
-        # |diagonal block|^2 + 2 |right part|^2 = 2 |strip|^2 - |diagonal block|^2
+        # |diagonal block|^2 + 2 |right part|^2 = 2 |strip|^2 - |diagonal block|^2.
+        # |W / scale| is at most max|theta| / scale to rounding (Q's rows have
+        # norm <= 1), so it overflows only with eigenvalues past the largest double
         W = T @ Q.T
         W /= scale
         resid_sq = 0.0

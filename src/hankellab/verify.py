@@ -42,11 +42,12 @@ The step checks run in the order of a second table, ``_STEP_PIECES``, which
 names the pieces each reads, and each piece is freed after the last
 selected check of the step that reads it, also when that check aborts:
 
-  C1      composes B_inf = L 1_inf L and keeps it as copies of its upper
-          row strips (0.52 N^2) across the product of B_0 = L 1_0 L, adds it
-          into B_0 in place and drops both blocks; then builds A, drops the
-          sum, and builds L
-  C5, C6  read L, which is freed after C6
+  C1      composes the widened square Lr Lr^T = B_inf + B_0
+          (B_inf = L 1_inf L, B_0 = L 1_0 L), forms its residual against A
+          in it and drops it; then builds L
+  C5      reads L
+  C6      reads L and drops it after the two L blocks, before it solves
+          the cross block of A
   C3      reads A; takes H(phi0) and its split defect from one tile walk,
           with no H(phi_inf) matrix, and its composition residual as the
           operator norm of the map x -> H(phi0) x - C (C x), C applied by FFT
@@ -57,23 +58,27 @@ selected check of the step that reads it, also when that check aborts:
   C7      forms its residual in the weighted Hankel matrix, its last reader;
           the quarters go after it
 
-Each block is ``discretize.composed_block``: C C^T, C the columns of the
-step's widened factor on one side of 1, gathered as an N x N Hankel matrix.
-The factor is evaluated once per step as a view of its 3N - 1 values, so no
-N x 2N array is built.  Only C1 reads whole blocks, both composed once per
-step.  The two-block decomposition (C7, C8) reads B_inf's (0, 0) and B_0's
-(inf, inf) quarter, each composed as its own product of the N/2 x N gather
-of C's rows on that side, at a quarter of a block's flops.  So after C1 no
-whole composed block is alive, and up to C8 no N x N matrix but A and L is
-held from one check to the next.
-At most about 2.5 N^2 doubles are alive at once (C1's second product: the
-packed B_inf, the gather and the product; then two N x N matrices and a
+The widened square is ``discretize.operator_square`` and each block or
+quarter ``discretize.composed_block``: Gram matrices of Hankel matrices
+(the widened factor, or its columns on one side of 1), each built in
+O(N^2) by the displacement recurrence from the factor's 3N - 1 values, the
+one array it returns alive, with no gather and no N^3 product.  The factor
+is evaluated once per step as a view of those values, so no N x 2N array is
+built.  Only C1 reads the whole square.  The two-block decomposition (C7,
+C8) reads B_inf's (0, 0) and B_0's (inf, inf) quarter, each composed on its
+own at a quarter of a block's flops.  So after C1 no whole composed matrix
+is alive, and up to C8 no N x N matrix but A and L is held from one check
+to the next.
+At most about 2.25 N^2 doubles are alive at once (two N x N matrices and a
 check's quarter-size buffers), besides tiles and Lanczos vectors: a traced
-peak of 2.53 N^2 doubles, 111 MiB at N = 2400 (2.55 at N = 1600).
+peak of 2.26 N^2 doubles, in C5, at N = 1600 and N = 2400.  After each step
+the C library's heap hands its free memory back (``_heap_trimmer``), so a
+step's freed arrays do not stay resident through the next.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -85,7 +90,7 @@ from . import discretize as dz
 from .errors import DomainError
 from .kernels import rational_test_family
 from .linalg import op_norm, singular_values, sym_eigen
-from .quadrature import ROW_BLOCK, Grid, UpperStrips, check_step, make_grid, quad_integral
+from .quadrature import ROW_BLOCK, Grid, check_step, make_grid, quad_integral
 from .spectra import analyze, predict, schatten_diagnostic
 from .specfun import check_alpha, pi_alpha
 
@@ -102,6 +107,28 @@ COMPOSITION_CAP = 1e-2
 HS_REL_TOL = 2e-2
 HS_WITNESS_RATIO = 1.3
 NUCLEAR_GROWTH_CAP = 1.10
+
+
+def _heap_trimmer() -> Optional[Callable[[], None]]:
+    """glibc's ``malloc_trim(0)``, or None where the C library has none.
+
+    glibc serves arrays below its mmap threshold from the heap, and that
+    threshold rises to the size of the largest array freed so far, up to
+    32 MiB, so an N = 1600 step holds its N x N arrays there.  It gives a
+    freed heap top back only when the top reaches twice that threshold:
+    after the (12, 1600) step the freed top was 38.4 MiB against a trim
+    threshold of 39.1 MiB in some runs, and it stayed resident through the
+    next step, 22 MB on the peak RSS of ``verify`` at (14, 2400).  So the
+    suite hands the heap's free memory back after each ladder step."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (OSError, AttributeError, TypeError):
+        return None
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    return lambda: trim(0)
+
+
+_trim_heap = _heap_trimmer()
 
 
 @dataclass(frozen=True)
@@ -175,21 +202,9 @@ class _GridPieces:
 
     @cached_property
     def wide(self):
-        """The widened square L 1_inf L + L 1_0 L.  L 1_inf L is kept as
-        copies of its upper row strips across the second product, and the
-        sum is formed in place in L 1_0 L: both blocks are exactly symmetric
-        (``dz.composed_block``) and a + b == b + a, so the sum has the bits
-        of the whole-array one."""
-        block = dz.composed_block(self.Lr, "infinity").entries
-        # a Gram matrix, whose largest entry is on its diagonal
-        view = UpperStrips.of(block, float(block.diagonal().max()))
-        packed = UpperStrips(view.n, tuple(strip.copy() for strip in view.strips), view.amax)
-        del block, view
-        wide = _writable(dz.composed_block(self.Lr, "zero"))
-        for r0, r1, strip in packed.row_strips():
-            wide[r0:r1, r0:] += strip
-            wide[r1:, r0:r1] += strip[:, r1 - r0 :].T
-        return wide
+        """The widened square Lr Lr^T = L 1_inf L + L 1_0 L, writable: C1
+        forms its residual in it."""
+        return _writable(dz.operator_square(self.Lr))
 
     # The two-block decomposition (C7, C8) reads only the (0, 0) quarter of
     # L 1_inf L and the (inf, inf) quarter of L 1_0 L, each composed as its
@@ -336,6 +351,9 @@ def _check_c6(alpha: float, p: _GridPieces):
             "sigma_ratio_10_1": float(sv[9] / sv[0]) if sv.size >= 10 and sv[9] > floor else 0.0,
         }
         ok = ok and diag.verdict == "super_polynomial"
+        if label == "L_ii":
+            # no check after C6 reads L: it goes before the cross block's solve
+            p.free("L")
         if label == "A_0i":
             row[label]["nuclear"] = float(sv.sum())
     return row, ok
@@ -477,13 +495,13 @@ _CHECKS: Dict[str, Tuple[str, str, Callable[[Sequence[dict]], bool]]] = {
 # The step checks in the order they run on each ladder step, with the
 # _GridPieces pieces each reads.  Each piece is freed after the last
 # selected check of the step that reads it, also when that check aborts.
-# The order keeps no whole composed block past C1 and at most two other
-# N x N matrices alive at once: C1 drops the sum of the two blocks before L
-# exists, L goes after C6, before C3 makes H(phi0), C8 drops A once the
-# model cloud is solved, before the weighted Hankel matrix comes, and C7
-# forms its residual in that matrix.  The quarters are composed by C8 (by
-# C7 when it runs without C8, from a widened factor that then goes with
-# the step).
+# The order keeps no whole composed matrix past C1 and at most two N x N
+# matrices alive at once: C1 drops the widened square before L exists, C6
+# drops L before it solves the cross block of A, so L is gone before C3
+# makes H(phi0), C8 drops A once the model cloud is solved, before the
+# weighted Hankel matrix comes, and C7 forms its residual in that matrix.
+# The quarters are composed by C8 (by C7 when it runs without C8, from a
+# widened factor that then goes with the step).
 _STEP_PIECES: Dict[str, Tuple[str, ...]] = {
     "C1": ("wide", "Lr", "A", "L"),
     "C5": ("L",),
@@ -565,6 +583,8 @@ def run_suite(
             for piece in set(_STEP_PIECES[name]) - later:
                 p.free(piece)
         del p  # the step's operators go before the next step's are built
+        if _trim_heap is not None:
+            _trim_heap()
 
     results = []
     for name in selected:

@@ -34,6 +34,14 @@ from hankellab.quadrature import COL_BLOCK, ROW_BLOCK
 from hankellab.specfun import phi_split, psi_minus, psi_plus
 
 LADDER = [(6.0, 200), (8.0, 400), (10.0, 800)]
+EPS = np.finfo(float).eps
+
+
+def gram_bound(n, m):
+    """The first-order bound on |G - H H^T| / max|G| for the Gram matrix G of
+    an n x m Hankel matrix H that the displacement recurrence gives
+    (``discretize._hankel_gram``): (m / 2 + 2 n) eps."""
+    return (m / 2 + 2 * n) * EPS
 
 
 class TestAssembly:
@@ -128,18 +136,45 @@ class TestOperatorSquare:
         assert all(b < a for a, b in zip(leaks, leaks[1:]))
         assert leaks[-1] > 0.1  # the leakage is an O(1) truncation effect
 
+    @pytest.mark.parametrize("alpha", [-0.25, 0.0, 0.5, 2.0])
+    @pytest.mark.parametrize("R,N", [(6.0, 200), (10.0, 800), (12.0, 1600), (16.0, 3200)])
+    def test_recurrence_matches_the_product_of_the_gathered_factor(self, R, N, alpha):
+        # oracle: a GEMM (syrk) of the factor gathered here, which is within
+        # (m / 2) eps max|G| of the exact product, so the two differ by at
+        # most gram_bound(n, m) + (m / 2) eps = (m + 2 n) eps relative; 46 eps
+        # measured at most
+        grid = make_grid(R, N)
+        Lr = assemble_L_rect(alpha, grid)
+        cases = [(operator_square(Lr), slice(None), slice(None))]
+        for inner in ("zero", "infinity"):
+            cols = Lr.col_grid.side(inner)
+            cases.append((composed_block(Lr, inner), slice(None), cols))
+            for outer in ("zero", "infinity"):
+                cases.append((composed_block(Lr, inner, outer), grid.side(outer), cols))
+        for result, rows, cols in cases:
+            G = result.entries
+            H = np.ascontiguousarray(Lr.entries[rows, cols])
+            n, m = H.shape
+            assert G.shape == (n, n)
+            assert np.array_equal(G, G.T)
+            err = np.abs(G - H @ H.T).max()
+            del H
+            assert err <= (m + 2 * n) * EPS * np.abs(G).max()
+
     @pytest.mark.parametrize("alpha", [0.0, 0.5])
     def test_blocks_of_one_factor(self, alpha):
-        # 1_0 + 1_inf = 1 on the widened grid; the block products and the
-        # square sum their terms in different orders, so they agree to a few
-        # roundings of the largest entry
-        Lr = assemble_L_rect(alpha, make_grid(8.0, 400))
+        # 1_0 + 1_inf = 1 on the widened grid.  The two blocks (n = m = N)
+        # and the square (m = 2N) each lie within gram_bound of their exact
+        # products, and the blocks' largest entries are at most the square's
+        # (all are Gram matrices, whose diagonals add up), so with the sum's
+        # own rounding they agree to within (8N + 1) eps max|square|
+        N = 400
+        Lr = assemble_L_rect(alpha, make_grid(8.0, N))
         b0, bi = composed_block(Lr, "zero"), composed_block(Lr, "infinity")
-        for block in (b0, bi):
-            assert np.array_equal(block.entries, block.entries.T)
         sq = operator_square(Lr).entries
         err = np.abs(b0.entries + bi.entries - sq).max()
-        assert err <= 10 * np.finfo(float).eps * np.abs(sq).max()
+        bound = 2 * gram_bound(N, N) + gram_bound(N, 2 * N) + EPS
+        assert err <= bound * np.abs(sq).max()
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, -0.25, 2.0])
     @pytest.mark.parametrize(
@@ -147,11 +182,11 @@ class TestOperatorSquare:
     )
     def test_quarter_block_is_slice_of_whole(self, R, N, alpha):
         # the two-block decomposition composes each diagonal quarter as its
-        # own product; like the whole block it is exactly symmetric, and a
-        # different blocking of the same sums rounds differently by a few
-        # ulps of the largest entry: 1.2e-15 max|B| measured at orders
-        # 100-600, and the same bits at 400, 800, 1600 and 2400 on OpenBLAS
-        # 0.3.31
+        # own Gram matrix; like the whole block it is exactly symmetric.  The
+        # zero-side quarter is the whole block's chain for its first N/2
+        # rows, so it has their bits; the infinity-side quarter starts its
+        # chain at row N/2, and both sides lie within gram_bound of the
+        # exact quarter
         grid = make_grid(R, N)
         Lr = assemble_L_rect(alpha, grid)
         for inner in ("zero", "infinity"):
@@ -163,15 +198,18 @@ class TestOperatorSquare:
                 assert quarter.shape == (N // 2, N // 2)
                 assert np.array_equal(quarter, quarter.T)
                 half = grid.side(outer)
+                if outer == "zero":
+                    assert np.array_equal(quarter, whole[half, half])
                 err = np.abs(quarter - whole[half, half]).max()
-                assert err <= 8 * np.finfo(float).eps * np.abs(whole).max()
+                bound = gram_bound(N // 2, N) + gram_bound(N, N)
+                assert err <= bound * np.abs(whole).max()
 
     def test_gathered_block_builds_no_factor(self, traced_peak):
-        # the block and one N x N gather of the side's columns from the
-        # factor's 3N - 1 values, never the 2 N^2 entries of the factor
+        # the block and a few vectors of the factor's 3N - 1 values: no
+        # gather of the side's columns and no N x 2N factor
         grid = make_grid(12.0, 1600)
         block, peak = traced_peak(lambda: composed_block(assemble_L_rect(0.5, grid), "zero"))
-        assert peak <= 2 * block.entries.nbytes + 8 * (3 * grid.N) * 8
+        assert peak <= block.entries.nbytes + 8 * (3 * grid.N) * 8
 
     @pytest.mark.parametrize("alpha", [-0.25, 0.0, 0.5, 2.0])
     @pytest.mark.parametrize("R,N", [(6.0, 200), (8.0, 400), (10.0, 800), (12.0, 1600), (14.0, 2400)])

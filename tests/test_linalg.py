@@ -204,6 +204,28 @@ class TestSymEigen:
         ref = scipy.linalg.eigvalsh(M * 1e-290) / 1e-290
         assert np.abs(eigs - ref).max() <= 1e-14 * np.abs(ref).max()
 
+    @pytest.mark.parametrize("n", [200, 1200])
+    def test_near_symmetric_entries_in_the_top_binade(self, n, traced_peak):
+        # max|M| in [2^1023, 2^1024), where a_ij + a_ji overflows: the gate
+        # forms 1/2 a_ij + 1/2 a_ji, exactly symmetric and with the bits of
+        # the gate on M / 2^600 times 2^600, in one array of M's size plus
+        # tiles; the solve (dense at 200, low-rank at 1200) agrees with the
+        # solve of M / 2^600 times 2^600 to a dense solve's accuracy
+        u = 1e-3 * (1.5 + np.cos(0.3 * np.arange(n)))
+        u[0] = 1.2e154
+        M = np.outer(u, u)
+        M[0, 1] *= 1.0 + 2.0**-45
+        assert 2.0**1023 <= np.abs(M).max() < np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (S, amax, asym), peak = traced_peak(lambda: _symmetric(M))
+            eigs = sym_eigen(M)
+        assert 0.0 < asym <= 1e-12 and np.array_equal(S, S.T)
+        assert np.array_equal(S, _symmetric(M * 2.0**-600)[0] * 2.0**600)
+        assert peak <= M.nbytes + 4 * 8 * ROW_BLOCK**2
+        ref = sym_eigen(M * 2.0**-600) * 2.0**600
+        assert np.abs(eigs - ref).max() <= n * np.finfo(float).eps * eigs[-1]
+
 
 # the benchmark's four spectrum families: kernel -> (alpha, (kernel, weight))
 _FAMILIES = {
@@ -469,6 +491,26 @@ class TestLowRankRoute:
             values, certificate = lowrank(M)
         ref = scipy.linalg.eigh(M * 1e-290, eigvals_only=True)
         assert np.linalg.norm(values * 1e-290 - ref) <= certificate * 1e-290
+
+    def test_entries_in_the_top_binade(self):
+        # max|S| in [2^1023, 2^1024) makes the scale 2^-1024, and W / scale
+        # is at most max|theta| / scale, so with a finite top eigenvalue
+        # nothing overflows.  A rank-1 u u^T dominated by u_0, with |u|^2
+        # finite, against the route on M / 2^600 times 2^600 (the thin
+        # factors of the first are subnormal, so the two agree to rounding,
+        # not in their bits)
+        n = 1200
+        u = 1e-3 * (1.5 + np.cos(0.3 * np.arange(n)))
+        u[0] = 1.2e154
+        M = np.outer(u, u)
+        assert np.array_equal(M, M.T) and 2.0**1023 <= np.abs(M).max()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values, certificate = lowrank(M)
+        small, _ = lowrank(M * 2.0**-600)
+        assert np.isfinite(certificate) and np.count_nonzero(values) == 1
+        assert values[-1] == pytest.approx(u @ u, rel=1e-15)
+        assert np.abs(values - small * 2.0**600).max() <= n * np.finfo(float).eps * values[-1]
 
     @pytest.mark.parametrize("kernel", list(_FAMILIES))
     def test_spectral_metrics_match_dense_route(self, kernel):

@@ -98,6 +98,7 @@ class TestRunSuite:
             "assemble_wHa",
             "phi0_and_split_defect",
             "assemble_L_rect",
+            "operator_square",
             "composed_block",
             "composed_map",
             "assemble_model_split",
@@ -120,8 +121,9 @@ class TestRunSuite:
             # one widened factor per step, a view of its 3N - 1 values, and
             # one more per C4 grid
             "assemble_L_rect": steps + len(verify._HS_GRIDS),
-            # both whole blocks for C1 and the two quarters for C7 and C8
-            "composed_block": 4 * steps,
+            "operator_square": steps,  # C1's widened square
+            # the two quarters for C7 and C8; no whole block
+            "composed_block": 2 * steps,
             "composed_map": steps,  # C3's L 1_inf L
             # no H(phi_inf) matrix
             "assemble_model_split": 0,
@@ -188,15 +190,23 @@ class TestRunSuite:
         assert aborted == ([abort] if abort else [])
 
     def test_step_memory(self, traced_peak):
-        # no whole composed block past C1, and at most two other N x N
-        # matrices at once (C1: L 1_inf L's upper strips, 0.52 N^2, beside
-        # the gather and the product of L 1_0 L; then the sum and A, and A
-        # and L; C3: A and H(phi0)), plus tiles, Lanczos vectors and the
-        # quarter-size buffers of a check: 2.55 N^2 doubles measured, in
-        # C1's second product (3.65 N^2 when C3 read L 1_inf L whole)
+        # no whole composed block past C1, and at most two N x N matrices at
+        # once (C1: the widened square and A, then A and L; C6 drops L
+        # before the cross block's solve; C3: A and H(phi0)), plus tiles,
+        # Lanczos vectors and the quarter-size buffers of a check: 2.27 N^2
+        # doubles measured, in C5 (2.55 when C1 composed two blocks by
+        # products and C6 held L to its end), so a margin of 0.13 N^2
         N = 1600
         _, peak = traced_peak(lambda: run_suite(0.5, [(12.0, N)], family=FAMILY))
-        assert peak <= 2.8 * 8 * N**2
+        assert peak <= 2.4 * 8 * N**2
+
+    def test_heap_trimmed_after_each_step(self, monkeypatch):
+        # the freed heap of one step is handed back before the next step's
+        # operators are built (where the C library has malloc_trim)
+        calls = []
+        monkeypatch.setattr(verify, "_trim_heap", lambda: calls.append(1))
+        run_suite(0.5, SHORT_LADDER, checks=["C2"])
+        assert len(calls) == len(SHORT_LADDER)
 
     def test_c5_memory_stays_at_quarter_size(self, traced_peak):
         # with the step's other operators alive, C5 holds one quarter-size
@@ -226,11 +236,13 @@ class TestRunSuite:
 
     @pytest.mark.parametrize("route", ["whole", "alone"])
     def test_pieces_have_the_bits_of_the_whole_blocks(self, route):
-        # "whole": the widened square comes first; it holds L 1_inf L as its
-        # upper strips and adds it into L 1_0 L in place, with the bits of
-        # the whole-array sum, as both blocks are exactly symmetric and
-        # a + b == b + a.  "alone": the quarters come with no widened
-        # square.  Either way each quarter is its own product
+        # "whole": the widened square comes first, with the bits of
+        # operator_square, and within rounding of the sum of the two whole
+        # blocks: each of the three is within (m / 2 + 2 N) eps of its exact
+        # Gram matrix (m = N for a block, 2N for the square; see
+        # tests/test_discretize.py), and the blocks' largest entries are at
+        # most the square's.  "alone": the quarters come with no widened
+        # square.  Either way each quarter is its own Gram matrix
         # (tests/test_discretize.py holds it to the whole block's quarter),
         # and no whole block is kept
         for alpha in (-0.25, 0.0, 0.5, 2.0):
@@ -239,8 +251,10 @@ class TestRunSuite:
                 Lr = dz.assemble_L_rect(alpha, grid)
                 p = _GridPieces(alpha, grid, FAMILY)
                 if route == "whole":
+                    assert np.array_equal(p.wide, dz.operator_square(Lr).entries)
                     B_inf, B_0 = (dz.composed_block(Lr, side).entries for side in ("infinity", "zero"))
-                    assert np.array_equal(p.wide, np.add(B_inf, B_0))
+                    bound = (2 * (N / 2 + 2 * N) + (N + 2 * N) + 1) * np.finfo(float).eps
+                    assert np.abs(p.wide - (B_inf + B_0)).max() <= bound * np.abs(p.wide).max()
                 for quarter, inner, outer in (
                     (p.quarter_inf, "infinity", "zero"),
                     (p.quarter_0, "zero", "infinity"),
