@@ -22,12 +22,12 @@ The verification suite builds no N x 2N factor and no H(phi_inf) matrix.
 The widened square (:func:`operator_square`), each side's block and each
 diagonal quarter of a block (:func:`composed_block`) are Gram matrices of
 Hankel matrices, so they are built in O(N^2) from the factor's values by
-the displacement recurrence of :func:`_hankel_gram`, each with no other
-N x N array and no N^3 product; :func:`composed_map` applies a block by FFT
-from the 2N - 1 values of its side, and :func:`phi0_and_split_defect` gives
-H(phi0) with the split defect from one tile walk.  A verify step holds
-about 2.25 N^2 doubles at its peak, tiles and quarter-size buffers
-included (see ``verify``).
+the displacement recurrence of :func:`_gram_rows`, each with no other
+N x N array and no N^3 product; :func:`subtract_composed_block` takes a
+block's rows from the same recurrence off an array in place, with O(N)
+memory, and :func:`phi0_and_split_defect` gives H(phi0) with the split
+defect from one tile walk.  A verify step holds about 2.25 N^2 doubles at
+its peak, tiles and quarter-size buffers included (see ``verify``).
 ``spectrum`` takes its weighted Hankel matrix from
 :func:`assemble_wHa_strips`, as the packed upper row strips of
 ``quadrature.UpperStrips``, and never builds it as an N x N array.
@@ -66,7 +66,7 @@ __all__ = [
     "assemble_L_rect",
     "operator_square",
     "composed_block",
-    "composed_map",
+    "subtract_composed_block",
     "assemble_uL",
     "assemble_model_split",
     "phi0_and_split_defect",
@@ -134,16 +134,18 @@ def _hankel_values(E: np.ndarray) -> np.ndarray:
     return np.concatenate([E[0], E[1:, -1]])
 
 
-def _hankel_gram(h: np.ndarray, n: int) -> np.ndarray:
-    """The Gram matrix G = H H^T of the n x m Hankel matrix H_ij = h_(i+j),
-    m = len(h) - n + 1, from its values alone: no H and no O(n^2 m) product.
+def _gram_rows(h: np.ndarray, n: int, store: np.ndarray):
+    """The rows of the Gram matrix G = H H^T of the n x m Hankel matrix
+    H_ij = h_(i+j), m = len(h) - n + 1, from its values alone: no H and no
+    O(n^2 m) product.  Row i is formed and yielded in ``store[i % k]``,
+    ``store`` k >= 2 rows of length n, and lives until row i + k is formed.
 
     G_ik = sum_j h_(i+j) h_(k+j) has displacement rank 2:
     G_(i+1,k+1) = G_ik - h_i h_k + h_(i+m) h_(k+m) (Kailath & Sayed, SIAM
     Rev. 37, 1995).  Row 0 is one correlation of h with its first m values;
     each later row comes from the row above in O(n), formed in that order,
-    and column 0 is a copy of row 0.  h_i h_k == h_k h_i, so by induction
-    G is exactly symmetric.  O(n m + n^2) flops and one n x n array.
+    and its entry 0 is a copy of row 0's entry.  h_i h_k == h_k h_i, so by
+    induction G is exactly symmetric.  O(n m + n^2) flops.
 
     Rounding, with M = max|G| = max_i G_ii (a Gram matrix) and u = eps / 2:
     |h_i h_k| <= sqrt(G_ii G_kk) <= M, and so are h_(i+m) h_(k+m) and the
@@ -154,24 +156,33 @@ def _hankel_gram(h: np.ndarray, n: int) -> np.ndarray:
     to first order; a GEMM of H is within (m / 2) eps M of it, so the two
     differ by at most (m + 2 n) eps M.  Measured: at most 46 eps M at
     orders 800-3200, alpha in [-0.25, 2]."""
-    m = len(h) - n + 1
-    G = np.empty((n, n))
-    G[0] = np.correlate(h, h[:m], "valid")
-    G[1:, 0] = G[0, 1:]
+    m, k = len(h) - n + 1, len(store)
+    row0 = np.correlate(h, h[:m], "valid")
+    store[0] = row0
+    yield store[0]
     first, last, term = h[: n - 1], h[m : m + n - 1], np.empty(n - 1)
     for i in range(n - 1):
-        row = G[i + 1, 1:]
+        above, row = store[i % k], store[(i + 1) % k]
+        row[0] = row0[i + 1]
         np.multiply(first, h[i], out=term)
-        np.subtract(G[i, :-1], term, out=row)
+        np.subtract(above[:-1], term, out=row[1:])
         np.multiply(last, h[i + m], out=term)
-        row += term
+        row[1:] += term
+        yield row
+
+
+def _hankel_gram(h: np.ndarray, n: int) -> np.ndarray:
+    """The Gram matrix of :func:`_gram_rows`, each row formed in its own row."""
+    G = np.empty((n, n))
+    for _ in _gram_rows(h, n, G):
+        pass
     return G
 
 
 def operator_square(Lr: OperatorMatrix) -> OperatorMatrix:
     """Quadrature approximation of the operator square of the factor operator:
     Lr Lr^T for the widened factor ``Lr`` of :func:`assemble_L_rect`, an
-    N x 2N Hankel matrix, by the recurrence of :func:`_hankel_gram` from its
+    N x 2N Hankel matrix, by the recurrence of :func:`_gram_rows` from its
     3N - 1 values.
 
     The inner integral runs over the widened grid, so the result converges to
@@ -187,7 +198,7 @@ def composed_block(
     """L * (indicator of one side of 1) * L on the row grid from the widened
     factor ``Lr``: C C^T, C the N x N Hankel matrix of the columns of ``Lr``
     on that side of 1 (the half ``Lr.col_grid.side(inner_side)``), by the
-    recurrence of :func:`_hankel_gram` from C's 2N - 1 values.  The two
+    recurrence of :func:`_gram_rows` from C's 2N - 1 values.  The two
     sides' blocks sum to :func:`operator_square` up to rounding.
 
     With ``outer_side`` only the block's diagonal quarter on that side of 1
@@ -207,29 +218,15 @@ def composed_block(
     return OperatorMatrix(grid=Lr.grid, entries=G, provenance=provenance)
 
 
-def composed_map(Lr: OperatorMatrix, inner_side: str) -> Callable[[np.ndarray], np.ndarray]:
-    """The map x -> C (C x) of :func:`composed_block`'s C C^T, with C applied
-    by FFT from its 2N - 1 antidiagonal values c_k (C_ij = c_(i+j), the
-    first row and the last column of its half of ``Lr``), so neither C nor
-    the block is built: O(N) memory and O(N log N) flops per product, for
-    a vector or the columns of an N-row array.
-
-    C x is the slice [N - 1, 2N - 1) of the convolution of c with x
-    reversed; a circular convolution of length M >= 2N - 1 (the next power
-    of two) leaves that slice free of wrap-around.  The map agrees with the
-    product with the block to within 2.6 N eps max|C C^T| max|x| measured at
-    orders 200-2400."""
+def subtract_composed_block(M: np.ndarray, Lr: OperatorMatrix, inner_side: str) -> None:
+    """M -= :func:`composed_block` (Lr, inner_side), in place and row by row
+    from the rows of :func:`_gram_rows`, for a writable N x N array ``M``:
+    the bits of ``M - composed_block(Lr, inner_side).entries`` with O(N)
+    memory and no block.  Both are exactly symmetric when ``M`` is, since
+    m_ik - g_ik and m_ki - g_ki have the same operands."""
     c = _hankel_values(Lr.entries[:, Lr.col_grid.side(inner_side)])
-    n = (len(c) + 1) // 2
-    size = 1 << (2 * n - 2).bit_length()
-    c_hat = np.fft.rfft(c, size)
-
-    def apply_C(x: np.ndarray) -> np.ndarray:
-        x_hat = np.fft.rfft(x[::-1], size, axis=0)
-        x_hat *= c_hat if x.ndim == 1 else c_hat[:, np.newaxis]
-        return np.fft.irfft(x_hat, size, axis=0)[n - 1 : 2 * n - 1]
-
-    return lambda x: apply_C(apply_C(np.asarray(x, dtype=float)))
+    for i, row in enumerate(_gram_rows(c, Lr.grid.N, np.empty((2, Lr.grid.N)))):
+        M[i] -= row
 
 
 def assemble_uL(u: Callable, Lr: OperatorMatrix) -> OperatorMatrix:

@@ -346,11 +346,14 @@ def _lowrank_eigvalsh(P: UpperStrips, scale: float) -> Optional[Tuple[np.ndarray
         T = Q.T @ (P @ (Q * scale))
         T = 0.5 * (T + T.T)
         theta = np.linalg.eigvalsh(T)
+        top = float(np.abs(theta).max(initial=0.0))
         # each strip of X is formed in S's units, so that the strip is
         # subtracted in place, and scaled back before its squares are summed:
         # |diagonal block|^2 + 2 |right part|^2 = 2 |strip|^2 - |diagonal block|^2.
         # |W / scale| is at most max|theta| / scale to rounding (Q's rows have
         # norm <= 1), so it overflows only with eigenvalues past the largest double
+        if math.isinf(top / scale):
+            raise EigenSolverError("matrix has eigenvalues past the largest double")
         W = T @ Q.T
         W /= scale
         resid_sq = 0.0
@@ -360,7 +363,6 @@ def _lowrank_eigvalsh(P: UpperStrips, scale: float) -> Optional[Tuple[np.ndarray
             diff *= scale
             corner, flat = diff[:, : r1 - r0].ravel(), diff.ravel()
             resid_sq += 2.0 * float(flat @ flat) - float(corner @ corner)
-        top = float(np.abs(theta).max(initial=0.0))
         resid = math.sqrt(resid_sq)
         orth = float(np.linalg.norm(Q.T @ Q - np.eye(Q.shape[1])))
         small = np.abs(theta) <= resid
@@ -396,9 +398,12 @@ def _sym_eigvalsh(P: UpperStrips) -> np.ndarray:
     scale = _scale_for(P.amax)
     try:
         found = _lowrank_eigvalsh(P, scale)
-        return found[0] if found is not None else _dense_eigvalsh(P, scale)
+        values = found[0] if found is not None else _dense_eigvalsh(P, scale)
     except np.linalg.LinAlgError as exc:
         raise EigenSolverError(f"eigensolver failed to converge: {exc}") from exc
+    if not np.isfinite(values).all():
+        raise EigenSolverError("matrix has eigenvalues past the largest double")
+    return values
 
 
 def _svdvals(A: np.ndarray) -> np.ndarray:
@@ -418,7 +423,8 @@ def sym_eigen(M) -> np.ndarray:
     An array must be finite and symmetric to 1e-12 relative; the eigenvalues
     are those of S = 1/2 (M + M^T), which is M itself when M is exactly
     symmetric, so they are real by construction.  The packed form is
-    exactly symmetric and finite as built, and is not scanned.  From order
+    exactly symmetric and finite as built, and is not scanned.  An
+    eigenvalue past the largest double raises EigenSolverError.  From order
     256 on they may come from the certified low-rank route (see the module
     docstring and ``_lowrank_eigvalsh``): every value lies within
     n * eps * max|lambda| of the exact one, and the values outside the

@@ -49,9 +49,9 @@ selected check of the step that reads it, also when that check aborts:
   C6      reads L and drops it after the two L blocks, before it solves
           the cross block of A
   C3      reads A; takes H(phi0) and its split defect from one tile walk,
-          with no H(phi_inf) matrix, and its composition residual as the
-          operator norm of the map x -> H(phi0) x - C (C x), C applied by FFT
-          from the factor's values (``discretize.composed_map``)
+          with no H(phi_inf) matrix, subtracts L 1_inf L from H(phi0) in
+          place, row by row (``discretize.subtract_composed_block``), and
+          takes the operator norm of that residual
   C2      reads A
   C8      solves the model cloud and drops A, then composes the two
           quarters and builds the weighted Hankel matrix
@@ -267,15 +267,8 @@ def _check_c3(alpha: float, p: _GridPieces):
     A = p.A.entries
     H0, defect = dz.phi0_and_split_defect(alpha, p.grid, A)
     split = defect / max(float(A.max()), -float(A.min()))
-    # H(phi0) - L 1_inf L as a map, with L 1_inf L = C C applied by FFT: no
-    # block is built.  Unlike C1's, this residual is a quadrature error
-    # c h^2 (2.1e-8 to 3.7e-5 on the default ladder at alpha in [-0.25, 5]),
-    # eight orders of magnitude or more above the map's rounding of about
-    # eps max|L 1_inf L|: against the whole block it moved by at most
-    # 6.3e-11 relative
-    compose = dz.composed_map(p.Lr, "infinity")
-    comp = op_norm(lambda x: H0 @ x - compose(x), len(H0))
-    return {"split_error": split, "composition_residual": comp}, split <= EXACT_TOL
+    dz.subtract_composed_block(H0, p.Lr, "infinity")
+    return {"split_error": split, "composition_residual": op_norm(H0)}, split <= EXACT_TOL
 
 
 _HS_BATTERY = (

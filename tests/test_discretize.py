@@ -16,6 +16,9 @@ from hankellab import (
     sym_eigen,
 )
 from hankellab.discretize import (
+    _gram_rows,
+    _hankel_gram,
+    _hankel_values,
     assemble_A,
     assemble_L,
     assemble_L_rect,
@@ -23,10 +26,10 @@ from hankellab.discretize import (
     assemble_wHa,
     change_of_variables_diagonal,
     composed_block,
-    composed_map,
     log_pushforward_hankel,
     operator_square,
     phi0_and_split_defect,
+    subtract_composed_block,
     widened_grid,
 )
 from hankellab.kernels import kernel_L, rational_test_family
@@ -40,8 +43,21 @@ EPS = np.finfo(float).eps
 def gram_bound(n, m):
     """The first-order bound on |G - H H^T| / max|G| for the Gram matrix G of
     an n x m Hankel matrix H that the displacement recurrence gives
-    (``discretize._hankel_gram``): (m / 2 + 2 n) eps."""
+    (``discretize._gram_rows``): (m / 2 + 2 n) eps."""
     return (m / 2 + 2 * n) * EPS
+
+
+def gram_by_rows(h, n):
+    """Reference: the recurrence written out on one n x n array, row i + 1
+    formed from row i in place and column 0 copied from row 0."""
+    m = len(h) - n + 1
+    G = np.empty((n, n))
+    G[0] = np.correlate(h, h[:m], "valid")
+    G[1:, 0] = G[0, 1:]
+    for i in range(n - 1):
+        G[i + 1, 1:] = G[i, :-1] - h[: n - 1] * h[i]
+        G[i + 1, 1:] += h[m : m + n - 1] * h[i + m]
+    return G
 
 
 class TestAssembly:
@@ -211,30 +227,39 @@ class TestOperatorSquare:
         block, peak = traced_peak(lambda: composed_block(assemble_L_rect(0.5, grid), "zero"))
         assert peak <= block.entries.nbytes + 8 * (3 * grid.N) * 8
 
-    @pytest.mark.parametrize("alpha", [-0.25, 0.0, 0.5, 2.0])
-    @pytest.mark.parametrize("R,N", [(6.0, 200), (8.0, 400), (10.0, 800), (12.0, 1600), (14.0, 2400)])
-    def test_composed_map_matches_the_block_product(self, R, N, alpha):
-        # C (C x) by FFT from C's 2N - 1 values against the product with
-        # the block C C^T, for vectors with max|x| = 1: at most
-        # 2.6 N eps max|B| measured, 11 eps relative to max|B x|
+    @pytest.mark.parametrize("alpha", [-0.25, 0.5, 2.0])
+    @pytest.mark.parametrize("R,N", [(6.0, 200), (10.0, 800), (12.0, 1600), (14.0, 2400)])
+    def test_rows_in_two_buffers_have_the_gram_bits(self, R, N, alpha):
+        # the recurrence's rows formed in two alternating rows, as the
+        # in-place subtraction takes them, and stored whole, against the
+        # recurrence written out here (same operations, so the same bits);
+        # the side's block (n = m = N) and the widened square (m = 2N)
         Lr = assemble_L_rect(alpha, make_grid(R, N))
-        x = np.cos(0.7 * np.arange(N) + 0.3)
-        X = np.stack([x, x[::-1], np.ones(N)], axis=1)
-        for side in ("zero", "infinity"):
-            B = composed_block(Lr, side).entries
-            bound = 8 * N * np.finfo(float).eps * np.abs(B).max()
-            apply = composed_map(Lr, side)
-            assert np.abs(apply(x) - B @ x).max() <= bound
-            assert np.abs(apply(X) - B @ X).max() <= bound
+        for h in (_hankel_values(Lr.entries[:, Lr.col_grid.side("infinity")]), _hankel_values(Lr.entries)):
+            ref = gram_by_rows(h, N)
+            rows = np.array([row.copy() for row in _gram_rows(h, N, np.empty((2, N)))])
+            assert np.array_equal(rows, ref) and np.array_equal(_hankel_gram(h, N), ref)
 
-    def test_composed_map_builds_no_block(self, traced_peak):
-        # the map holds the FFT of C's 2N - 1 values, and a product takes
-        # a few vectors of the FFT's length, 4096 <= 2N - 1 < 8192 here
+    @pytest.mark.parametrize("alpha", [-0.25, 0.0, 0.5, 2.0])
+    @pytest.mark.parametrize("R,N", [(6.0, 200), (10.0, 800), (14.0, 2400)])
+    def test_subtracted_block_has_the_bits_of_the_difference(self, R, N, alpha):
+        # in place from an exactly symmetric H(phi0): the bits of the
+        # whole-array difference, so exactly symmetric too
+        grid = make_grid(R, N)
+        Lr = assemble_L_rect(alpha, grid)
+        H0, _ = phi0_and_split_defect(alpha, grid, assemble_A(alpha, grid).entries)
+        expected = H0 - composed_block(Lr, "infinity").entries
+        subtract_composed_block(H0, Lr, "infinity")
+        assert np.array_equal(H0, expected) and np.array_equal(H0, H0.T)
+
+    def test_subtracted_block_builds_no_block(self, traced_peak):
+        # the side's 2N - 1 values and a few rows: O(N) doubles (6.1 N
+        # measured), where a block takes N^2
         grid = make_grid(14.0, 2400)
         Lr = assemble_L_rect(0.5, grid)
-        x = np.ones(grid.N)
-        _, peak = traced_peak(lambda: composed_map(Lr, "infinity")(x))
-        assert peak <= 8 * 8192 * 8
+        M = np.zeros((grid.N, grid.N))
+        _, peak = traced_peak(lambda: subtract_composed_block(M, Lr, "infinity"))
+        assert peak <= 8 * grid.N * 8
 
     def test_widened_grid_step_matches(self):
         grid = make_grid(6.0, 200)

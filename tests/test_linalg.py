@@ -226,6 +226,19 @@ class TestSymEigen:
         ref = sym_eigen(M * 2.0**-600) * 2.0**600
         assert np.abs(eigs - ref).max() <= n * np.finfo(float).eps * eigs[-1]
 
+    @pytest.mark.parametrize("n", [200, 1200])
+    def test_eigenvalues_past_the_largest_double_raise(self, n):
+        # finite, exactly symmetric entries up to 1.7e308 whose top
+        # eigenvalues overflow: the dense route (order 200) returned inf and
+        # the low-rank route (order 1200) overflowed in W / scale; both are
+        # named, with no numpy warning (RuntimeWarning is an error here)
+        W = assemble_wHa(*rational_test_family(0.5, 2.0, 1.0, 1.0, 2.0), make_grid(10.0, n)).entries
+        M = W / np.abs(W).max() * 1.7e308
+        assert np.array_equal(M, M.T) and np.isfinite(M).all()
+        for solve in (sym_eigen, singular_values):
+            with pytest.raises(EigenSolverError, match="^matrix has eigenvalues past the largest double$"):
+                solve(M)
+
 
 # the benchmark's four spectrum families: kernel -> (alpha, (kernel, weight))
 _FAMILIES = {
