@@ -1,25 +1,23 @@
 """Symmetric eigenvalues, singular values, and the operator /
 Hilbert-Schmidt / nuclear norms.
 
-Every matrix the suite solves is symmetric: verify's blocks and residuals
-exactly, C6's cross block with its columns reversed (a symmetric Hankel
-matrix) to rounding, and ``spectrum``'s weighted Hankel matrix exactly,
-which comes as the packed :class:`~hankellab.quadrature.UpperStrips`, its
-upper row strips alone, never an N x N array.  An array passes one gate,
-``_symmetric``, a scan in tiles that is its input validation: a non-finite
-entry raises EigenSolverError before any solve, a matrix further than 1e-12
-max|A| from symmetric is not symmetric, an exactly symmetric one is taken as
-it is, and any other is replaced by S = 1/2 (A + A^T), formed once and
-exactly symmetric.  S is then solved through views of its upper strips, so
-the symmetric matrices share one private route, held in one format; the
-singular values are the sorted absolute eigenvalues.  It first tries a
-certified low-rank solve: the suite's operators have few eigenvalues above
-the rounding level, because their symbols decay like e^(-pi |xi|) (97-109
-of 3200 above n * eps * max|lambda| for the four benchmark families at
-(16, 3200)).  A range finder from a fixed start block gives Y = S Omega
-with k columns, each product with S one pass over the strips:
-Y[r0:r1] += S[r0:r1, r0:] X[r0:] for a strip's rows and
-Y[r1:] += S[r0:r1, r1:]^T X[r0:r1] for its mirror.  Its numerical range is
+Every matrix the suite solves is exactly symmetric: verify's blocks and
+residuals, the symmetric part C6 forms of its cross block with the columns
+reversed, and ``spectrum``'s weighted Hankel matrix, which comes as the
+packed :class:`~hankellab.quadrature.UpperStrips`, its upper row strips
+alone, never an N x N array.  An array passes one gate, ``_symmetric``, a
+scan in tiles that is its input validation: a non-finite entry raises
+EigenSolverError before any solve, an array with A == A^T is symmetric and
+is taken as it is, and any other is not.  A symmetric S is solved through
+views of its upper strips, so the symmetric matrices share one private
+route, held in one format; the singular values are the sorted absolute
+eigenvalues.  It first tries a certified low-rank solve: the suite's
+operators have few eigenvalues above the rounding level, because their
+symbols decay like e^(-pi |xi|) (97-109 of 3200 above n * eps * max|lambda|
+for the four benchmark families at (16, 3200)).  A range finder from a
+fixed start block gives Y = S Omega with k columns, each product with S one
+pass over the strips: Y[r0:r1] += S[r0:r1, r0:] X[r0:] for a strip's rows
+and Y[r1:] += S[r0:r1, r1:]^T X[r0:r1] for its mirror.  Its numerical range is
 orthonormalised from Gram eigendecompositions alone (SVQB at two levels,
 about sqrt(eps) * |Y| each, so no Householder QR), and Rayleigh-Ritz on that
 basis of m <= k columns gives m eigenvalues; the other n - m are returned as
@@ -37,7 +35,8 @@ even-order matrix that is centrosymmetric to rounding as two half-size
 solves, any other as one ``eigvalsh``, accurate to about
 n * eps * max|lambda| as well.
 
-Any other matrix takes one dense SVD at every size.
+Any other matrix, one symmetric only to rounding too, takes one dense SVD
+at every size, and ``sym_eigen`` refuses it with its measured defect.
 
 The operator norm of a symmetric matrix, or of a symmetric linear map given
 by its action, is its largest |eigenvalue| from Lanczos with full
@@ -109,13 +108,14 @@ def _as_array(M) -> np.ndarray:
 
 
 def _asymmetry(A: np.ndarray) -> Tuple[float, float]:
-    """(max|A - A^T| / max|A|, max|A|) of a square matrix; raises
-    EigenSolverError on a non-finite entry, before any arithmetic on it.
-    The upper triangle is compared in square ``ROW_BLOCK`` tiles, A[I, J]
-    against A[J, I]^T, into one tile-sized buffer, and max|A| is read from
-    the same tiles, which cover every entry.  Each transposed tile is read
-    from ``ROW_BLOCK`` rows at a time; whole transposed strips
-    A[r0:, r0:r1]^T took 83 ms against 49 ms for the tiles at n = 3200."""
+    """(max|A - A^T|, max|A|) of a square matrix, the first 0 exactly when
+    A == A^T; raises EigenSolverError on a non-finite entry, before any
+    arithmetic on it.  The upper triangle is compared in square
+    ``ROW_BLOCK`` tiles, A[I, J] against A[J, I]^T, into one tile-sized
+    buffer, and max|A| is read from the same tiles, which cover every entry.
+    Each transposed tile is read from ``ROW_BLOCK`` rows at a time; whole
+    transposed strips A[r0:, r0:r1]^T took 83 ms against 49 ms for the tiles
+    at n = 3200."""
     n, asym, amax = A.shape[0], 0.0, 0.0
     buf = np.empty((ROW_BLOCK, ROW_BLOCK))
     for r0 in range(0, n, ROW_BLOCK):
@@ -130,37 +130,19 @@ def _asymmetry(A: np.ndarray) -> Tuple[float, float]:
                 amax = max(amax, top, -bottom)
             tile = np.subtract(upper, lower.T, out=buf[: r1 - r0, : c1 - c0])
             asym = max(asym, float(np.abs(tile, out=tile).max()))
-    return asym / max(amax, 1e-300), amax
+    return asym, amax
 
 
-def _symmetric(A: np.ndarray) -> Tuple[Optional[np.ndarray], float, float]:
-    """(S, max|S|, d) for an array A, d = max|A - A^T| / max|A|: S is A
-    itself when A == A^T, and S = 1/2 (A + A^T), formed once and exactly
-    symmetric, when A is square and d <= 1e-12; S is None for any other A
-    (d = inf when A is not square).  The one gate of every array the
-    symmetric route takes; raises EigenSolverError on a non-finite entry,
-    of a rectangular A too."""
+def _symmetric(A: np.ndarray) -> Tuple[float, float]:
+    """(max|A - A^T|, max|A|) for an array A, (inf, nan) when A is not
+    square: A is symmetric, and taken as it is, exactly when the first is 0.
+    The one gate of every array the symmetric route takes; raises
+    EigenSolverError on a non-finite entry, of a rectangular A too."""
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         if A.size and not (np.isfinite(A.min()) and np.isfinite(A.max())):
             raise EigenSolverError("matrix has non-finite entries")
-        return None, math.nan, math.inf
-    asym, amax = _asymmetry(A)
-    if not asym <= 1e-12:
-        return None, amax, asym
-    if asym > 0.0:
-        # 1/2 a_ij + 1/2 a_ji: no sum above max|A| (the bits of
-        # 1/2 (a_ij + a_ji) in the normal range), and a + b == b + a;
-        # A^T is read in square tiles, as in ``_asymmetry``
-        n, S = A.shape[0], np.multiply(A, 0.5)
-        buf = np.empty((ROW_BLOCK, ROW_BLOCK))
-        for r0 in range(0, n, ROW_BLOCK):
-            r1 = min(r0 + ROW_BLOCK, n)
-            for c0 in range(0, n, ROW_BLOCK):
-                c1 = min(c0 + ROW_BLOCK, n)
-                half = np.multiply(A[c0:c1, r0:r1].T, 0.5, out=buf[: r1 - r0, : c1 - c0])
-                S[r0:r1, c0:c1] += half
-        A, amax = S, max(float(S.max()), -float(S.min()))
-    return A, amax, asym
+        return math.inf, math.nan
+    return _asymmetry(A)
 
 
 def _scale_for(amax: float) -> float:
@@ -420,13 +402,12 @@ def sym_eigen(M) -> np.ndarray:
     """Ascending eigenvalues of a symmetric matrix, given as an array, an
     :class:`OperatorMatrix` or the packed :class:`UpperStrips`.
 
-    An array must be finite and symmetric to 1e-12 relative; the eigenvalues
-    are those of S = 1/2 (M + M^T), which is M itself when M is exactly
-    symmetric, so they are real by construction.  The packed form is
-    exactly symmetric and finite as built, and is not scanned.  An
-    eigenvalue past the largest double raises EigenSolverError.  From order
-    256 on they may come from the certified low-rank route (see the module
-    docstring and ``_lowrank_eigvalsh``): every value lies within
+    An array must be finite and exactly symmetric, M == M^T; any other
+    raises EigenSolverError with its measured defect max|M - M^T| / max|M|.
+    The packed form is exactly symmetric and finite as built, and is not
+    scanned.  An eigenvalue past the largest double raises EigenSolverError.
+    From order 256 on they may come from the certified low-rank route (see
+    the module docstring and ``_lowrank_eigvalsh``): every value lies within
     n * eps * max|lambda| of the exact one, and the values outside the
     numerical range are exactly 0.  Otherwise an even-order S that is
     centrosymmetric to rounding (JSJ = S with J the index reversal, as the
@@ -441,10 +422,10 @@ def sym_eigen(M) -> np.ndarray:
         M = _as_array(M)
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise EigenSolverError(f"expected a square matrix, got shape {M.shape}")
-        S, amax, asym = _symmetric(M)
-        if S is None:
-            raise EigenSolverError(f"matrix not symmetric: max|M - M^T| = {asym:.3e} max|M|")
-        M = UpperStrips.of(S, amax)
+        asym, amax = _symmetric(M)
+        if asym:
+            raise EigenSolverError(f"matrix not symmetric: max|M - M^T| = {asym / amax:.3e} max|M|")
+        M = UpperStrips.of(M, amax)
     return _sym_eigvalsh(M)
 
 
@@ -453,10 +434,10 @@ def singular_values(M) -> np.ndarray:
     matrix, one SVD of any other; raises EigenSolverError on a non-finite
     entry."""
     A = _as_array(M)
-    S, amax, _ = _symmetric(A)
-    if S is None:
+    asym, amax = _symmetric(A)
+    if asym:
         return _svdvals(A)
-    return np.sort(np.abs(_sym_eigvalsh(UpperStrips.of(S, amax))))[::-1]
+    return np.sort(np.abs(_sym_eigvalsh(UpperStrips.of(A, amax))))[::-1]
 
 
 def _lanczos_top(matvec: Callable[[np.ndarray], np.ndarray], n: int) -> float:
@@ -508,9 +489,8 @@ def op_norm(M, n: Optional[int] = None) -> float:
             raise TypeError("op_norm of a callable needs the dimension n of its domain")
         return _lanczos_top(M, n)
     A = _as_array(M)
-    S = _symmetric(A)[0]
-    if S is not None:
-        return _lanczos_top(lambda x: S @ x, S.shape[0])
+    if not _symmetric(A)[0]:
+        return _lanczos_top(lambda x: A @ x, A.shape[0])
     sv = _svdvals(A)
     return float(sv[0]) if sv.size else 0.0
 

@@ -230,7 +230,8 @@ class UpperStrips:
     own; :meth:`of` takes them as views of a full array A, of which they
     read nothing left of the diagonal blocks.  The matrix they then hold is
     A's strips mirrored below the diagonal blocks, which stay A's own: A
-    itself when A is symmetric.  Equality and hashing are by identity.
+    itself, as ``linalg`` takes only arrays with A == A^T.  Equality and
+    hashing are by identity.
     """
 
     n: int

@@ -5,6 +5,7 @@ low-rank route, numpy's eigvalsh for the Lanczos operator norm,
 the Hilbert-Schmidt integral identity)."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -49,7 +50,7 @@ from hankellab.linalg import (
 )
 from hankellab.quadrature import ROW_BLOCK, UpperStrips
 from hankellab.spectra import analyze, predict
-from hankellab.verify import _GridPieces, _residual_matrix
+from hankellab.verify import _cross_block, _GridPieces, _residual_matrix
 
 
 def lu_determinant(M):
@@ -78,11 +79,10 @@ def scale_of(M):
 
 
 def lowrank(M):
-    """The certified low-rank route on a symmetric array M as ``sym_eigen``
-    takes it: on views of the upper strips of the gate's exactly symmetric
-    matrix."""
-    S, amax, _ = _symmetric(M)
-    return _lowrank_eigvalsh(UpperStrips.of(S, amax), _scale_for(amax))
+    """The certified low-rank route on an exactly symmetric array M as
+    ``sym_eigen`` takes it: on views of its upper strips."""
+    amax = np.abs(M).max(initial=0.0)
+    return _lowrank_eigvalsh(UpperStrips.of(M, amax), _scale_for(amax))
 
 
 class TestSymEigen:
@@ -113,6 +113,20 @@ class TestSymEigen:
     def test_rejects_rectangular(self):
         with pytest.raises(EigenSolverError):
             sym_eigen(np.zeros((2, 3)))
+
+    def test_one_ulp_from_symmetric_is_not_symmetric(self):
+        # symmetric only to rounding is not symmetric: sym_eigen names the
+        # measured defect, and singular_values and op_norm take one SVD of
+        # the array as it is
+        M = assemble_A(0.5, make_grid(8.0, 400)).entries.copy()
+        M[3, 250] = np.nextafter(M[3, 250], np.inf)
+        defect = (M[3, 250] - M[250, 3]) / np.abs(M).max()
+        assert defect > 0.0
+        with pytest.raises(EigenSolverError, match=re.escape(f"max|M - M^T| = {defect:.3e} max|M|")):
+            sym_eigen(M)
+        sv = np.linalg.svd(M, compute_uv=False)
+        assert np.array_equal(singular_values(M), sv)
+        assert op_norm(M) == sv[0]
 
     def test_asymmetry_found_in_any_strip(self):
         # the symmetry test walks the upper triangle in strips; a defect in
@@ -199,32 +213,10 @@ class TestSymEigen:
         assert np.abs(M).max() > 1e297
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert _centro_halves(0.5 * (M + M.T), scale_of(M)) is None
+            assert _centro_halves(M, scale_of(M)) is None
             eigs = sym_eigen(M)
         ref = scipy.linalg.eigvalsh(M * 1e-290) / 1e-290
         assert np.abs(eigs - ref).max() <= 1e-14 * np.abs(ref).max()
-
-    @pytest.mark.parametrize("n", [200, 1200])
-    def test_near_symmetric_entries_in_the_top_binade(self, n, traced_peak):
-        # max|M| in [2^1023, 2^1024), where a_ij + a_ji overflows: the gate
-        # forms 1/2 a_ij + 1/2 a_ji, exactly symmetric and with the bits of
-        # the gate on M / 2^600 times 2^600, in one array of M's size plus
-        # tiles; the solve (dense at 200, low-rank at 1200) agrees with the
-        # solve of M / 2^600 times 2^600 to a dense solve's accuracy
-        u = 1e-3 * (1.5 + np.cos(0.3 * np.arange(n)))
-        u[0] = 1.2e154
-        M = np.outer(u, u)
-        M[0, 1] *= 1.0 + 2.0**-45
-        assert 2.0**1023 <= np.abs(M).max() < np.inf
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            (S, amax, asym), peak = traced_peak(lambda: _symmetric(M))
-            eigs = sym_eigen(M)
-        assert 0.0 < asym <= 1e-12 and np.array_equal(S, S.T)
-        assert np.array_equal(S, _symmetric(M * 2.0**-600)[0] * 2.0**600)
-        assert peak <= M.nbytes + 4 * 8 * ROW_BLOCK**2
-        ref = sym_eigen(M * 2.0**-600) * 2.0**600
-        assert np.abs(eigs - ref).max() <= n * np.finfo(float).eps * eigs[-1]
 
     @pytest.mark.parametrize("n", [200, 1200])
     def test_eigenvalues_past_the_largest_double_raise(self, n):
@@ -253,7 +245,8 @@ _FAMILIES = {
 def verify_matrices():
     """(R, N) -> the matrices verify solves at that step at alpha = 0.5
     with rational(2,1,1,2): A, the weighted Hankel matrix, the C7 residual
-    and C6's three blocks (the cross block with its columns reversed).
+    and C6's three blocks (the symmetric part of the cross block with its
+    columns reversed, from C6's own helper).
     Each step is built once, on first use."""
     steps = {}
 
@@ -266,7 +259,7 @@ def verify_matrices():
                 "C7": _residual_matrix(p),
                 "L_00": p.L.entries[p.m0, p.m0],
                 "L_ii": p.L.entries[p.mi, p.mi],
-                "A_0iJ": p.A.entries[p.m0, p.mi][:, ::-1],
+                "A_0iJ": _cross_block(p.A.entries, p.grid),
             }
         return steps[R, N]
 
@@ -316,10 +309,14 @@ class TestLowRankRoute:
         if name in _FAMILIES:
             _, (spec_a, spec_w) = _FAMILIES[name]
             M = assemble_wHa(spec_a, spec_w, make_grid(R, N)).entries
-        elif (R, N) in _CROSS_BLOCKS:
+        elif name == "A_0iJ":
             grid = make_grid(R, N)
-            A = assemble_A(_CROSS_BLOCKS[R, N], grid).entries
-            M = A[grid.side("zero"), grid.side("infinity")][:, ::-1]
+            if (R, N) in _CROSS_BLOCKS:
+                A = assemble_A(_CROSS_BLOCKS[R, N], grid).entries
+            else:
+                A = request.getfixturevalue("verify_matrices")(R, N)["A"]
+            # the oracle reads the cross block before its symmetric part is formed
+            cross, M = A[grid.side("zero"), grid.side("infinity")], _cross_block(A, grid)
         else:
             M = request.getfixturevalue("verify_matrices")(R, N)[name]
         n = M.shape[0]
@@ -339,9 +336,9 @@ class TestLowRankRoute:
         assert k == width and widths == [LOWRANK_BLOCK << i for i in range(len(widths))]
         assert k <= LOWRANK_CAP * n
         if name == "A_0iJ":
-            # Mirsky: the sorted |values| and the singular values of the
-            # unreversed block differ by the certificate in 2-norm
-            got, ref = np.sort(np.abs(values))[::-1], _jacobi_svdvals(M[:, ::-1])
+            # Mirsky and Weyl: the sorted |values| and the singular values of
+            # the unreversed block differ by the certificate in 2-norm
+            got, ref = np.sort(np.abs(values))[::-1], _jacobi_svdvals(cross)
         else:
             # Hoffman-Wielandt: the sorted lists differ by the certificate
             # in 2-norm
@@ -404,28 +401,19 @@ class TestLowRankRoute:
             assert rank > k_max - LOWRANK_SPARE
 
     def test_certificate_bounds_the_symmetric_part(self, monkeypatch):
-        # M = S + K with K skew at the rounding level, |K|_F = 1e-14 |S|_F,
-        # which passes the 1e-12 symmetry gate: both routes solve
-        # S' = 1/2 (M + M^T), which the gate forms exactly symmetric, so M
-        # gives the bits of S' on the dense route (order 200) and on the
-        # low-rank route (order 1200); the values lie within n eps max|lambda|
-        # of S''s, and on the low-rank route within the certificate
+        # an exactly symmetric S, solved on the dense route (order 200) and
+        # on the low-rank route (order 1200): the values lie within
+        # n eps max|lambda| of scipy's, and on the low-rank route within the
+        # certificate (Hoffman-Wielandt), which is at least |S - Q T Q^T|_F
         _, (spec_a, spec_w) = _FAMILIES["rational(2,1,1,2)"]
-        rng = np.random.default_rng(5)
         for R, N in ((6.0, 200), (12.0, 1200)):
             S = assemble_wHa(spec_a, spec_w, make_grid(R, N)).entries
-            B = rng.standard_normal(S.shape)
-            K = B - B.T
-            K *= 1e-14 * np.linalg.norm(S) / np.linalg.norm(K)
-            M = S + K
-            sym = 0.5 * (M + M.T)
-            assert not np.array_equal(M, M.T) and np.array_equal(sym, sym.T)
-            values = sym_eigen(M)
-            assert np.array_equal(values, sym_eigen(sym))
-            ref = scipy.linalg.eigh(sym, eigvals_only=True)
+            assert np.array_equal(S, S.T)
+            values = sym_eigen(S)
+            ref = scipy.linalg.eigh(S, eigvals_only=True)
             tol = N * np.finfo(float).eps * np.abs(ref).max()
             if N < 256:
-                assert lowrank(M) is None
+                assert lowrank(S) is None
                 assert np.abs(values - ref).max() <= tol
                 continue
             bases, ritz = [], []
@@ -442,13 +430,13 @@ class TestLowRankRoute:
 
             monkeypatch.setattr(hankellab.linalg, "_range_basis", basis_spy)
             monkeypatch.setattr(np.linalg, "eigvalsh", ritz_spy)
-            low, certificate = lowrank(M)
+            low, certificate = lowrank(S)
             monkeypatch.undo()
             assert np.array_equal(low, values)
             assert np.linalg.norm(values - ref) <= certificate <= tol
-            # T was formed on S' scaled by a power of two
-            Q, T = bases[-1], ritz[-1] / scale_of(sym)
-            assert certificate >= np.linalg.norm(sym - Q @ T @ Q.T)
+            # T was formed on S scaled by a power of two
+            Q, T = bases[-1], ritz[-1] / scale_of(S)
+            assert certificate >= np.linalg.norm(S - Q @ T @ Q.T)
 
     def test_gate_takes_an_exactly_symmetric_array_as_it_is(self, traced_peak):
         # no copy: the gate holds its tile buffer and numpy's buffers for
@@ -457,8 +445,8 @@ class TestLowRankRoute:
         N = 1600
         M = assemble_A(0.5, make_grid(12.0, N)).entries
         assert np.array_equal(M, M.T)
-        (S, amax, asym), peak = traced_peak(lambda: _symmetric(M))
-        assert S is M and asym == 0.0 and amax == np.abs(M).max()
+        (asym, amax), peak = traced_peak(lambda: _symmetric(M))
+        assert asym == 0.0 and amax == np.abs(M).max()
         assert peak <= 3 * 8 * ROW_BLOCK**2
 
     def test_no_householder_qr(self, monkeypatch):
@@ -563,9 +551,10 @@ class TestSingularValues:
         assert np.array_equal(singular_values(M), np.linalg.svd(M, compute_uv=False))
 
     def test_matches_gesvd_on_suite_matrices(self):
-        # the cross block (one SVD), its Hankel form with reversed columns, a
-        # diagonal factor block and a C1 residual (symmetric route), each to
-        # the numerical-rank tolerance
+        # the cross block and its Hankel form with reversed columns, which
+        # is symmetric only to rounding (one SVD each), a diagonal factor
+        # block and a C1 residual (symmetric route), each to the
+        # numerical-rank tolerance
         grid = make_grid(10.0, 800)
         A = assemble_A(0.5, grid)
         L = assemble_L(0.5, grid)
