@@ -219,6 +219,33 @@ class TestSymEigen:
         assert np.abs(eigs - ref).max() <= 1e-14 * np.abs(ref).max()
 
     @pytest.mark.parametrize("n", [200, 1200])
+    def test_near_symmetric_entries_in_the_top_binade(self, n, traced_peak):
+        # max|M| in [2^1023, 2^1024), where a_ij + a_ji overflows, and M one
+        # entry off symmetric: the gate measures a_ij - a_ji in tiles, with
+        # no warning and no copy of M, and finds the defect and max|M| of
+        # M / 2^600 times 2^600; sym_eigen names the defect, and
+        # singular_values takes one SVD, which agrees with the SVD of
+        # M / 2^600 times 2^600 to a dense solve's accuracy
+        u = 1e-3 * (1.5 + np.cos(0.3 * np.arange(n)))
+        u[0] = 1.2e154
+        M = np.outer(u, u)
+        M[0, 1] *= 1.0 + 2.0**-45
+        assert 2.0**1023 <= np.abs(M).max() < np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (asym, amax), peak = traced_peak(lambda: _symmetric(M))
+            with pytest.raises(EigenSolverError, match=re.escape(f"max|M - M^T| = {asym / amax:.3e} max|M|")):
+                sym_eigen(M)
+            sv = singular_values(M)
+        assert asym > 0.0 and amax == np.abs(M).max()
+        small = M * 2.0**-600
+        assert (asym, amax) == tuple(x * 2.0**600 for x in _symmetric(small))
+        assert peak <= 3 * 8 * ROW_BLOCK**2
+        assert np.array_equal(sv, np.linalg.svd(M, compute_uv=False))
+        ref = np.linalg.svd(small, compute_uv=False) * 2.0**600
+        assert np.abs(sv - ref).max() <= n * np.finfo(float).eps * sv[0]
+
+    @pytest.mark.parametrize("n", [200, 1200])
     def test_eigenvalues_past_the_largest_double_raise(self, n):
         # finite, exactly symmetric entries up to 1.7e308 whose top
         # eigenvalues overflow: the dense route (order 200) returned inf and
