@@ -16,7 +16,9 @@ deviation from the full-line composition does not vanish under refinement.
 The widened factor's entries depend on i + j alone (t_i tau_j = e^(x_i + y_j)
 on one step h), so it is a view of 3N - 1 values.  A and L stay
 entrywise: C2 and C5 test structure (inversion symmetry, the log-variable
-Hankel form) that a gather would impose by construction.
+Hankel form) that a gather would impose by construction.  The widened
+factor and the split phi0 + phi_inf evaluate, scale and check every kernel
+value in the Nystrom walk's one step (``quadrature._kernel_tiles``).
 
 The verification suite builds no N x 2N factor and no H(phi_inf) matrix.
 The widened square (:func:`operator_square`), each side's block and each
@@ -38,6 +40,7 @@ import them.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -47,7 +50,7 @@ from .quadrature import (
     Grid,
     OperatorMatrix,
     UpperStrips,
-    _evaluate_kernel,
+    _kernel_tiles,
     _nystrom_tiles,
     _store_tile,
     _upper_tiles,
@@ -99,8 +102,7 @@ def assemble_wHa_strips(a: KernelSpec, w: WeightSpec, grid: Grid) -> UpperStrips
     """The matrix of :func:`assemble_wHa` as its upper row strips, with the
     same bits and no full N x N array (``spectrum`` needs only its
     eigenvalues)."""
-    K = weighted_hankel_kernel(a, w)
-    return nystrom_strips(K, grid, provenance=f"wHa(alpha={a.alpha})")
+    return nystrom_strips(weighted_hankel_kernel(a, w), grid)
 
 
 def widened_grid(grid: Grid) -> Grid:
@@ -113,16 +115,18 @@ def assemble_L_rect(alpha, grid: Grid) -> OperatorMatrix:
     grid, as a read-only N x 2N sliding-window view of its 3N - 1
     antidiagonal values (row i is values[i : i + 2N]): the kernel on the
     first row and the last column (the node pairs of
-    :func:`log_pushforward_hankel`) times sqrt(w_i om_j).  Each entry is the
+    :func:`log_pushforward_hankel`) times sqrt(w_i om_j), both from the
+    Nystrom walk's kernel step with w and om as weights.  Each entry is the
     kernel at a node pair with the same t_i tau_j, so it agrees with the
     entrywise evaluation to the rounding of the nodes.  Values below the
     smallest normal number are stored as 0: subnormals slow every product."""
     a = check_alpha(alpha)
     K, wide = kernel_L(a), widened_grid(grid)
     t, w, tau, om = grid.nodes, grid.weights, wide.nodes, wide.weights
-    first = _evaluate_kernel(K, t[:1, np.newaxis], tau[np.newaxis, :])[0] * np.sqrt(w[0] * om)
-    last = _evaluate_kernel(K, t[1:, np.newaxis], tau[np.newaxis, -1:])[:, 0]
-    values = np.concatenate([first, last * np.sqrt(w[1:] * om[-1])])
+    kernel = lambda s, t: (K(s, t),)
+    (first,) = _kernel_tiles(kernel, t[:1, np.newaxis], tau[np.newaxis, :], w[:1], om)
+    (last,) = _kernel_tiles(kernel, t[1:, np.newaxis], tau[np.newaxis, -1:], w[1:], om[-1:])
+    values = np.concatenate([first[0], last[:, 0]])
     values[np.abs(values) < np.finfo(float).tiny] = 0.0
     entries = np.lib.stride_tricks.sliding_window_view(values, wide.N)
     return OperatorMatrix(grid, entries, f"L_rect(alpha={a})", col_grid=wide)
@@ -240,19 +244,16 @@ def assemble_uL(u: Callable, Lr: OperatorMatrix) -> OperatorMatrix:
     )
 
 
-def _split_kernels(a: float) -> Callable:
-    """The tile kernels (phi0, phi_inf) of the model split for the tile
-    walk of :func:`quadrature._upper_tiles`: both from one incomplete-Gamma
-    evaluation on the node sums of each tile."""
-
-    def tile_kernels(s, t):
-        # the incomplete-Gamma evaluation, the walk's largest, comes first
-        phis = phi_split(a, s + t)
-        st = s**a * t**a
-        # the walk calls each kernel on exactly this node column and row
-        return tuple(lambda s, t, phi=phi: st * phi for phi in phis)
-
-    return tile_kernels
+def _split_values(a: float, s, t):
+    """The tile function of the model split: (phi0, phi_inf) times s^a t^a
+    on the tile of node column ``s`` and row ``t``, both from one
+    incomplete-Gamma evaluation on its node sums and multiplied in place in
+    ``phi_split``'s own arrays."""
+    phis = phi_split(a, s + t)
+    st = s**a * t**a
+    for phi in phis:
+        phi *= st
+    return phis
 
 
 def assemble_model_split(alpha, grid: Grid) -> Tuple[OperatorMatrix, OperatorMatrix]:
@@ -265,7 +266,7 @@ def assemble_model_split(alpha, grid: Grid) -> Tuple[OperatorMatrix, OperatorMat
     """
     a = check_alpha(alpha)
     return _nystrom_tiles(
-        _split_kernels(a), grid, (f"H(phi0,alpha={a})", f"H(phi_inf,alpha={a})")
+        partial(_split_values, a), grid, (f"H(phi0,alpha={a})", f"H(phi_inf,alpha={a})")
     )
 
 
@@ -280,7 +281,7 @@ def phi0_and_split_defect(alpha, grid: Grid, A: np.ndarray) -> Tuple[np.ndarray,
     is larger than a tile, whatever N."""
     a = check_alpha(alpha)
     H0, defect = np.empty((grid.N, grid.N)), 0.0
-    for rows, cols, (h0, h_inf) in _upper_tiles(_split_kernels(a), grid):
+    for rows, cols, (h0, h_inf) in _upper_tiles(partial(_split_values, a), grid):
         _store_tile(H0, rows, cols, h0)
         h_inf += h0
         h_inf -= A[rows, cols]

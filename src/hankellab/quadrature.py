@@ -1,8 +1,11 @@
 """Logarithmic midpoint grids on truncations of the half-line and symmetric
 Nystrom discretisation of integral operators.
 
-One walk, :func:`_upper_tiles`, evaluates the kernels on the upper triangle
-in ``ROW_BLOCK`` x ``COL_BLOCK`` tiles, and two sinks store its tiles:
+Every kernel value is evaluated, scaled by sqrt(w_s w_t) and checked in one
+step, :func:`_kernel_tiles`, from a *tile function* ``tile_values(s, t)``
+with one value array per matrix on a tile of nodes s x t.  One walk,
+:func:`_upper_tiles`, takes the upper triangle through it in
+``ROW_BLOCK`` x ``COL_BLOCK`` tiles, and two sinks store its tiles:
 :func:`_nystrom_tiles` writes full N x N matrices, mirroring each tile onto
 the lower triangle (:func:`nystrom`, for the verification suite, which cuts
 its matrices into blocks, quarters and reversals), and
@@ -127,52 +130,39 @@ class OperatorMatrix:
         object.__setattr__(self, "entries", e)
 
 
-def _evaluate_kernel(K, s, t):
-    """K on every pair of the node column ``s`` (n x 1) and row ``t`` (1 x m)."""
-    try:
-        # an overflow or a division by zero shows as a non-finite value below
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            vals = np.asarray(K(s, t), dtype=float)
-    except Exception as exc:
-        raise KernelEvaluationError(f"kernel evaluation raised on the node arrays: {exc}") from exc
+def _kernel_tiles(tile_values: Callable, s, t, w_s, w_t) -> list:
+    """sqrt(w_s w_t) times each value array of ``tile_values(s, t)``, one
+    per matrix, on the node column ``s`` (n x 1) and row ``t`` (1 x m): the
+    one place where a kernel value is evaluated, scaled and checked.  Any
+    exception of the call becomes KernelEvaluationError; each array is
+    broadcast to the tile and scaled in place by a scale formed after the
+    call, and the first value not finite after scaling raises
+    KernelEvaluationError at its node pair."""
     shape = (s.shape[0], t.shape[1])
-    if vals.shape != shape:
-        vals = np.broadcast_to(vals, shape).copy()
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
-        s_bad, t_bad = float(s[i, 0]), float(t[0, j])
-        raise KernelEvaluationError(
-            f"kernel evaluation not finite at (s, t) = ({s_bad!r}, {t_bad!r})", s=s_bad, t=t_bad
-        )
-    return vals
-
-
-def _scaled_tiles(tile_kernels: Callable, s, t, w_s, w_t, mirror) -> list:
-    """One tile of each matrix of :func:`_upper_tiles`: the kernels of
-    ``tile_kernels(s, t)`` evaluated, scaled in place by sqrt(w_s w_t), and
-    their square diagonal block made symmetric from its upper triangle
-    when ``mirror`` gives that triangle's indices.  The scale is formed
-    after ``tile_kernels`` returns, and only the tiles outlive the call, not
-    the kernels or their closures' values."""
-    kernels = tile_kernels(s, t)
-    scale = np.sqrt(np.outer(w_s, w_t))
-    tiles = []
-    for K in kernels:
-        vals = _evaluate_kernel(K, s, t)
-        vals *= scale
-        if mirror is not None:
-            diag = vals[:, : s.shape[0]]
-            diag[mirror] = diag.T[mirror]
-        tiles.append(vals)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        try:
+            tiles = [np.asarray(v, dtype=float) for v in tile_values(s, t)]
+        except Exception as exc:
+            raise KernelEvaluationError(f"kernel evaluation raised on the node arrays: {exc}") from exc
+        tiles = [v if v.shape == shape else np.broadcast_to(v, shape).copy() for v in tiles]
+        scale = np.sqrt(np.outer(w_s, w_t))
+        for vals in tiles:
+            vals *= scale
+            if not np.isfinite(vals).all():
+                i, j = np.argwhere(~np.isfinite(vals))[0]
+                s_bad, t_bad = float(s[i, 0]), float(t[0, j])
+                raise KernelEvaluationError(
+                    f"scaled kernel value not finite at (s, t) = ({s_bad!r}, {t_bad!r})", s=s_bad, t=t_bad
+                )
     return tiles
 
 
-def _upper_tiles(tile_kernels: Callable, grid: Grid):
+def _upper_tiles(tile_values: Callable, grid: Grid):
     """Walk the upper triangle of the symmetric Nystrom matrices
-    sqrt(w_i w_j) K(t_i, t_j) of the kernels that ``tile_kernels(s, t)``
-    returns for a tile of node column ``s`` and row ``t`` (closures over
-    values computed once per tile can share work between the matrices).
+    sqrt(w_i w_j) K(t_i, t_j) of the kernels whose values
+    ``tile_values(s, t)`` returns for a tile of node column ``s`` and row
+    ``t`` (see :func:`_kernel_tiles`; values computed once per tile can
+    serve every matrix).
 
     Yields (rows, cols, tiles) for each tile of ``ROW_BLOCK`` rows and at
     most ``COL_BLOCK`` columns: the entries rows x cols of each matrix,
@@ -190,9 +180,14 @@ def _upper_tiles(tile_kernels: Callable, grid: Grid):
         s_col = t[rows, np.newaxis]
         for c0 in range(r0, n, COL_BLOCK):
             cols = slice(c0, min(c0 + COL_BLOCK, n))
-            mirror = lower if c0 == r0 else None
-            t_row = t[np.newaxis, cols]
-            yield rows, cols, _scaled_tiles(tile_kernels, s_col, t_row, w[rows], w[cols], mirror)
+            tiles = _kernel_tiles(tile_values, s_col, t[np.newaxis, cols], w[rows], w[cols])
+            if c0 == r0:
+                for vals in tiles:
+                    diag = vals[:, : rows.stop - r0]
+                    diag[lower] = diag.T[lower]
+                del diag, vals
+            yield rows, cols, tiles
+            del tiles  # so the sink holds the only references to them
 
 
 def _store_tile(out: np.ndarray, rows: slice, cols: slice, vals: np.ndarray) -> None:
@@ -204,12 +199,12 @@ def _store_tile(out: np.ndarray, rows: slice, cols: slice, vals: np.ndarray) -> 
     out[cols.start + k : cols.stop, rows] = vals[:, k:].T
 
 
-def _nystrom_tiles(tile_kernels: Callable, grid: Grid, provenances: Tuple[str, ...]):
-    """Symmetric Nystrom matrices, one per provenance, of the kernels of
-    ``tile_kernels``, stored tile by tile from :func:`_upper_tiles`."""
+def _nystrom_tiles(tile_values: Callable, grid: Grid, provenances: Tuple[str, ...]):
+    """Symmetric Nystrom matrices, one per provenance, of the value arrays
+    of ``tile_values``, stored tile by tile from :func:`_upper_tiles`."""
     n = grid.N
     outs = tuple(np.empty((n, n)) for _ in provenances)
-    for rows, cols, tiles in _upper_tiles(tile_kernels, grid):
+    for rows, cols, tiles in _upper_tiles(tile_values, grid):
         for out, vals in zip(outs, tiles):
             _store_tile(out, rows, cols, vals)
         del tiles, vals  # dropped before the walk evaluates the next tile
@@ -272,24 +267,16 @@ class UpperStrips:
         return out
 
 
-def nystrom_strips(K: Callable, grid: Grid, provenance: str = "kernel") -> UpperStrips:
+def nystrom_strips(K: Callable, grid: Grid) -> UpperStrips:
     """The matrix of :func:`nystrom` as its upper row strips, from the same
-    tiles, so with the same bits; no entry is mirrored or stored twice.
-
-    max|entry| is read from each tile as it is stored.  A non-finite entry,
-    also one that only the sqrt-weight scaling makes, raises
-    KernelEvaluationError, as :class:`OperatorMatrix` does for
-    :func:`nystrom`.
-    """
+    tiles, so with the same bits and checks; no entry is mirrored or stored
+    twice, and max|entry| is read from each tile as it is stored."""
     n, strips, amax = grid.N, [], 0.0
-    for rows, cols, (vals,) in _upper_tiles(lambda s, t: (K,), grid):
+    for rows, cols, (vals,) in _upper_tiles(lambda s, t: (K(s, t),), grid):
         if cols.start == rows.start:
             strips.append(np.empty((rows.stop - rows.start, n - rows.start)))
         strips[-1][:, cols.start - rows.start : cols.stop - rows.start] = vals
-        top, bottom = float(vals.max()), float(vals.min())  # NaN propagates
-        if not (math.isfinite(top) and math.isfinite(bottom)):
-            raise KernelEvaluationError(f"non-finite entries in {provenance!r}")
-        amax = max(amax, top, -bottom)
+        amax = max(amax, float(vals.max()), -float(vals.min()))
         del vals  # dropped before the walk evaluates the next tile
     return UpperStrips(n, tuple(strips), amax)
 
@@ -302,9 +289,11 @@ def nystrom(K: Callable, grid: Grid, provenance: str = "kernel") -> OperatorMatr
     diagonal on; each tile is mirrored onto the lower triangle, so the
     result is symmetric exactly and equals the upper triangle of the full
     N x N evaluation.  The sqrt-weight scaling keeps the matrix similar to
-    the plain quadrature discretisation.
+    the plain quadrature discretisation.  A kernel that raises, or an entry
+    that is not finite, also one that only the scaling makes, raises
+    KernelEvaluationError with its node pair.
     """
-    return _nystrom_tiles(lambda s, t: (K,), grid, (provenance,))[0]
+    return _nystrom_tiles(lambda s, t: (K(s, t),), grid, (provenance,))[0]
 
 
 def quad_integral(f: Callable, grid: Grid) -> float:

@@ -154,6 +154,11 @@ def symbol_by_quadrature(alpha, xi: float, tol: float = 1e-9) -> float:
     return fine
 
 
+# The incomplete-Gamma routes stop at a point once its last term (relative,
+# series) or step (continued fraction) is below GAMMA_TOL, or at GAMMA_ITMAX.
+GAMMA_TOL, GAMMA_ITMAX = 1e-14, 500
+
+
 def _check_gamma_args(s, t):
     s = float(s)
     if not s > 0.0:
@@ -184,7 +189,7 @@ def _compact(going: np.ndarray, arrays):
     return [arr[:k] for arr in arrays]
 
 
-def _reg_lower_series(s: float, t: np.ndarray, tol: float, itmax: int) -> np.ndarray:
+def _reg_lower_series(s: float, t: np.ndarray) -> np.ndarray:
     """P(s,t) by the ascending series, valid for t < s+1.  Each step works on
     the points still short of convergence only, so the term denominator s + i
     is one scalar; its arrays are updated in place, with the points still
@@ -198,14 +203,14 @@ def _reg_lower_series(s: float, t: np.ndarray, tol: float, itmax: int) -> np.nda
     buf, scale = np.empty_like(delt), np.empty_like(delt)
     going = np.empty(idx.size, dtype=bool)
     ap = s
-    for _ in range(itmax):
+    for _ in range(GAMMA_ITMAX):
         if not idx.size:
             break
         ap += 1.0
         delt *= np.divide(t_a, ap, out=buf)
         acc += delt
         np.abs(acc, out=scale)
-        scale *= tol
+        scale *= GAMMA_TOL
         np.greater_equal(np.abs(delt, out=buf), scale, out=going)
         if not going.all():
             total[idx[~going]] = acc[~going]
@@ -218,7 +223,7 @@ def _reg_lower_series(s: float, t: np.ndarray, tol: float, itmax: int) -> np.nda
     return total
 
 
-def _lentz_fraction(s: float, t: np.ndarray, tol: float, itmax: int) -> np.ndarray:
+def _lentz_fraction(s: float, t: np.ndarray) -> np.ndarray:
     """The continued fraction of Q(s,t) / (e^(-t) t^s / Gamma(s)) by Lentz's
     method.  Each step works on the points still short of convergence only;
     its arrays are updated in place, with the points still iterating kept at
@@ -233,7 +238,7 @@ def _lentz_fraction(s: float, t: np.ndarray, tol: float, itmax: int) -> np.ndarr
     h_a = d.copy()
     delt = np.empty_like(t)
     mask = np.empty(t.size, dtype=bool)
-    for i in range(1, itmax + 1):
+    for i in range(1, GAMMA_ITMAX + 1):
         if not idx.size:
             break
         an = -i * (i - s)
@@ -248,7 +253,7 @@ def _lentz_fraction(s: float, t: np.ndarray, tol: float, itmax: int) -> np.ndarr
         np.multiply(d, c, out=delt)
         h_a *= delt
         delt -= 1.0
-        going = np.greater_equal(np.abs(delt, out=delt), tol, out=mask)
+        going = np.greater_equal(np.abs(delt, out=delt), GAMMA_TOL, out=mask)
         if not going.all():
             h[idx[~going]] = h_a[~going]
             idx, b, c, d, h_a, delt = _compact(going, [idx, b, c, d, h_a, delt])
@@ -257,14 +262,14 @@ def _lentz_fraction(s: float, t: np.ndarray, tol: float, itmax: int) -> np.ndarr
     return h
 
 
-def _reg_upper_cf(s: float, t: np.ndarray, tol: float, itmax: int) -> np.ndarray:
+def _reg_upper_cf(s: float, t: np.ndarray) -> np.ndarray:
     """Q(s,t) by the continued fraction, valid for t >= s+1.  The prefactor
     e^(-t) t^s / Gamma(s) comes first: where it underflows to 0, Q is 0
     whatever the fraction (a finite positive number), so the fraction is
     evaluated on the other points only."""
     q = _log_prefactor(s, t)
     live = np.flatnonzero(q)
-    q[live] *= _lentz_fraction(s, t[live], tol, itmax)
+    q[live] *= _lentz_fraction(s, t[live])
     return q
 
 
@@ -274,7 +279,7 @@ def _reg_upper_cf(s: float, t: np.ndarray, tol: float, itmax: int) -> np.ndarray
 GAMMA_CHUNK = 16384
 
 
-def _reg_gamma_pair(s, t, tol: float = 1e-14, itmax: int = 500):
+def _reg_gamma_pair(s, t):
     """(P, Q) with P + Q = 1 exactly up to one rounding, over the points in
     passes of ``GAMMA_CHUNK`` (each point's arithmetic is its own, so the
     bits do not depend on the passes).  Each route fills its points of one
@@ -290,10 +295,10 @@ def _reg_gamma_pair(s, t, tol: float = 1e-14, itmax: int = 500):
         ser = t_c < s + 1.0
         cf = ~ser
         if ser.any():
-            p_c[ser] = _reg_lower_series(s, t_c[ser], tol, itmax)
+            p_c[ser] = _reg_lower_series(s, t_c[ser])
             np.subtract(1.0, p_c, out=q_c, where=ser)
         if cf.any():
-            q_c[cf] = _reg_upper_cf(s, t_c[cf], tol, itmax)
+            q_c[cf] = _reg_upper_cf(s, t_c[cf])
             np.subtract(1.0, q_c, out=p_c, where=cf)
     p = p.reshape(np.shape(t_arr))
     q = q.reshape(np.shape(t_arr))

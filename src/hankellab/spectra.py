@@ -133,10 +133,9 @@ def _interval_hausdorff(eigs: np.ndarray, lo: float, hi: float) -> float:
 
     The distance is piecewise linear with its local maxima at the midpoints
     of consecutive eigenvalues, so the sup is the larger of the two end
-    distances and of the half-gaps whose midpoint lies in (lo, hi).
+    distances and of the half-gaps whose midpoint lies in (lo, hi).  The
+    set is not empty (:func:`analyze` rejects an empty list).
     """
-    if eigs.size == 0:
-        return hi - lo
     ends = max(float(np.abs(eigs - lo).min()), float(np.abs(eigs - hi).min()))
     mids = 0.5 * (eigs[1:] + eigs[:-1])
     # the half-gap as the distance from the rounded midpoint to its neighbours

@@ -44,8 +44,9 @@ names the pieces each reads, and each piece is freed after the last
 selected check of the step that reads it, also when that check aborts:
 
   C1      composes the widened square Lr Lr^T = B_inf + B_0
-          (B_inf = L 1_inf L, B_0 = L 1_0 L), forms its residual against A
-          in it and drops it; then builds L
+          (B_inf = L 1_inf L, B_0 = L 1_0 L) as its own array, not a shared
+          piece, before it reads A, forms its residual against A in it and
+          drops it; then builds L
   C5      reads L
   C6      reads L and drops it after the two L blocks, before it forms
           the symmetric part of the cross block of A and solves it
@@ -53,7 +54,7 @@ selected check of the step that reads it, also when that check aborts:
           with no H(phi_inf) matrix, subtracts L 1_inf L from H(phi0) in
           place, row by row (``discretize.subtract_composed_block``), and
           takes the operator norm of that residual
-  C2      reads A
+  C2      reads A, the top half of A - JAJ alone
   C8      solves the model cloud and drops A, then composes the two
           quarters and builds the weighted Hankel matrix
   C7      forms its residual in the weighted Hankel matrix, its last reader;
@@ -201,12 +202,6 @@ class _GridPieces:
     def Lr(self):  # the widened factor, a view of its 3N - 1 values
         return dz.assemble_L_rect(self.alpha, self.grid)
 
-    @cached_property
-    def wide(self):
-        """The widened square Lr Lr^T = L 1_inf L + L 1_0 L, writable: C1
-        forms its residual in it."""
-        return _writable(dz.operator_square(self.Lr))
-
     # The two-block decomposition (C7, C8) reads only the (0, 0) quarter of
     # L 1_inf L and the (inf, inf) quarter of L 1_0 L, each composed as its
     # own product when it is first read
@@ -227,12 +222,11 @@ class _GridPieces:
 
 
 def _check_c1(alpha: float, p: _GridPieces):
-    # L 1_inf L + L 1_0 L is the widened square Lr Lr^T, formed before A
-    # exists and dropped before L does.  The wide residual is formed
-    # explicitly: at large R it sits at the rounding floor eps * |A|, below
-    # the rounding of the map x -> Lr(Lr^T x) - Ax
-    wide = p.wide
-    p.free("wide")
+    # L 1_inf L + L 1_0 L is the widened square Lr Lr^T, C1's own array,
+    # formed before A exists and dropped before L does.  The wide residual
+    # is formed in it explicitly: at large R it sits at the rounding floor
+    # eps * |A|, below the rounding of the map x -> Lr(Lr^T x) - Ax
+    wide = _writable(dz.operator_square(p.Lr))
     A = p.A.entries
     a_norm = op_norm(A)
     wide -= A
@@ -250,14 +244,16 @@ def _check_c2(alpha: float, p: _GridPieces):
     # quarter is A_00 - J A_inf,inf J, whose Frobenius norm bounds the
     # difference of the two blocks' sorted eigenvalues (Hoffman-Wielandt)
     JAJ, persym, diff_sq, scale = A[::-1, ::-1], 0.0, 0.0, 1e-300
-    for r0 in range(0, len(A), ROW_BLOCK):
-        strip = A[r0 : r0 + ROW_BLOCK] - JAJ[r0 : r0 + ROW_BLOCK]
+    # only the top half: D = A - JAJ has D_(N-1-i, N-1-j) = -D_ij exactly
+    # (x - y = -(y - x) in floating point), so the rows [n, N) hold no
+    # magnitude the rows [0, n) lack
+    for r0 in range(0, n, ROW_BLOCK):
+        rows = slice(r0, min(r0 + ROW_BLOCK, n))
+        strip = A[rows] - JAJ[rows]
         persym = max(persym, float(np.abs(strip).max()))
-        if r0 < n:
-            rows = slice(r0, min(r0 + ROW_BLOCK, n))
-            quarter = strip[: rows.stop - r0, :n]
-            diff_sq += float(np.einsum("ij,ij->", quarter, quarter))
-            scale = max(scale, float(np.abs(A[rows, :n]).max()))
+        quarter = strip[:, :n]
+        diff_sq += float(np.einsum("ij,ij->", quarter, quarter))
+        scale = max(scale, float(np.abs(A[rows, :n]).max()))
     diff = math.sqrt(diff_sq)
     row = {"eig_diff": diff, "persymmetry_defect": persym}
     # max|A_00| <= |A_00|_2: never looser than a scale from the top eigenvalue
@@ -507,14 +503,15 @@ _CHECKS: Dict[str, Tuple[str, str, Callable[[Sequence[dict]], bool]]] = {
 # _GridPieces pieces each reads.  Each piece is freed after the last
 # selected check of the step that reads it, also when that check aborts.
 # The order keeps no whole composed matrix past C1 and at most two N x N
-# matrices alive at once: C1 drops the widened square before L exists, C6
-# drops L before it forms the cross block of A, so L is gone before C3
-# makes H(phi0), C8 drops A once the model cloud is solved, before the
-# weighted Hankel matrix comes, and C7 forms its residual in that matrix.
+# matrices alive at once: C1 drops its widened square (its own array, not a
+# piece) before L exists, C6 drops L before it forms the cross block of A,
+# so L is gone before C3 makes H(phi0), C8 drops A once the model cloud is
+# solved, before the weighted Hankel matrix comes, and C7 forms its
+# residual in that matrix.
 # The quarters are composed by C8 (by C7 when it runs without C8, from a
 # widened factor that then goes with the step).
 _STEP_PIECES: Dict[str, Tuple[str, ...]] = {
-    "C1": ("wide", "Lr", "A", "L"),
+    "C1": ("Lr", "A", "L"),
     "C5": ("L",),
     "C6": ("A", "L"),
     "C3": ("A", "Lr"),

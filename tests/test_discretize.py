@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import hankellab.discretize
 from hankellab import (
     GridError,
     KernelEvaluationError,
@@ -352,6 +353,20 @@ class TestModelHankel:
         (H0, _), peak = traced_peak(lambda: phi0_and_split_defect(0.5, grid, A))
         tile = ROW_BLOCK * COL_BLOCK * 8
         assert peak <= H0.nbytes + 8 * tile < 2 * H0.nbytes
+
+    def test_split_walk_rejects_values_made_non_finite_by_the_scaling(self, monkeypatch):
+        # phi0 = phi_inf = 1e308 is finite on every node pair, and at
+        # alpha = 0 so is s^a t^a phi; sqrt(w_i w_j) > 1 at the far corner
+        # makes it overflow, which the split walk reports at its node pair
+        grid = make_grid(6.0, 200)
+        monkeypatch.setattr(
+            hankellab.discretize, "phi_split", lambda a, t: (np.full(t.shape, 1e308), np.full(t.shape, 1e308))
+        )
+        with pytest.raises(KernelEvaluationError, match="not finite at") as info:
+            phi0_and_split_defect(0.0, grid, np.zeros((grid.N, grid.N)))
+        s, t = info.value.s, info.value.t
+        w_s, w_t = (float(grid.weights[grid.nodes == x][0]) for x in (s, t))
+        assert math.sqrt(w_s * w_t) > np.finfo(float).max / 1e308
 
     def test_phi0_matrix_positive_entries(self):
         grid = make_grid(6.0, 100)

@@ -427,6 +427,27 @@ class TestLowRankRoute:
             rank = np.count_nonzero(np.abs(ref) > n * np.finfo(float).eps * np.abs(ref).max())
             assert rank > k_max - LOWRANK_SPARE
 
+    def test_uncertified_widest_basis_falls_back_to_dense(self, monkeypatch):
+        # a basis that misses one direction of the range never meets the
+        # certificate: the route tries every width within n / 4 (64, 128
+        # and 256 at order 1200), refuses after the widest, and sym_eigen
+        # returns the dense route's bits
+        _, (spec_a, spec_w) = _FAMILIES["rational(2,1,1,2)"]
+        M = assemble_wHa(spec_a, spec_w, make_grid(12.0, 1200)).entries
+        widths, range_basis = [], hankellab.linalg._range_basis
+
+        def narrowed(Y, tol, limit):
+            widths.append(Y.shape[1])
+            Q, count = range_basis(Y, tol, limit)
+            return (None if Q is None else Q[:, 1:]), count
+
+        monkeypatch.setattr(hankellab.linalg, "_range_basis", narrowed)
+        assert lowrank(M) is None
+        assert widths == [64, 128, 256]
+        amax = float(np.abs(M).max())
+        dense = _dense_eigvalsh(UpperStrips.of(M, amax), _scale_for(amax))
+        assert np.array_equal(sym_eigen(M), dense)
+
     def test_certificate_bounds_the_symmetric_part(self, monkeypatch):
         # an exactly symmetric S, solved on the dense route (order 200) and
         # on the low-rank route (order 1200): the values lie within

@@ -212,15 +212,18 @@ class TestNystrom:
 
     def test_packed_rejects_entries_made_non_finite_by_the_scaling(self):
         # the kernel is finite on every node pair; sqrt(w_i w_j) > 1 at the
-        # far corner makes it overflow
+        # far corner makes it overflow.  Both sinks raise at a node pair
+        # where the scaled value overflows, with no RuntimeWarning first
         g = make_grid(6.0, 200)
         K = lambda s, t: np.full(np.broadcast(s, t).shape, 1e308)
         assert g.weights.max() > 1.0
-        with np.errstate(over="ignore"):
-            with pytest.raises(KernelEvaluationError, match="non-finite entries"):
-                nystrom(K, g)
-            with pytest.raises(KernelEvaluationError, match="non-finite entries"):
-                nystrom_strips(K, g)
+        for assemble in (nystrom, nystrom_strips):
+            with pytest.raises(KernelEvaluationError, match="not finite at") as info:
+                assemble(K, g)
+            s, t = info.value.s, info.value.t
+            assert repr(s) in str(info.value) and repr(t) in str(info.value)
+            w_s, w_t = (float(g.weights[g.nodes == x][0]) for x in (s, t))
+            assert math.sqrt(w_s * w_t) > np.finfo(float).max / 1e308
 
     def test_packed_memory_stays_at_half_the_matrix(self, traced_peak):
         # the strips (0.53 N^2 doubles at N = 2000) plus a few tiles: no

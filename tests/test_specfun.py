@@ -24,6 +24,8 @@ from hankellab import (
     symbol_by_quadrature,
 )
 from hankellab.specfun import (
+    GAMMA_ITMAX,
+    GAMMA_TOL,
     _reg_gamma_pair,
     _reg_lower_series,
     _reg_upper_cf,
@@ -230,7 +232,7 @@ class TestRegularisedGamma:
         # the series and the continued fraction iterate on the points not yet
         # converged only; the arithmetic of each point is that of a scalar
         # loop, so the values agree bit for bit
-        tol, itmax = 1e-14, 500
+        tol, itmax = GAMMA_TOL, GAMMA_ITMAX
         ts = np.concatenate([[0.0, 1e-300], np.geomspace(1e-6, 400.0, 120), [s + 1.0]])
         series, cf = ts < s + 1.0, ts >= s + 1.0
         sums = np.array([_series_loop(s, t, tol, itmax) for t in ts[series]])
@@ -238,11 +240,11 @@ class TestRegularisedGamma:
         ref = np.zeros_like(sums)
         t = ts[series][live]
         ref[live] = sums[live] * np.exp(-t + s * np.log(t) - ln_gamma(s))
-        assert np.array_equal(_reg_lower_series(s, ts[series], tol, itmax), ref)
+        assert np.array_equal(_reg_lower_series(s, ts[series]), ref)
         t = ts[cf]
         h = np.array([_continued_fraction_loop(s, x, tol, itmax) for x in t])
         ref = np.exp(-t + s * np.log(t) - ln_gamma(s)) * h
-        assert np.array_equal(_reg_upper_cf(s, t, tol, itmax), ref)
+        assert np.array_equal(_reg_upper_cf(s, t), ref)
 
     def test_complementarity_and_endpoints(self):
         for s in (0.5, 1.0, 2.7):
@@ -262,9 +264,9 @@ class TestRegularisedGamma:
         seen = []
         fraction = hankellab.specfun._lentz_fraction
 
-        def spy(s_, t_, tol, itmax):
+        def spy(s_, t_):
             seen.append(t_.copy())
-            return fraction(s_, t_, tol, itmax)
+            return fraction(s_, t_)
 
         monkeypatch.setattr(hankellab.specfun, "_lentz_fraction", spy)
         p, q = _reg_gamma_pair(s, t)

@@ -21,7 +21,7 @@ SHORT_LADDER = [(6.0, 200), (8.0, 400)]
 DEFAULT_LADDER = [(6.0, 200), (8.0, 400), (10.0, 800)]
 LARGE_LADDER = [(12.0, 1600), (14.0, 2400)]
 # the shared operators of a ladder step (verify._GridPieces)
-PIECES = {"A", "L", "Lr", "wide", "quarter_0", "quarter_inf", "weighted"}
+PIECES = {"A", "L", "Lr", "quarter_0", "quarter_inf", "weighted"}
 FAMILY = (2.0, 1.0, 1.0, 2.0)
 
 
@@ -250,17 +250,17 @@ class TestRunSuite:
                 Lr = dz.assemble_L_rect(alpha, grid)
                 p = _GridPieces(alpha, grid, FAMILY)
                 if route == "whole":
-                    assert np.array_equal(p.wide, dz.operator_square(Lr).entries)
+                    wide = dz.operator_square(p.Lr).entries  # as C1 forms it
+                    assert np.array_equal(wide, dz.operator_square(Lr).entries)
                     B_inf, B_0 = (dz.composed_block(Lr, side).entries for side in ("infinity", "zero"))
                     bound = (2 * (N / 2 + 2 * N) + (N + 2 * N) + 1) * np.finfo(float).eps
-                    assert np.abs(p.wide - (B_inf + B_0)).max() <= bound * np.abs(p.wide).max()
+                    assert np.abs(wide - (B_inf + B_0)).max() <= bound * np.abs(wide).max()
                 for quarter, inner, outer in (
                     (p.quarter_inf, "infinity", "zero"),
                     (p.quarter_0, "zero", "infinity"),
                 ):
                     assert np.array_equal(quarter, dz.composed_block(Lr, inner, outer).entries)
-                kept = {"Lr", "quarter_0", "quarter_inf"} | ({"wide"} if route == "whole" else set())
-                assert set(p.__dict__) & PIECES == kept
+                assert set(p.__dict__) & PIECES == {"Lr", "quarter_0", "quarter_inf"}
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5])
     def test_c1_residual_matches_widened_square(self, alpha):
@@ -369,6 +369,19 @@ class TestRunSuite:
             ("singular_values", True): 4 * steps,
             ("sym_eigen", True): clouds,
         }
+
+    @pytest.mark.parametrize(
+        "family,skipped",
+        [((1.0, 1.0, 0.0, 1.0), "weighted_block_zero"), ((0.0, 0.0, 1.0, 1.0), "weighted_hankel")],
+    )
+    def test_c8_skips_a_cloud_with_no_predicted_interval(self, family, skipped):
+        # b0 = 0 predicts no interval for the zero-side weighted block, and
+        # a0 = a_inf = 0 none for the weighted Hankel operator: C8 solves no
+        # such cloud and reports no row for it, and every other cloud passes
+        (c8,) = run_suite(0.5, SHORT_LADDER, checks=["C8"], family=family).checks
+        assert c8.verdict == "pass"
+        for row in c8.metrics:
+            assert skipped not in row and "model" in row and len(row) == 5
 
     def test_failed_shared_assembly_aborts_only_its_checks(self, monkeypatch):
         def broken(alpha, grid):
