@@ -1,6 +1,7 @@
 """Command-line front end tests: file outputs, schema, exit codes,
 byte determinism."""
 
+import dataclasses
 import json
 import math
 import os
@@ -232,6 +233,33 @@ class TestVerifyCommand:
         }
         for check in report["checks"]:
             assert set(check) == {"name", "anchor", "grids", "metrics", "verdict", "rule"}
+
+    @pytest.mark.parametrize("fault", [None, "one_wrong_weight"])
+    def test_verdicts_rederived_from_the_report(self, tmp_path, monkeypatch, fault):
+        # each check's rule gives its recorded verdict from the written rows
+        # alone; the fault (one node's weight off by 1e-6) must fail C2's
+        # per-step bound
+        if fault:
+            make = hankellab.verify.make_grid
+
+            def one_wrong_weight(R, N):
+                grid = make(R, N)
+                w = grid.weights.copy()
+                w[3] *= 1.0 + 1e-6
+                return dataclasses.replace(grid, weights=w)
+
+            monkeypatch.setattr(hankellab.verify, "make_grid", one_wrong_weight)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"ladder": [[6, 200], [8, 400]], "alpha": 0.5, "kernel": "rational(2,1,1,2)"}))
+        code = main(["verify", "--config", str(config), "--out", str(tmp_path / "out")])
+        report = json.loads((tmp_path / "out" / "verification_report.json").read_text())
+        verdicts = {c["name"]: c["verdict"] for c in report["checks"]}
+        assert code == (1 if fault else 0)
+        assert verdicts["C2"] == ("fail" if fault else "pass")
+        for check in report["checks"]:
+            assert check["anchor"] != "(check aborted)"
+            holds = hankellab.verify._CHECKS[check["name"]][2](check["metrics"])
+            assert check["verdict"] == ("pass" if holds else "fail")
 
     def test_checks_help_lists_every_name(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -213,8 +213,8 @@ class TestRunSuite:
         N = 1600
         p = _GridPieces(0.5, make_grid(12.0, N), FAMILY)
         p.A, p.L, p.Lr  # the bound is on C5's own temporaries
-        (_, ok), peak = traced_peak(lambda: verify._check_c5(0.5, p))
-        assert ok
+        row, peak = traced_peak(lambda: verify._check_c5(0.5, p))
+        assert verify._CHECKS["C5"][2]([row])
         assert peak <= 0.3 * 8 * N**2
 
     @pytest.mark.parametrize("name", ["C1", "C3", "C7", "C8"])
@@ -281,17 +281,17 @@ class TestRunSuite:
         # oracle: the residual from L 1_inf L as a whole block; C3 forms the
         # same difference in place, so it has its bits
         p = _GridPieces(alpha, make_grid(R, N), FAMILY)
-        row, ok = verify._check_c3(alpha, p)
+        row = verify._check_c3(alpha, p)
         H0, _ = dz.phi0_and_split_defect(alpha, p.grid, p.A.entries)
         expected = op_norm(H0 - dz.composed_block(p.Lr, "infinity").entries)
-        assert ok
+        assert verify._CHECKS["C3"][2]([row])
         assert row["composition_residual"] == expected
 
     @pytest.mark.parametrize("alpha", [-0.25, 0.0, 0.5, 2.0])
     def test_c4_row_norms_match_the_uL_product(self, alpha):
         # oracle: the HS norms from the full N x 2N products u L, of a factor
         # evaluated entry by entry here
-        rows, ok = verify._check_c4(alpha)
+        rows = verify._check_c4(alpha)
 
         def factor(R, N):
             grid = make_grid(R, N)
@@ -307,7 +307,7 @@ class TestRunSuite:
             assert row["hs_sq"] == pytest.approx(hs_sq(u, factors[0]), rel=1e-14)
         witness = [math.sqrt(hs_sq(np.ones_like, Lr)) for Lr in factors[1:]]
         assert [rows[-1]["hs_R4"], rows[-1]["hs_R8"]] == pytest.approx(witness, rel=1e-14)
-        assert ok
+        assert verify._CHECKS["C4"][2](rows)
 
     def test_c4_builds_no_factor(self, traced_peak):
         # the row norms come from a view of each factor's 3N - 1 antidiagonal
@@ -534,9 +534,9 @@ class TestUnitaryEquivalences:
         # the reported Frobenius norm (Hoffman-Wielandt) plus the
         # eigensolver's rounding
         p = _GridPieces(alpha, make_grid(R, N), (1.0, 1.0, 1.0, 1.0))
-        c2, c2_ok = verify._check_c2(alpha, p)
-        c5, c5_ok = verify._check_c5(alpha, p)
-        assert c2_ok and c5_ok
+        c2 = verify._check_c2(alpha, p)
+        c5 = verify._check_c5(alpha, p)
+        assert verify._CHECKS["C2"][2]([c2]) and verify._CHECKS["C5"][2]([c5])
         A, L = p.A.entries, p.L.entries
         pairs = [(c2["eig_diff"], A[p.m0, p.m0], A[p.mi, p.mi])]
         for side, mask in (("zero", p.m0), ("infinity", p.mi)):
@@ -605,3 +605,123 @@ class TestTwoBlockDecomposition:
         # one weighted block at a time and no copy of the weighted matrix:
         # 1.10 quarters measured
         assert peak <= 1.25 * quarter
+
+
+def _holds(name, rows):
+    """The verdict of check ``name``'s rule on the metric rows ``rows``."""
+    return verify._CHECKS[name][2](rows)
+
+
+up = lambda x: math.nextafter(x, math.inf)  # one ulp past an upper limit
+down = lambda x: math.nextafter(x, -math.inf)  # one ulp past a lower limit
+
+C8_LABELS = (
+    "model", "block_zero", "block_infinity", "weighted_block_zero", "weighted_block_infinity", "weighted_hankel"
+)
+
+
+def _c8_rows(model_gaps=(0.5, 0.25), gaps=(0.5, 1.10 * 0.5), outliers=(0, 0)):
+    """C8 rows of a two-step ladder: the model cloud's fills ``model_gaps``,
+    every other cloud's ``gaps``, and ``outliers`` in every cloud."""
+    return [
+        {label: {"outliers": n, "max_gap": model if label == "model" else gap} for label in C8_LABELS}
+        for model, gap, n in zip(model_gaps, gaps, outliers)
+    ]
+
+
+class TestRules:
+    """Each check's rule on synthetic metric rows: rows at the rule's limit
+    pass and rows one ulp past it fail, with no operator assembled.  The
+    one-step cases are per-step bounds, which the rule alone decides."""
+
+    def test_c1_composition_cap_and_decrease(self):
+        cap = verify.COMPOSITION_CAP
+        assert _holds("C1", [{"residual": cap}])
+        assert not _holds("C1", [{"residual": up(cap)}])
+        assert not _holds("C1", [{"residual": up(cap)}, {"residual": cap / 2}])
+        assert _holds("C1", [{"residual": cap}, {"residual": down(cap)}])
+        assert not _holds("C1", [{"residual": cap / 2}, {"residual": cap / 2}])
+
+    def test_c2_bound_scales_with_the_block_max(self):
+        for block_max in (0.7, 3.0, 1e-300):
+            limit = verify.BLOCK_EIG_TOL * block_max
+            assert _holds("C2", [{"eig_diff": limit, "block_max": block_max}])
+            assert not _holds("C2", [{"eig_diff": up(limit), "block_max": block_max}])
+            late = [{"eig_diff": 0.0, "block_max": 1.0}, {"eig_diff": up(limit), "block_max": block_max}]
+            assert not _holds("C2", late)
+
+    def test_c3_split_and_decrease(self):
+        tol = verify.EXACT_TOL
+        row = lambda split, residual: {"split_error": split, "composition_residual": residual}
+        assert _holds("C3", [row(tol, 1.0), row(tol, down(1.0))])
+        assert not _holds("C3", [row(up(tol), 1.0)])
+        assert not _holds("C3", [row(0.0, 1.0), row(up(tol), 0.5)])
+        assert not _holds("C3", [row(0.0, 1.0), row(0.0, 1.0)])
+
+    def test_c4_battery_and_witness(self):
+        tol, ratio = verify.HS_REL_TOL, verify.HS_WITNESS_RATIO
+        rows = lambda errs, r: [{"rel_err": e} for e in errs] + [{"ratio": r}]
+        assert _holds("C4", rows([tol, tol, tol], ratio))
+        for i in range(3):
+            errs = [tol, tol, tol]
+            errs[i] = up(tol)
+            assert not _holds("C4", rows(errs, ratio))
+        assert not _holds("C4", rows([0.0, 0.0, 0.0], down(ratio)))
+
+    def test_c5_pushforward_bound_on_each_side(self):
+        tol = verify.PUSHFORWARD_TOL
+        assert _holds("C5", [{"eig_diff_zero": tol, "eig_diff_infinity": tol}])
+        assert not _holds("C5", [{"eig_diff_zero": up(tol), "eig_diff_infinity": 0.0}])
+        assert not _holds("C5", [{"eig_diff_zero": 0.0, "eig_diff_infinity": up(tol)}])
+
+    def test_c6_decay_class_and_cross_growth(self):
+        cap = verify.NUCLEAR_GROWTH_CAP
+
+        def rows(nuclears, slow=None):
+            return [
+                {
+                    label: {"verdict": "polynomial" if label == slow else "super_polynomial", "nuclear": n}
+                    for label in ("L_00", "L_ii", "A_0i")
+                }
+                for n in nuclears
+            ]
+
+        assert _holds("C6", rows([1.0, cap * 1.0]))
+        assert not _holds("C6", rows([1.0, up(cap * 1.0)]))
+        # growth from 0 is growth: the rule has no absolute slack
+        assert not _holds("C6", rows([0.0, math.nextafter(0.0, 1.0)]))
+        for label in ("L_00", "L_ii", "A_0i"):
+            assert not _holds("C6", rows([1.0], slow=label))
+
+    def test_c7_growth(self):
+        cap = verify.NUCLEAR_GROWTH_CAP
+        assert _holds("C7", [{"nuclear": 1.0}, {"nuclear": cap * 1.0}])
+        assert not _holds("C7", [{"nuclear": 1.0}, {"nuclear": up(cap * 1.0)}])
+        assert not _holds("C7", [{"nuclear": 0.0}, {"nuclear": math.nextafter(0.0, 1.0)}])
+        assert _holds("C7", [{"nuclear": 0.0}, {"nuclear": 0.0}])
+
+    def test_c8_fills(self):
+        assert _holds("C8", _c8_rows())
+        assert not _holds("C8", _c8_rows(gaps=(0.5, up(1.10 * 0.5))))
+        assert not _holds("C8", _c8_rows(model_gaps=(0.5, 0.5)))
+        # a fill of 0 may not grow: the rule has no absolute slack
+        assert not _holds("C8", _c8_rows(gaps=(0.0, math.nextafter(0.0, 1.0))))
+        assert _holds("C8", _c8_rows(gaps=(0.0, 0.0)))
+
+    @pytest.mark.parametrize("step", [0, 1])
+    @pytest.mark.parametrize("label", [l for l in C8_LABELS if not l.startswith("weighted_block")])
+    def test_c8_outlier_outside_the_weighted_blocks_fails(self, label, step):
+        rows = _c8_rows()
+        rows[step][label]["outliers"] = 1
+        assert not _holds("C8", rows)
+        assert not _holds("C8", rows[step : step + 1])
+
+    @pytest.mark.parametrize("first", [0, 2, 4, 6])
+    @pytest.mark.parametrize("label", ["weighted_block_zero", "weighted_block_infinity"])
+    def test_c8_weighted_block_outliers_bounded(self, label, first):
+        limit = max(first, 4)
+        rows = _c8_rows()
+        rows[0][label]["outliers"], rows[1][label]["outliers"] = first, limit
+        assert _holds("C8", rows)
+        rows[1][label]["outliers"] = limit + 1
+        assert not _holds("C8", rows)
