@@ -1,17 +1,20 @@
 """Symmetric eigenvalues, singular values, and the operator /
 Hilbert-Schmidt / nuclear norms.
 
-Every matrix the suite solves is exactly symmetric: verify's blocks and
-residuals, the symmetric part C6 forms of its cross block with the columns
-reversed, and ``spectrum``'s weighted Hankel matrix, which comes as the
-packed :class:`~hankellab.quadrature.UpperStrips`, its upper row strips
-alone, never an N x N array.  An array passes one gate, ``_symmetric``, a
-scan in tiles that is its input validation: a non-finite entry raises
-EigenSolverError before any solve, an array with A == A^T is symmetric and
-is taken as it is, and any other is not.  A symmetric S is solved through
-views of its upper strips, so the symmetric matrices share one private
-route, held in one format; the singular values are the sorted absolute
-eigenvalues.  It first tries a certified low-rank solve: the suite's
+Every matrix the program solves is exactly symmetric by construction, and
+reaches this module in a form that is not scanned: the packed
+:class:`~hankellab.quadrature.UpperStrips`, its upper row strips with
+max|entry| known (``spectrum``'s weighted Hankel matrix as strips of its
+own, never an N x N array, and verify's matrices, the symmetric part C6
+forms of its cross block with the columns reversed among them, as views of
+their arrays), or, for an operator norm, the map x -> S @ x.  Tests, not a
+run-time scan, show those builders exactly symmetric.  An array, from any
+other caller, passes one gate, ``_symmetric``, a scan in tiles that is its
+input validation: a non-finite entry raises EigenSolverError before any
+solve, an array with A == A^T is symmetric and is taken as it is, through
+views of its upper strips, and any other is not.  So the symmetric matrices
+share one private route, held in one format; the singular values are the
+sorted absolute eigenvalues.  It first tries a certified low-rank solve: the suite's
 operators have few eigenvalues above the rounding level, because their
 symbols decay like e^(-pi |xi|) (97-109 of 3200 above n * eps * max|lambda|
 for the four benchmark families at (16, 3200)).  A range finder from a
@@ -41,7 +44,8 @@ at every size, and ``sym_eigen`` refuses it with its measured defect.
 The operator norm of a symmetric matrix, or of a symmetric linear map given
 by its action, is its largest |eigenvalue| from Lanczos with full
 reorthogonalisation, so no dense solve is needed for one top value; any
-other matrix gives sigma_1 from one SVD.
+other matrix gives sigma_1 from one SVD.  For a symmetric array A the gate
+runs Lanczos on x -> A @ x, so the map handed over for it has A's bits.
 """
 
 from __future__ import annotations
@@ -404,8 +408,9 @@ def sym_eigen(M) -> np.ndarray:
 
     An array must be finite and exactly symmetric, M == M^T; any other
     raises EigenSolverError with its measured defect max|M - M^T| / max|M|.
-    The packed form is exactly symmetric and finite as built, and is not
-    scanned.  An eigenvalue past the largest double raises EigenSolverError.
+    The packed form is exactly symmetric and finite as its maker vouches
+    (see :class:`UpperStrips`), and is not scanned.  An eigenvalue past the
+    largest double raises EigenSolverError.
     From order 256 on they may come from the certified low-rank route (see
     the module docstring and ``_lowrank_eigvalsh``): every value lies within
     n * eps * max|lambda| of the exact one, and the values outside the
@@ -430,14 +435,22 @@ def sym_eigen(M) -> np.ndarray:
 
 
 def singular_values(M) -> np.ndarray:
-    """Descending singular values: sorted |eigenvalues| of a symmetric
-    matrix, one SVD of any other; raises EigenSolverError on a non-finite
-    entry."""
-    A = _as_array(M)
-    asym, amax = _symmetric(A)
-    if asym:
-        return _svdvals(A)
-    return np.sort(np.abs(_sym_eigvalsh(UpperStrips.of(A, amax))))[::-1]
+    """Descending singular values of a matrix, given as an array, an
+    :class:`OperatorMatrix` or the packed :class:`UpperStrips`: the sorted
+    |eigenvalues| of a symmetric one, from one SVD for any other.
+
+    An array is scanned once: a non-finite entry raises EigenSolverError,
+    and it is symmetric exactly when M == M^T.  The packed form is exactly
+    symmetric and finite as its maker vouches (see :class:`UpperStrips`),
+    and is not scanned.
+    """
+    if not isinstance(M, UpperStrips):
+        A = _as_array(M)
+        asym, amax = _symmetric(A)
+        if asym:
+            return _svdvals(A)
+        M = UpperStrips.of(A, amax)
+    return np.sort(np.abs(_sym_eigvalsh(M)))[::-1]
 
 
 def _lanczos_top(matvec: Callable[[np.ndarray], np.ndarray], n: int) -> float:
@@ -482,7 +495,9 @@ def op_norm(M, n: Optional[int] = None) -> float:
     on R^n when ``M`` is a callable, which needs ``n``.
 
     A symmetric matrix or map gives its largest |eigenvalue| by Lanczos; any
-    other matrix sigma_1 from one SVD.
+    other matrix sigma_1 from one SVD.  An array is scanned once (see
+    ``sym_eigen``); a map is not, and a product that is not finite raises
+    EigenSolverError at its Lanczos step.
     """
     if callable(M):
         if n is None:

@@ -11,13 +11,15 @@ the lower triangle (:func:`nystrom`, for the verification suite, which cuts
 its matrices into blocks, quarters and reversals), and
 :func:`nystrom_strips` writes the packed form :class:`UpperStrips`, the
 upper row strips alone, about half the entries, with no mirror store (for
-``spectrum``, which only needs the eigenvalues).
+``spectrum``, which only needs the eigenvalues).  Both sinks read
+max|entry| from each tile as they store it, so neither scans its result
+again: the walk has checked every value.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -114,20 +116,38 @@ class OperatorMatrix:
     Square matrices discretise self-adjoint operators on ``grid``; rectangular
     ones carry a distinct ``col_grid`` (used when an inner integration runs on
     a wider grid).  The entries are read-only, maybe a view of fewer values (a
-    Hankel matrix of its antidiagonals).  Equality and hashing are by identity.
+    Hankel matrix of its antidiagonals).  ``amax`` is max|entry|: the
+    constructor reads it from the min and max by which it tests the entries
+    for finiteness, and the Nystrom walk from its tiles as it stores them
+    (:meth:`_walked`).  Equality and hashing are by identity.
     """
 
     grid: Grid
     entries: np.ndarray
     provenance: str
     col_grid: Optional[Grid] = None
+    amax: float = field(init=False, repr=False)
 
     def __post_init__(self):
         e = np.asarray(self.entries, dtype=float)
-        if e.size and not (np.isfinite(e.min()) and np.isfinite(e.max())):  # NaN propagates
+        top, bottom = (float(e.max()), float(e.min())) if e.size else (0.0, 0.0)
+        if not (math.isfinite(top) and math.isfinite(bottom)):  # NaN propagates
             raise KernelEvaluationError(f"non-finite entries in {self.provenance!r}")
         e.flags.writeable = False
         object.__setattr__(self, "entries", e)
+        object.__setattr__(self, "amax", max(top, -bottom))
+
+    @classmethod
+    def _walked(cls, grid: Grid, entries: np.ndarray, provenance: str, amax: float) -> "OperatorMatrix":
+        """A square matrix of the Nystrom walk, whose every entry
+        :func:`_kernel_tiles` has checked and whose max|entry| ``amax`` the
+        walk has read: taken as it is, with no second scan."""
+        M = object.__new__(cls)
+        entries.flags.writeable = False
+        fields = dict(grid=grid, entries=entries, provenance=provenance, col_grid=None, amax=amax)
+        for name, value in fields.items():
+            object.__setattr__(M, name, value)
+        return M
 
 
 def _kernel_tiles(tile_values: Callable, s, t, w_s, w_t) -> list:
@@ -204,13 +224,19 @@ def _nystrom_tiles(tile_values: Callable, grid: Grid, provenances: Tuple[str, ..
     of ``tile_values``, stored tile by tile from :func:`_upper_tiles`."""
     n = grid.N
     outs = tuple(np.empty((n, n)) for _ in provenances)
+    amax = [0.0] * len(outs)
     for rows, cols, tiles in _upper_tiles(tile_values, grid):
-        for out, vals in zip(outs, tiles):
+        for k, (out, vals) in enumerate(zip(outs, tiles)):
             _store_tile(out, rows, cols, vals)
+            amax[k] = _tile_amax(amax[k], vals)
         del tiles, vals  # dropped before the walk evaluates the next tile
-    return tuple(
-        OperatorMatrix(grid=grid, entries=e, provenance=p) for e, p in zip(outs, provenances)
-    )
+    return tuple(OperatorMatrix._walked(grid, *args) for args in zip(outs, provenances, amax))
+
+
+def _tile_amax(amax: float, vals: np.ndarray) -> float:
+    """max(amax, max|vals|) for a tile of :func:`_upper_tiles`, whose values
+    cover every entry of the matrices: so the last is max|entry| exactly."""
+    return max(amax, float(vals.max()), -float(vals.min()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,8 +251,11 @@ class UpperStrips:
     own; :meth:`of` takes them as views of a full array A, of which they
     read nothing left of the diagonal blocks.  The matrix they then hold is
     A's strips mirrored below the diagonal blocks, which stay A's own: A
-    itself, as ``linalg`` takes only arrays with A == A^T.  Equality and
-    hashing are by identity.
+    itself when A == A^T.  ``linalg`` takes strips as they are, with no
+    scan, so whoever makes them vouches for that: ``linalg``'s own gate
+    after its scan, and ``verify`` for the arrays it builds exactly
+    symmetric, with max|A| from their builder or from one max/min read.
+    Equality and hashing are by identity.
     """
 
     n: int
@@ -276,7 +305,7 @@ def nystrom_strips(K: Callable, grid: Grid) -> UpperStrips:
         if cols.start == rows.start:
             strips.append(np.empty((rows.stop - rows.start, n - rows.start)))
         strips[-1][:, cols.start - rows.start : cols.stop - rows.start] = vals
-        amax = max(amax, float(vals.max()), -float(vals.min()))
+        amax = _tile_amax(amax, vals)
         del vals  # dropped before the walk evaluates the next tile
     return UpperStrips(n, tuple(strips), amax)
 

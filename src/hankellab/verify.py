@@ -61,6 +61,18 @@ selected check of the step that reads it, also when that check aborts:
   C7      forms its residual in the weighted Hankel matrix, its last reader;
           the quarters go after it
 
+Every matrix the checks solve is exactly symmetric as built, and reaches
+``linalg`` in a form it takes with no symmetry scan (:func:`_upper`,
+:func:`_norm`): ``sym_eigen`` and ``singular_values`` get its upper strips
+(``quadrature.UpperStrips``) with max|entry|, and ``op_norm`` the map
+x -> S @ x.  max|entry| of A and of the weighted Hankel matrix is read by
+the Nystrom walk from its tiles, and of a quarter by its constructor; C6's
+three blocks, C7's residual and C8's two weighted blocks take one max/min
+read each, which raises EigenSolverError on a non-finite entry before the
+solve.  C1's and C3's residuals and C1's model norm go to ``op_norm`` as
+maps, with the bits of the scanned route.  The tests, not a run-time scan,
+show each builder exactly symmetric.
+
 The widened square is ``discretize.operator_square`` and each block or
 quarter ``discretize.composed_block``: Gram matrices of Hankel matrices
 (the widened factor, or its columns on one side of 1), each built in
@@ -84,16 +96,16 @@ from __future__ import annotations
 import ctypes
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import discretize as dz
-from .errors import DomainError
+from .errors import DomainError, EigenSolverError
 from .kernels import rational_test_family
 from .linalg import op_norm, singular_values, sym_eigen
-from .quadrature import ROW_BLOCK, Grid, check_step, make_grid, quad_integral
+from .quadrature import ROW_BLOCK, Grid, OperatorMatrix, UpperStrips, check_step, make_grid, quad_integral
 from .spectra import analyze, predict, schatten_diagnostic
 from .specfun import check_alpha, pi_alpha
 
@@ -171,6 +183,27 @@ def _growth_ok(xs: Sequence[float]) -> bool:
     return all(b <= NUCLEAR_GROWTH_CAP * a for a, b in zip(xs, xs[1:]))
 
 
+def _upper(M) -> UpperStrips:
+    """A matrix the suite builds exactly symmetric, an OperatorMatrix or an
+    array, as the upper strips that ``linalg`` solves with no symmetry scan.
+    max|M| is the OperatorMatrix's own ``amax``, read by the Nystrom walk or
+    the constructor, or for an array one max/min read, which raises
+    EigenSolverError on a non-finite entry before any solve."""
+    if isinstance(M, OperatorMatrix):
+        return UpperStrips.of(M.entries, M.amax)
+    top, bottom = float(M.max()), float(M.min())  # NaN propagates
+    if not (math.isfinite(top) and math.isfinite(bottom)):
+        raise EigenSolverError("matrix has non-finite entries")
+    return UpperStrips.of(M, max(top, -bottom))
+
+
+def _norm(S: np.ndarray) -> float:
+    """Operator norm of an array the suite builds exactly symmetric: Lanczos
+    on the map x -> S @ x, the route ``op_norm`` takes for a symmetric array,
+    with the same bits and no symmetry scan."""
+    return op_norm(partial(np.matmul, S), len(S))
+
+
 def _writable(M) -> np.ndarray:
     """The entries of an operator that no other reader holds, made writable
     (they own their buffer), so that its last reader works in place."""
@@ -208,11 +241,11 @@ class _GridPieces:
     # own product when it is first read
     @cached_property
     def quarter_inf(self):
-        return dz.composed_block(self.Lr, "infinity", "zero").entries
+        return dz.composed_block(self.Lr, "infinity", "zero")
 
     @cached_property
     def quarter_0(self):
-        return dz.composed_block(self.Lr, "zero", "infinity").entries
+        return dz.composed_block(self.Lr, "zero", "infinity")
 
     @cached_property
     def weighted(self):
@@ -229,9 +262,9 @@ def _check_c1(alpha: float, p: _GridPieces):
     # eps * |A|, below the rounding of the map x -> Lr(Lr^T x) - Ax
     wide = _writable(dz.operator_square(p.Lr))
     A = p.A.entries
-    a_norm = op_norm(A)
+    a_norm = _norm(A)
     wide -= A
-    wide = op_norm(wide) / a_norm
+    wide = _norm(wide) / a_norm
     L = p.L.entries
     window = op_norm(lambda x: L @ (L @ x) - A @ x, len(A)) / a_norm
     return {"residual": wide, "window_leakage": window, "model_norm": a_norm}
@@ -260,11 +293,10 @@ def _check_c2(alpha: float, p: _GridPieces):
 
 
 def _check_c3(alpha: float, p: _GridPieces):
-    A = p.A.entries
-    H0, defect = dz.phi0_and_split_defect(alpha, p.grid, A)
-    split = defect / max(float(A.max()), -float(A.min()))
+    H0, defect = dz.phi0_and_split_defect(alpha, p.grid, p.A.entries)
+    split = defect / p.A.amax
     dz.subtract_composed_block(H0, p.Lr, "infinity")
-    return {"split_error": split, "composition_residual": op_norm(H0)}
+    return {"split_error": split, "composition_residual": _norm(H0)}
 
 
 _HS_BATTERY = (
@@ -336,9 +368,9 @@ def _cross_block(A: np.ndarray, grid: Grid) -> np.ndarray:
 def _check_c6(alpha: float, p: _GridPieces):
     row = {}
     for label, matrix in (
-        ("L_00", lambda: p.L.entries[p.m0, p.m0]),
-        ("L_ii", lambda: p.L.entries[p.mi, p.mi]),
-        ("A_0i", lambda: _cross_block(p.A.entries, p.grid)),
+        ("L_00", lambda: _upper(p.L.entries[p.m0, p.m0])),
+        ("L_ii", lambda: _upper(p.L.entries[p.mi, p.mi])),
+        ("A_0i", lambda: _upper(_cross_block(p.A.entries, p.grid))),
     ):
         block = matrix()
         sv = singular_values(block)
@@ -369,7 +401,7 @@ def _weighted_block(p: _GridPieces, side: str) -> np.ndarray:
     block, half = (p.quarter_inf, p.m0) if side == "zero" else (p.quarter_0, p.mi)
     vs = p.weighted[1][half]
     wb = np.multiply.outer(vs, vs)
-    wb *= block
+    wb *= block.entries
     return wb
 
 
@@ -393,7 +425,7 @@ def _residual_matrix(p: _GridPieces) -> np.ndarray:
 
 
 def _check_c7(alpha: float, p: _GridPieces):
-    sv = singular_values(_residual_matrix(p))
+    sv = singular_values(_upper(_residual_matrix(p)))
     return {"nuclear": float(sv.sum()), "op": float(sv[0])}
 
 
@@ -404,12 +436,12 @@ def _check_c8(alpha: float, p: _GridPieces):
     pa = pi_alpha(alpha)
     single = lambda c: predict(alpha, c / pa, 0.0, 1.0, 1.0)
     items = (
-        ("model", lambda: p.A.entries, predict(alpha, 1.0, 1.0, 1.0, 1.0)),
+        ("model", lambda: p.A, predict(alpha, 1.0, 1.0, 1.0, 1.0)),
         ("block_zero", lambda: p.quarter_inf, single(pa)),
         ("block_infinity", lambda: p.quarter_0, single(pa)),
         ("weighted_block_zero", lambda: _weighted_block(p, "zero"), single(pa * b0**2)),
         ("weighted_block_infinity", lambda: _weighted_block(p, "infinity"), single(pa * b_inf**2)),
-        ("weighted_hankel", lambda: p.weighted[0].entries, predict(alpha, a0, a_inf, b0, b_inf)),
+        ("weighted_hankel", lambda: p.weighted[0], predict(alpha, a0, a_inf, b0, b_inf)),
     )
     row = {}
     for label, matrix, predicted in items:
@@ -417,7 +449,7 @@ def _check_c8(alpha: float, p: _GridPieces):
             p.free("A")  # the model cloud reads A last: it goes before the weighted matrix comes
         if not predicted.intervals:
             continue
-        rep = analyze(sym_eigen(matrix()), predicted)
+        rep = analyze(sym_eigen(_upper(matrix())), predicted)
         row[label] = {
             "outliers": len(rep.outliers),
             "max_gap": rep.fill_max_gap,

@@ -594,6 +594,16 @@ class TestSingularValues:
         sv = singular_values(rng.standard_normal((15, 9)))
         assert (np.diff(sv) <= 0.0).all()
 
+    @pytest.mark.parametrize("R,N", [(6.0, 200), (12.0, 1600)])
+    def test_strips_give_the_array_bits_unscanned(self, R, N, monkeypatch):
+        # the dense route at order 200 and the low-rank route at 1600: the
+        # upper strips of an exactly symmetric array, with its max|entry|,
+        # give the array's singular values with no symmetry scan
+        A = assemble_A(0.5, make_grid(R, N))
+        expected = singular_values(A)
+        monkeypatch.setattr(hankellab.linalg, "_asymmetry", None)  # any scan raises
+        assert np.array_equal(singular_values(UpperStrips.of(A.entries, A.amax)), expected)
+
     def test_non_symmetric_matrix_takes_one_svd(self):
         M = np.random.default_rng(31).standard_normal((1300, 1250))
         assert np.array_equal(singular_values(M), np.linalg.svd(M, compute_uv=False))

@@ -14,7 +14,13 @@ from hankellab import (
     quad_integral,
     sym_eigen,
 )
-from hankellab.discretize import assemble_L_rect
+from hankellab.discretize import (
+    assemble_A,
+    assemble_L,
+    assemble_L_rect,
+    assemble_model_split,
+    assemble_wHa,
+)
 from hankellab.kernels import kernel_A, kernel_L, rational_test_family, weighted_hankel_kernel
 from hankellab.quadrature import (
     COL_BLOCK,
@@ -146,6 +152,41 @@ class TestNystrom:
         with pytest.raises(KernelEvaluationError, match="non-finite entries"):
             OperatorMatrix(grid=g, entries=entries, provenance="m")
         assert OperatorMatrix(grid=g, entries=np.empty((0, 4)), provenance="empty").entries.size == 0
+
+    def test_constructor_reads_max_abs_entry(self):
+        entries = np.array([[1.0, -3.0], [-3.0, 2.0]])
+        M = OperatorMatrix(grid=make_grid(1.0, 2), entries=entries, provenance="m")
+        assert M.amax == 3.0
+
+    @pytest.mark.parametrize("R,N", [(10.0, 800), (14.0, 2400)])
+    def test_walk_reads_max_abs_entry_exactly(self, R, N):
+        # the verify suite hands these to the solvers with this amax and no
+        # scan; the family (1, -1, 1, 1) has negative entries
+        g = make_grid(R, N)
+        for M in (
+            assemble_A(0.5, g),
+            assemble_L(0.5, g),
+            assemble_wHa(*rational_test_family(0.5, 2.0, 1.0, 1.0, 2.0), g),
+            assemble_wHa(*rational_test_family(0.5, 1.0, -1.0, 1.0, 1.0), g),
+        ):
+            assert M.amax == max(M.entries.max(), -M.entries.min())
+            assert not M.entries.flags.writeable
+
+    def test_walk_matrices_skip_the_constructor_scan(self, monkeypatch):
+        # _kernel_tiles has checked every value of the walk: no second
+        # finiteness scan; the public constructor still scans its input
+        calls = []
+        post_init = OperatorMatrix.__post_init__
+        monkeypatch.setattr(OperatorMatrix, "__post_init__", lambda M: calls.append(M) or post_init(M))
+        g = make_grid(6.0, 200)
+        nystrom(kernel_A(0.5), g)
+        assemble_model_split(0.5, g)
+        assert calls == []
+        entries = np.ones((4, 4))
+        entries[1, 2] = math.nan
+        with pytest.raises(KernelEvaluationError, match="non-finite entries"):
+            OperatorMatrix(grid=make_grid(1.0, 4), entries=entries, provenance="m")
+        assert len(calls) == 1
 
     def test_matrices_compare_by_identity(self):
         g = make_grid(3.0, 40)

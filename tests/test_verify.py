@@ -5,6 +5,7 @@ import json
 import math
 import weakref
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,9 +13,9 @@ import scipy.linalg
 
 from hankellab import DomainError, GridError, make_grid, op_norm, run_suite
 from hankellab import discretize as dz
-from hankellab import specfun, verify
+from hankellab import linalg, specfun, verify
 from hankellab.kernels import kernel_L
-from hankellab.quadrature import OperatorMatrix
+from hankellab.quadrature import OperatorMatrix, UpperStrips
 from hankellab.verify import _GridPieces, _residual_matrix
 
 SHORT_LADDER = [(6.0, 200), (8.0, 400)]
@@ -23,6 +24,40 @@ LARGE_LADDER = [(12.0, 1600), (14.0, 2400)]
 # the shared operators of a ladder step (verify._GridPieces)
 PIECES = {"A", "L", "Lr", "quarter_0", "quarter_inf", "weighted"}
 FAMILY = (2.0, 1.0, 1.0, 2.0)
+
+
+def _record_operands(monkeypatch):
+    """(exact, amax): counters that a run of the suite fills with one entry
+    per operand it hands to singular_values, op_norm or sym_eigen.  exact
+    counts (solver, whether the array behind the operand is exactly
+    symmetric): an array stands for itself, upper strips for the array that
+    UpperStrips.of took them from, and a map partial(np.matmul, S) for S;
+    any other map, C1's window, counts as (solver, None).  amax counts
+    whether the strips' max|entry| is that of the array behind them."""
+    exact, amax, behind = Counter(), Counter(), {}
+    of = UpperStrips.of
+
+    def recorded_of(cls, A, top):
+        P = of(A, top)
+        behind[id(P)] = (P, A)  # P is kept, so its id is not reused
+        return P
+
+    monkeypatch.setattr(UpperStrips, "of", classmethod(recorded_of))
+    for name in ("singular_values", "op_norm", "sym_eigen"):
+
+        def recorded(M, *args, _name=name, _fn=getattr(verify, name)):
+            if isinstance(M, UpperStrips):
+                S = behind[id(M)][1]
+                amax[M.amax == np.abs(S).max()] += 1
+            elif isinstance(M, partial) and M.func is np.matmul:
+                S = M.args[0]
+            else:
+                S = None if callable(M) else np.asarray(M)
+            exact[_name, None if S is None else bool(np.array_equal(S, S.T))] += 1
+            return _fn(M, *args)
+
+        monkeypatch.setattr(verify, name, recorded)
+    return exact, amax
 
 
 @pytest.fixture(scope="module")
@@ -259,7 +294,7 @@ class TestRunSuite:
                     (p.quarter_inf, "infinity", "zero"),
                     (p.quarter_0, "zero", "infinity"),
                 ):
-                    assert np.array_equal(quarter, dz.composed_block(Lr, inner, outer).entries)
+                    assert np.array_equal(quarter.entries, dz.composed_block(Lr, inner, outer).entries)
                 assert set(p.__dict__) & PIECES == {"Lr", "quarter_0", "quarter_inf"}
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5])
@@ -346,29 +381,94 @@ class TestRunSuite:
         assert np.array_equal(S, 0.5 * B + 0.5 * B.T)
 
     def test_every_matrix_solved_is_symmetric(self, monkeypatch):
-        # one singular-value route: each matrix handed to singular_values,
-        # op_norm or sym_eigen is exactly symmetric
-        exact = Counter()
-        for name in ("singular_values", "op_norm", "sym_eigen"):
-
-            def recorded(M, *args, _name=name, _fn=getattr(verify, name)):
-                if not callable(M):
-                    M = np.asarray(M)
-                    exact[_name, np.array_equal(M, M.T)] += 1
-                return _fn(M, *args)
-
-            monkeypatch.setattr(verify, name, recorded)
+        # one singular-value route: the solvers take the suite's matrices
+        # as upper strips or maps, unscanned, so the array behind each is
+        # shown exactly symmetric here, and the strips' max|entry| exact
+        exact, amax = _record_operands(monkeypatch)
         rep = run_suite(0.5, SHORT_LADDER, family=FAMILY)
         assert [c.anchor for c in rep.checks].count("(check aborted)") == 0
         steps = len(SHORT_LADDER)
         clouds = sum(len(row) for row in next(c for c in rep.checks if c.name == "C8").metrics)
         # C1's model norm and wide residual, C3's residual, C6's three
-        # blocks, C7's residual; C1's window hands op_norm a map
+        # blocks, C7's residual; C1's window hands op_norm another map
         assert exact == {
             ("op_norm", True): 3 * steps,
+            ("op_norm", None): steps,
             ("singular_values", True): 4 * steps,
             ("sym_eigen", True): clouds,
         }
+        assert amax == {True: 4 * steps + clouds}
+
+    @pytest.mark.parametrize("builder", ["cross_block", "residual"])
+    def test_symmetry_spy_catches_an_asymmetric_builder(self, monkeypatch, builder):
+        # the solvers would take these from their upper strips without
+        # notice: C6's cross block B = A_0,inf J not symmetrised (symmetric
+        # to rounding only), or C7's residual with one entry one ulp off
+        if builder == "cross_block":
+            check = "C6"
+            monkeypatch.setattr(
+                verify,
+                "_cross_block",
+                lambda A, grid: A[grid.side("zero"), grid.side("infinity")][:, ::-1].copy(),
+            )
+        else:
+            check, residual = "C7", verify._residual_matrix
+
+            def nudged(p):
+                T = residual(p)
+                T[0, 1] = math.nextafter(T[0, 1], math.inf)
+                return T
+
+            monkeypatch.setattr(verify, "_residual_matrix", nudged)
+        exact, _ = _record_operands(monkeypatch)
+        rep = run_suite(0.5, SHORT_LADDER, checks=[check], family=FAMILY)
+        assert rep.checks[0].anchor != "(check aborted)"
+        assert exact["singular_values", False] == len(SHORT_LADDER)
+
+    def test_suite_makes_no_symmetry_scan(self, monkeypatch):
+        scans = []
+        asymmetry = linalg._asymmetry
+        monkeypatch.setattr(linalg, "_asymmetry", lambda A: scans.append(A.shape) or asymmetry(A))
+        rep = run_suite(0.5, SHORT_LADDER, family=FAMILY)
+        assert [c.anchor for c in rep.checks].count("(check aborted)") == 0
+        assert scans == []
+
+    def test_nan_in_a_weighted_block_aborts_c7_and_c8_before_their_solves(self, monkeypatch):
+        # planted after the walk, which checks every kernel value: the
+        # weighted blocks are formed from checked pieces, and the one read
+        # of max|entry| before each solve rejects the NaN
+        weighted_block = verify._weighted_block
+
+        def planted(p, side):
+            wb = weighted_block(p, side)
+            wb[3, 5] = math.nan
+            return wb
+
+        monkeypatch.setattr(verify, "_weighted_block", planted)
+        rep = run_suite(0.5, [(6.0, 200)], family=FAMILY)
+        checks = {c.name: c for c in rep.checks}
+        for name in ("C7", "C8"):
+            assert checks[name].anchor == "(check aborted)"
+            assert checks[name].metrics == ({"error": "EigenSolverError: matrix has non-finite entries"},)
+        assert all(checks[name].verdict == "pass" for name in ("C1", "C2", "C3", "C4", "C5", "C6"))
+
+    def test_nan_in_a_aborts_c1(self, monkeypatch):
+        # C1's norms run Lanczos on the map x -> A x, whose first product
+        # is not finite
+        assemble = dz.assemble_A
+
+        def planted(alpha, grid):
+            M = assemble(alpha, grid)
+            M.entries.flags.writeable = True
+            M.entries[3, 5] = math.nan
+            return M
+
+        monkeypatch.setattr(dz, "assemble_A", planted)
+        c1, c5 = run_suite(0.5, [(6.0, 200)], checks=["C1", "C5"]).checks
+        assert c1.anchor == "(check aborted)" and c1.verdict == "fail"
+        ((key, error),) = c1.metrics[0].items()
+        assert key == "error" and error.startswith("EigenSolverError") and "non-finite" in error
+        assert c5.verdict == "pass"
 
     @pytest.mark.parametrize(
         "family,skipped",
